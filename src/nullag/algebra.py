@@ -14,15 +14,12 @@ import itertools
 from fractions import Fraction
 
 
-Rational = Fraction
-
-
 def rat(x) -> Fraction:
     """Coerce ints, strings like ``-3/7``, and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
-        raise TypeError("refusing to coerce float to Rational; convert explicitly")
+        raise TypeError("refusing to coerce float to Fraction; convert explicitly")
     return Fraction(x)
 
 
@@ -45,19 +42,6 @@ def rat_from_str(s) -> Fraction:
 
 def vec(xs):
     return tuple(rat(x) for x in xs)
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    c = rat(c)
-    return tuple(c * x for x in a)
 
 
 def vec_dot(a, b):
@@ -201,11 +185,6 @@ class RationalMatrix:
 
     def submatrix(self, rowset, colset):
         return RationalMatrix([[self.entries[i][j] for j in colset] for i in rowset])
-
-    def to_float_array(self):
-        import numpy as np
-
-        return np.array([[float(x) for x in r] for r in self.entries], dtype=float)
 
     # -- elimination kernels -----------------------------------------------
 
@@ -596,18 +575,6 @@ class MultiPoly:
             total += v
         return total
 
-    def eval_float(self, point):
-        if len(point) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        total = 0.0
-        for e, c in self.terms.items():
-            v = float(c)
-            for x, p in zip(point, e):
-                if p:
-                    v *= float(x) ** p
-            total += v
-        return total
-
     def compose_linear(self, L: RationalMatrix, shift=None):
         """Exact substitution z_i -> (row i of L) . w + shift_i.
 
@@ -658,10 +625,6 @@ class MultiPoly:
             )
             bits.append("%s%s" % (c, "*" + mono if mono else ""))
         return "MultiPoly(%s)" % " + ".join(bits)
-
-
-def poly_eval(f: MultiPoly, z):
-    return f.eval(z)
 
 
 def poly_compose_linear(f: MultiPoly, L: RationalMatrix, shift=None):

@@ -13,6 +13,18 @@ through the invariance of the minor span under pencil operations.
 The descending chain repeatedly restricts to the kernel of the current
 certificate form; it stops at the zero cone (triviality certified) or at
 a cone carrying no combination (obstruction).
+
+Form convention.  Every minor form comes from ``Subspace.minor_forms``.
+With L the lcm of the basis denominators and A_ij = L a_ij the integer
+entry vectors, the k-th minor of ``enumerate_minors(m, n, 2)`` (rows
+r1 < r2, columns c1 < c2) is z^T Q_k z with Q_k = S_k / (2 L^2) and the
+integer symmetric matrix
+
+    S_k = A11 A22^T + A22 A11^T - A12 A21^T - A21 A12^T,
+
+A11 = A_{r1 c1}, A22 = A_{r2 c2}, A12 = A_{r1 c2}, A21 = A_{r2 c1}.  A
+combination sum_k beta_k Q_k is summed over the support of beta in
+integers and divided once.  ``minor_polys`` stays the general-order route.
 """
 
 from __future__ import annotations
@@ -30,10 +42,9 @@ from .algebra import (
     rat,
     rat_from_str,
     rat_to_str,
-    vec_dot,
     vec_is_zero,
 )
-from .subspace import Subspace, minor_polys
+from .subspace import Subspace
 
 
 # ---------------------------------------------------------------------------
@@ -43,21 +54,18 @@ from .subspace import Subspace, minor_polys
 class MinorCombination:
     """Coefficients over the order-2 minor enumeration, as a quadratic form.
 
-    ``projections`` mirrors the extra coefficient slots (one per matrix
-    entry) that the general triviality condition allows; the subspace
-    search never needs them and never fills them.
+    ``form`` is the combination's form on the pencil it was built for, or
+    None when only beta is known; verification rebuilds the form from beta
+    and never reads this field.
     """
 
-    __slots__ = ("beta", "projections", "form")
+    __slots__ = ("beta", "form")
 
-    def __init__(self, beta, form: QuadraticForm, projections=None):
+    def __init__(self, beta, form: QuadraticForm = None):
         beta = tuple(rat(b) for b in beta)
-        if all(b == 0 for b in beta) and (
-            projections is None or all(rat(p) == 0 for p in projections)
-        ):
+        if all(b == 0 for b in beta):
             raise ValueError("combination must have a non-zero coefficient")
         self.beta = beta
-        self.projections = None if projections is None else tuple(rat(p) for p in projections)
         self.form = form
 
     def __repr__(self):
@@ -67,15 +75,7 @@ class MinorCombination:
 
 def combination_form(K: Subspace, beta) -> QuadraticForm:
     """The quadratic form of sum_k beta_k M_k(P_K(z)), built exactly."""
-    polys = minor_polys(K, 2)
-    if len(beta) != len(polys):
-        raise ValueError("beta length %d != %d minors" % (len(beta), len(polys)))
-    acc = MultiPoly.zero(K.d)
-    for b, p in zip(beta, polys):
-        b = rat(b)
-        if b != 0:
-            acc = acc + p.scale(b)
-    return QuadraticForm.from_poly(acc)
+    return K.minor_forms().combination(beta)
 
 
 class TrivialityCertificate:
@@ -498,12 +498,9 @@ def _certificate_target(K: Subspace):
 
 def solve_beta_for_poly(K: Subspace, g: MultiPoly):
     """Exact beta with sum_k beta_k M_k(P_K(z)) == g, or None."""
-    polys = minor_polys(K, 2)
-    monomials = sorted(set(e for p in polys for e in p.terms) | set(g.terms))
-    if not monomials:
+    if not g.is_homogeneous(2):
         return None
-    A = RationalMatrix.from_columns([p.coefficient_vector(monomials) for p in polys])
-    return A.solve(g.coefficient_vector(monomials))
+    return K.minor_forms().solve(QuadraticForm.from_poly(g).matrix)
 
 
 def find_certificate_d_le_3(K: Subspace) -> CertificateOutcome:
@@ -565,52 +562,36 @@ def psd_combination_search(K: Subspace, seed=0, targets=24):
     forms, rationalizes candidate coefficients and keeps the first one
     that passes the exact PSD check.  Sound but not complete.
     """
-    polys = minor_polys(K, 2)
+    forms = K.minor_forms()
     d = K.d
-    forms = [QuadraticForm.from_poly(p) for p in polys]
-    cols = []
-    for f in forms:
-        v = []
-        for i in range(d):
-            for j in range(i, d):
-                v.append(float(f.matrix[i, j]))
-        cols.append(v)
-    Pi = np.array(cols, dtype=float).T
+    Pi = forms.float_columns()
     rng = np.random.default_rng(seed)
     target_list = [np.eye(d)]
     for _ in range(targets):
         G = rng.standard_normal((d, d))
         target_list.append(G @ G.T + 1e-3 * np.eye(d))
     for T in target_list:
-        tvec = []
-        for i in range(d):
-            for j in range(i, d):
-                tvec.append(T[i, j])
-        tvec = np.array(tvec)
+        tvec = _sym_vec(T, d)
         beta_f, *_ = np.linalg.lstsq(Pi, tvec, rcond=None)
         if float(np.linalg.norm(Pi @ beta_f - tvec)) > 1e-9 * max(1.0, float(np.linalg.norm(tvec))):
             continue
-        comb = _rationalize_combination(K, forms, beta_f)
+        comb = _rationalize_combination(forms, beta_f)
         if comb is not None:
             return comb
     return None
 
 
-def _rationalize_combination(K, forms, beta_f):
-    d = K.d
+def _rationalize_combination(forms, beta_f):
     for digits in (10**6, 10**12):
         beta = tuple(Fraction(float(b)).limit_denominator(digits) for b in beta_f)
         if all(b == 0 for b in beta):
             continue
-        acc = RationalMatrix.zeros(d, d)
-        for b, f in zip(beta, forms):
-            if b != 0:
-                acc = acc + f.matrix.scale(b)
-        if acc.is_zero():
+        form = forms.combination(beta)
+        if form.is_zero():
             continue
-        rep = psd_analyze(acc)
+        rep = psd_analyze(form.matrix)
         if rep.is_psd:
-            return MinorCombination(beta, QuadraticForm(acc))
+            return MinorCombination(beta, form)
     return None
 
 
@@ -627,17 +608,23 @@ def _any_nonzero_direction(K):
 # ---------------------------------------------------------------------------
 
 class VerifyReport:
-    """Exact verdict for one combination on one subspace cone."""
+    """Exact verdict for one combination on one subspace cone.
 
-    __slots__ = ("verdict", "psd", "nonzero", "neg_witness", "pos_witness", "kernel")
+    ``form`` is the combination's form on the whole pencil, rebuilt from
+    beta for this verdict.
+    """
 
-    def __init__(self, verdict, psd, nonzero, neg_witness=None, pos_witness=None, kernel=None):
+    __slots__ = ("verdict", "psd", "nonzero", "neg_witness", "pos_witness", "kernel", "form")
+
+    def __init__(self, verdict, psd, nonzero, neg_witness=None, pos_witness=None, kernel=None,
+                 form=None):
         self.verdict = verdict
         self.psd = psd
         self.nonzero = nonzero
         self.neg_witness = neg_witness
         self.pos_witness = pos_witness
         self.kernel = kernel
+        self.form = form
 
     @property
     def ok(self):
@@ -652,25 +639,14 @@ def verify_combination(K: Subspace, comb: MinorCombination, cone_basis=None) -> 
     cannot fool the verdict.
     """
     form = combination_form(K, comb.beta)
-    if comb.projections is not None and any(p != 0 for p in comb.projections):
-        lin = _projection_linear_form(K, comb.projections)
-    else:
-        lin = None
     if cone_basis is None:
         cone_basis = [tuple(Fraction(int(i == k)) for i in range(K.d)) for k in range(K.d)]
     cone_basis = [tuple(rat(x) for x in v) for v in cone_basis]
     if not cone_basis:
-        return VerifyReport("trivial", True, False)
+        return VerifyReport("trivial", True, False, form=form)
     restricted = form.restrict(cone_basis)
-    if lin is not None:
-        # on a subspace, non-negativity of quadratic + linear forces the
-        # linear part to vanish identically there
-        for v in cone_basis:
-            if vec_dot(lin, v) != 0:
-                return VerifyReport("indefinite", False, True,
-                                    neg_witness=tuple(-x for x in v), pos_witness=v)
     if restricted.is_zero():
-        return VerifyReport("trivial", True, False)
+        return VerifyReport("trivial", True, False, form=form)
     rep = psd_analyze(restricted.matrix)
     lift = lambda w: tuple(
         sum(w[r] * cone_basis[r][i] for r in range(len(cone_basis)))
@@ -678,60 +654,30 @@ def verify_combination(K: Subspace, comb: MinorCombination, cone_basis=None) -> 
     )
     if rep.is_psd:
         kernel = [lift(w) for w in rep.kernel]
-        return VerifyReport("psd-nontrivial", True, True, kernel=kernel)
+        return VerifyReport("psd-nontrivial", True, True, kernel=kernel, form=form)
     neg = lift(rep.neg_witness)
     neg_rep = psd_analyze(restricted.matrix.scale(-1))
     if neg_rep.is_psd:
-        return VerifyReport("nsd-nontrivial", False, True, neg_witness=neg)
+        return VerifyReport("nsd-nontrivial", False, True, neg_witness=neg, form=form)
     pos = lift(neg_rep.neg_witness)
-    return VerifyReport("indefinite", False, True, neg_witness=neg, pos_witness=pos)
-
-
-def _projection_linear_form(K: Subspace, projections):
-    if len(projections) != K.m * K.n:
-        raise ValueError("projection coefficient count must be m*n")
-    lin = [Fraction(0)] * K.d
-    idx = 0
-    for i in range(K.m):
-        for j in range(K.n):
-            c = projections[idx]
-            idx += 1
-            if c != 0:
-                a = K.entry_vector(i, j)
-                for l in range(K.d):
-                    lin[l] += c * a[l]
-    return tuple(lin)
-
-
-def verify_combination_on_samples(K: Subspace, comb: MinorCombination, points, tol=1e-12):
-    """Sampling check on an arbitrary point set; never conclusive."""
-    form = combination_form(K, comb.beta)
-    values = [float(form(tuple(rat(x) for x in p))) for p in points]
-    return {
-        "min": min(values) if values else None,
-        "max": max(values) if values else None,
-        "nonnegative_on_samples": all(v >= -tol for v in values),
-        "conclusive": False,
-    }
+    return VerifyReport("indefinite", False, True, neg_witness=neg, pos_witness=pos, form=form)
 
 
 # ---------------------------------------------------------------------------
 # descending chain
 # ---------------------------------------------------------------------------
 
-def reduce_chain(K: Subspace, measure_support_hint=None):
+def reduce_chain(K: Subspace):
     """Descending-cone reduction; terminal certificate or obstruction.
 
     Every cone appearing here is a subspace: each certificate form is PSD,
     so its zero set within the current cone is the kernel of the
     restricted form.  With d <= 3 the per-step search is the guaranteed
     constructive one; larger pencils fall back to the heuristic
-    identity-projection step and the chain is best-effort.
+    identity-projection step and the chain is best-effort.  Each step's
+    form on K is built once, by the exact verification of its beta.
     """
-    if measure_support_hint:
-        cone = _independent_subset([tuple(rat(x) for x in v) for v in measure_support_hint])
-    else:
-        cone = [tuple(Fraction(int(i == k)) for i in range(K.d)) for k in range(K.d)]
+    cone = [tuple(Fraction(int(i == k)) for i in range(K.d)) for k in range(K.d)]
     chain = []
     cones = []
     while cone:
@@ -750,28 +696,16 @@ def reduce_chain(K: Subspace, measure_support_hint=None):
                 )
             return Obstruction(cone, "no combination on cone", lifted, outcome.note)
         beta = outcome.combination.beta
-        full_form = combination_form(K, beta)
-        comb = MinorCombination(beta, full_form)
-        report = verify_combination(K, comb, cone)
+        report = verify_combination(K, MinorCombination(beta), cone)
         if not report.ok:
             raise RuntimeError("chain step failed exact verification: %s" % report.verdict)
-        chain.append(comb)
+        chain.append(MinorCombination(beta, report.form))
         cones.append(cone)
         kernel = report.kernel
         if len(kernel) >= len(cone):
             raise RuntimeError("chain cone failed to shrink")
         cone = kernel
     return TrivialityCertificate(chain, cones, terminal=True)
-
-
-def _independent_subset(vectors):
-    chosen = []
-    for v in vectors:
-        if vec_is_zero(v):
-            continue
-        if _vector_rank(chosen + [v]) > len(chosen):
-            chosen.append(v)
-    return chosen
 
 
 def _heuristic_combination(K: Subspace) -> CertificateOutcome:
@@ -781,27 +715,14 @@ def _heuristic_combination(K: Subspace) -> CertificateOutcome:
     span of the minor forms, rationalizes, and keeps the result only if it
     passes the exact PSD check.
     """
-    polys = minor_polys(K, 2)
-    d = K.d
-    forms = [QuadraticForm.from_poly(p) for p in polys]
-    cols = []
-    for f in forms:
-        v = []
-        for i in range(d):
-            for j in range(i, d):
-                v.append(float(f.matrix[i, j]))
-        cols.append(v)
-    Pi = np.array(cols, dtype=float).T
-    target = []
-    for i in range(d):
-        for j in range(i, d):
-            target.append(1.0 if i == j else 0.0)
-    target = np.array(target)
+    forms = K.minor_forms()
+    Pi = forms.float_columns()
+    target = _sym_vec(np.eye(K.d), K.d)
     beta_f, *_ = np.linalg.lstsq(Pi, target, rcond=None)
     resid = float(np.linalg.norm(Pi @ beta_f - target))
     if resid > 1e-8 * max(1.0, float(np.linalg.norm(target))):
         return CertificateOutcome(note="identity form is outside the span of the minor forms (heuristic)")
-    comb = _rationalize_combination(K, forms, beta_f)
+    comb = _rationalize_combination(forms, beta_f)
     if comb is not None:
         return CertificateOutcome(combination=comb)
     return CertificateOutcome(note="rationalized identity projection failed the exact PSD check (heuristic)")

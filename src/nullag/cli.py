@@ -28,7 +28,6 @@ from .certify import (
     MinorCombination,
     Obstruction,
     TrivialityCertificate,
-    combination_form,
     grassmann_genericity,
     reduce_chain,
     verify_combination,
@@ -108,11 +107,11 @@ def cmd_analyze(args):
         return EXIT_SCHEMA
     report = _report("analyze", obj, seed=args.seed)
     report["subspace"] = {"m": K.m, "n": K.n, "d": K.d}
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     res = find_rank_one(K, mode="auto", density=args.density, seed=args.seed,
                         tol=args.tol, absent_tol=args.absent_tol)
-    report["timings"]["find_rank_one"] = time.time() - t0
+    report["timings"]["find_rank_one"] = time.perf_counter() - t0
     rank_entry = {
         "operation": "find_rank_one",
         "mode": res.mode,
@@ -155,9 +154,9 @@ def cmd_analyze(args):
         _emit(report, args.json_out)
         return EXIT_NONTRIVIAL
 
-    t1 = time.time()
+    t1 = time.perf_counter()
     chain = reduce_chain(K)
-    report["timings"]["reduce_chain"] = time.time() - t1
+    report["timings"]["reduce_chain"] = time.perf_counter() - t1
     if isinstance(chain, TrivialityCertificate):
         report["verdicts"].append(
             {"operation": "reduce_chain", "terminal": True, "chain_length": len(chain.chain)}
@@ -182,12 +181,12 @@ def cmd_analyze(args):
             _emit(report, args.json_out)
             return EXIT_NONTRIVIAL
 
-    t2 = time.time()
+    t2 = time.perf_counter()
     candidates = [tuple(rat_from_str(x) for x in v) for v in (args.candidates or [])]
     mu = construct_nontrivial_for_subspace(
         K, budget=args.budget, seed=args.seed, candidates=candidates or None
     )
-    report["timings"]["construct_nontrivial"] = time.time() - t2
+    report["timings"]["construct_nontrivial"] = time.perf_counter() - t2
     if mu is not None:
         report["verdicts"].append(
             {"operation": "construct_nontrivial", "found": True, "atoms": len(mu.atoms), "exact": True}
@@ -222,7 +221,7 @@ def cmd_k1(args):
         _emit(report, args.json_out)
         return EXIT_SCHEMA
     alpha = (args.alpha1, args.alpha2)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         system = build_atoms(flux, alpha, args.s0, args.t0)
     except AtomConstructionError as exc:
@@ -243,7 +242,7 @@ def cmd_k1(args):
         report["error"] = str(exc)
         _emit(report, args.json_out)
         return EXIT_PRECONDITION
-    report["timings"]["construction"] = time.time() - t0
+    report["timings"]["construction"] = time.perf_counter() - t0
     rep_alpha = is_null_lagrangian(mu_alpha, orders=2, tol=args.measure_tol)
     rep_pushed = is_null_lagrangian(pushed, orders=2, tol=args.measure_tol)
     report["iteration"] = result.to_json()
@@ -300,8 +299,7 @@ def _verify_certificate_obj(obj, tol):
             entries.append({"operation": "verify-cert", "step": step, "error": "cone mismatch"})
             ok = False
             break
-        comb = MinorCombination(beta, combination_form(K, beta))
-        rep = verify_combination(K, comb, cone)
+        rep = verify_combination(K, MinorCombination(beta), cone)
         entry = {"operation": "verify_combination", "step": step, "verdict": rep.verdict}
         if not rep.ok:
             if rep.neg_witness is not None:
@@ -334,6 +332,24 @@ def _same_span(c1, c2, d):
     return m1.rank() == m2.rank() == both.rank()
 
 
+def _check_scan_obj(obj):
+    """Schema of a grassmann-scan report; raises ValueError when it is off."""
+    inputs, samples, summary = obj.get("inputs"), obj.get("samples"), obj.get("summary")
+    if not isinstance(inputs, dict) or not all(
+        isinstance(inputs.get(key), int) for key in ("k", "m", "n", "samples", "seed")
+    ):
+        raise ValueError("bad grassmann-scan JSON: 'inputs'")
+    if not isinstance(samples, list) or len(samples) != inputs["samples"] or not all(
+        isinstance(s, dict) and all(key in s for key in ("seed", "lambda", "span_dim", "pd_found"))
+        for s in samples
+    ):
+        raise ValueError("bad grassmann-scan JSON: 'samples'")
+    if not isinstance(summary, dict) or not all(
+        key in summary for key in ("lambda_nonzero_fraction", "pd_fraction", "target_span_dim")
+    ):
+        raise ValueError("bad grassmann-scan JSON: 'summary'")
+
+
 def cmd_verify(args):
     try:
         obj = _load_json(args.artifact)
@@ -348,7 +364,16 @@ def cmd_verify(args):
     elif kind == "triviality-certificate":
         targets.append(("certificate", obj))
     elif kind == "grassmann-scan":
-        targets.append(("grassmann", obj))
+        try:
+            _check_scan_obj(obj)
+        except ValueError as exc:
+            report["error"] = str(exc)
+            _emit(report, args.json_out)
+            return EXIT_SCHEMA
+        report["verdicts"].append({"operation": "scan-schema", "verdict": True})
+        report["conclusion"] = "report carries float probes and no exact artifact; schema accepted"
+        _emit(report, args.json_out)
+        return EXIT_VERIFIED
     elif "measure" in obj or "certificate" in obj or "measure_stripped" in obj:
         # a run report embedding artifacts: verify everything inside
         for key in ("measure", "measure_stripped"):
@@ -422,7 +447,7 @@ def cmd_grassmann_scan(args):
         report["error"] = "bad dimensions"
         _emit(report, args.json_out)
         return EXIT_SCHEMA
-    t0 = time.time()
+    t0 = time.perf_counter()
     tasks = [(k, m, n, args.seed + i, args.lambda_tol) for i in range(args.samples)]
     threads = worker_count()
     if threads > 1:
@@ -454,7 +479,7 @@ def cmd_grassmann_scan(args):
             "span_dim": rep.span_dim,
             "exact_span_dim": rep.exact_span_dim,
         }
-    report["timings"]["scan"] = time.time() - t0
+    report["timings"]["scan"] = time.perf_counter() - t0
     report["verdicts"].append(
         {
             "operation": "grassmann_genericity",

@@ -18,20 +18,20 @@ import numpy as np
 
 from .algebra import (
     MultiPoly,
+    QuadraticForm,
     RationalMatrix,
     enumerate_minors,
     rat,
     rat_from_str,
     rat_to_str,
     span_basis_indices,
-    vec_dot,
 )
 
 
 class Subspace:
     """Basis presentation of a subspace of m x n matrices."""
 
-    __slots__ = ("m", "n", "d", "basis")
+    __slots__ = ("m", "n", "d", "basis", "_minor_forms")
 
     def __init__(self, basis):
         basis = tuple(
@@ -57,6 +57,7 @@ class Subspace:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_minor_forms", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -73,6 +74,12 @@ class Subspace:
 
     def entry_grid(self):
         return [[self.entry_vector(i, j) for j in range(self.n)] for i in range(self.m)]
+
+    def minor_forms(self):
+        """The exact 2x2 minor forms of the pencil, built on first use."""
+        if self._minor_forms is None:
+            object.__setattr__(self, "_minor_forms", MinorForms(self))
+        return self._minor_forms
 
     def evaluate(self, z):
         """P(z) = sum_l z_l B_l, exactly."""
@@ -254,6 +261,123 @@ def minor_polys(K: Subspace, order=2):
     return out
 
 
+def _add_sym_outer(acc, u, v, sign):
+    """acc += sign * (u v^T + v u^T) on the upper triangle; u, v sparse."""
+    for l, x in u:
+        for t, y in v:
+            key = (l, t) if l <= t else (t, l)
+            acc[key] = acc.get(key, 0) + (2 * sign * x * y if l == t else sign * x * y)
+
+
+class MinorForms:
+    """The quadratic forms of the order-2 minors of a pencil, exactly.
+
+    Let L be the lcm of the denominators of the basis entries, so that the
+    entry vectors A_ij = L a_ij are integer vectors.  The k-th minor in
+    ``enumerate_minors(m, n, 2)`` order, rows r1 < r2 and columns c1 < c2,
+    is M_k(P(z)) = z^T Q_k z with
+
+        Q_k = S_k / (2 L^2),
+        S_k = A11 A22^T + A22 A11^T - A12 A21^T - A21 A12^T,
+
+    where A11 = A_{r1 c1}, A22 = A_{r2 c2}, A12 = A_{r1 c2}, A21 = A_{r2 c1}.
+    Q_k is the matrix ``QuadraticForm.from_poly`` gives for the minor
+    polynomial.  ``S[k]`` holds the non-zero upper-triangle entries of the
+    integer matrix S_k as ``{(i, j): s}`` with i <= j; the products run over
+    the non-zero coordinates of the entry vectors only.
+    """
+
+    __slots__ = ("d", "L", "S")
+
+    def __init__(self, K: Subspace):
+        L = 1
+        for b in K.basis:
+            for row in b.entries:
+                for x in row:
+                    L = math.lcm(L, x.denominator)
+        grid = [
+            [
+                [(l, b.entries[i][j].numerator * (L // b.entries[i][j].denominator))
+                 for l, b in enumerate(K.basis) if b.entries[i][j] != 0]
+                for j in range(K.n)
+            ]
+            for i in range(K.m)
+        ]
+        S = []
+        for (r1, r2), (c1, c2) in enumerate_minors(K.m, K.n, 2):
+            acc = {}
+            _add_sym_outer(acc, grid[r1][c1], grid[r2][c2], 1)
+            _add_sym_outer(acc, grid[r1][c2], grid[r2][c1], -1)
+            S.append({key: s for key, s in acc.items() if s != 0})
+        self.d = K.d
+        self.L = L
+        self.S = tuple(S)
+
+    def combination(self, beta) -> QuadraticForm:
+        """The form of sum_k beta_k M_k, summed over beta's support only.
+
+        beta is scaled to integers by the lcm D of its denominators, the
+        integer matrices are summed, and the sum is divided once by 2 L^2 D.
+        """
+        if len(beta) != len(self.S):
+            raise ValueError("beta length %d != %d minors" % (len(beta), len(self.S)))
+        support = [(k, b) for k, b in enumerate(map(rat, beta)) if b != 0]
+        D = 1
+        for _, b in support:
+            D = math.lcm(D, b.denominator)
+        acc = {}
+        for k, b in support:
+            c = b.numerator * (D // b.denominator)
+            for key, s in self.S[k].items():
+                acc[key] = acc.get(key, 0) + c * s
+        den = 2 * self.L * self.L * D
+        m = [[Fraction(0)] * self.d for _ in range(self.d)]
+        for (i, j), s in acc.items():
+            if s != 0:
+                m[i][j] = m[j][i] = Fraction(s, den)
+        return QuadraticForm(RationalMatrix(m))
+
+    def float_columns(self):
+        """Float matrix whose column k lists Q_k[i, j] for i <= j, row-major.
+
+        Each entry is the correctly rounded value of the exact one.
+        """
+        d = self.d
+        rows = {key: r for r, key in enumerate((i, j) for i in range(d) for j in range(i, d))}
+        Pi = np.zeros((len(rows), len(self.S)))
+        den = 2 * self.L * self.L
+        for k, upper in enumerate(self.S):
+            for key, s in upper.items():
+                Pi[rows[key], k] = s / den
+        return Pi
+
+    def solve(self, target: RationalMatrix):
+        """One exact beta with sum_k beta_k Q_k == target, or None.
+
+        The system has one equation per upper-triangle position where some
+        Q_k or the target is non-zero; beta is the rref basic solution,
+        whose free coefficients are zero.  A zero Q_k is never a pivot
+        column, so it is left out of the elimination; with no non-zero Q_k
+        there is no solution to report.
+        """
+        live = [k for k, upper in enumerate(self.S) if upper]
+        if not live:
+            return None
+        den = 2 * self.L * self.L
+        d = self.d
+        positions = {key for k in live for key in self.S[k]}
+        positions |= {(i, j) for i in range(d) for j in range(i, d) if target[i, j] != 0}
+        positions = sorted(positions)
+        A = RationalMatrix([[self.S[k].get(key, 0) for k in live] for key in positions])
+        x = A.solve([target[i, j] * den for i, j in positions])
+        if x is None:
+            return None
+        beta = [Fraction(0)] * len(self.S)
+        for k, b in zip(live, x):
+            beta[k] = b
+        return tuple(beta)
+
+
 class MinorSpan:
     """Order-p minor polynomials of a pencil plus a basis of their span."""
 
@@ -344,10 +468,6 @@ def find_rank_one(K: Subspace, mode="auto", density=20000, seed=0, tol=1e-9,
     return _find_rank_one_numeric(K, density, seed, tol, absent_tol, refine_candidates)
 
 
-def rank_at(K: Subspace, z):
-    return K.evaluate(z).rank()
-
-
 def _find_rank_one_exact(K: Subspace) -> RankOneResult:
     if K.d == 1:
         if K.basis[0].rank() == 1:
@@ -356,25 +476,26 @@ def _find_rank_one_exact(K: Subspace) -> RankOneResult:
                                  residual=0.0, is_proof=True, mode="exact")
         return RankOneResult(False, is_proof=True, mode="exact")
 
-    polys = [p for p in minor_polys(K, 2) if not p.is_zero()]
-    if not polys:
+    forms = [upper for upper in K.minor_forms().S if upper]
+    if not forms:
         w = (Fraction(1), Fraction(0))
         return RankOneResult(True, witness=w, witness_float=np.array([1.0, 0.0]),
                              residual=0.0, is_proof=True, mode="exact")
 
     # z = (1, 0): every form must have zero z1^2 coefficient
-    if all(p.terms.get((2, 0), Fraction(0)) == 0 for p in polys):
+    if all(upper.get((0, 0), 0) == 0 for upper in forms):
         w = (Fraction(1), Fraction(0))
         return RankOneResult(True, witness=w, witness_float=np.array([1.0, 0.0]),
                              residual=0.0, is_proof=True, mode="exact")
 
     # dehomogenize at z = (t, 1) and take the gcd of the univariate forms
+    # 2 L^2 M_k(t, 1) = S_00 t^2 + 2 S_01 t + S_11; the monic gcd ignores the scale
     unis = []
-    for p in polys:
+    for upper in forms:
         unis.append([
-            p.terms.get((0, 2), Fraction(0)),
-            p.terms.get((1, 1), Fraction(0)),
-            p.terms.get((2, 0), Fraction(0)),
+            Fraction(upper.get((1, 1), 0)),
+            Fraction(2 * upper.get((0, 1), 0)),
+            Fraction(upper.get((0, 0), 0)),
         ])
     g = _poly_gcd_many(unis)
     deg = len(g) - 1

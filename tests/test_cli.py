@@ -203,6 +203,24 @@ def test_grassmann_scan_bad_dims(capsys):
     assert code == 2
 
 
+def test_verify_grassmann_scan_report(tmp_path, capsys):
+    out = tmp_path / "scan.json"
+    code, scan = run_cli(capsys, "grassmann-scan", "2", "4", "4", "--samples", "4",
+                         "--json-out", str(out))
+    assert code == 0
+    code, report = run_cli(capsys, "verify", str(out))
+    assert code == 0
+    assert "no exact artifact" in report["conclusion"]
+    assert report["verdicts"] == [{"operation": "scan-schema", "verdict": True}]
+    for key in ("summary", "samples", "inputs"):
+        bad = dict(scan)
+        del bad[key]
+        path = tmp_path / ("scan-no-%s.json" % key)
+        path.write_text(json.dumps(bad))
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 2 and key in report["error"]
+
+
 def test_fixtures_list_and_unknown(capsys):
     code, report = run_cli(capsys, "fixtures", "list")
     assert code == 0
