@@ -503,11 +503,6 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self, deg=None):
         if not self.terms:
             return True
@@ -609,9 +604,6 @@ class MultiPoly:
         """Coefficients against an explicit monomial list (exponent tuples)."""
         return tuple(self.terms.get(tuple(e), Fraction(0)) for e in monomials)
 
-    def monomials(self):
-        return sorted(self.terms.keys())
-
     def __repr__(self):
         if not self.terms:
             return "MultiPoly(0)"
@@ -625,10 +617,6 @@ class MultiPoly:
             )
             bits.append("%s%s" % (c, "*" + mono if mono else ""))
         return "MultiPoly(%s)" % " + ".join(bits)
-
-
-def poly_compose_linear(f: MultiPoly, L: RationalMatrix, shift=None):
-    return f.compose_linear(L, shift)
 
 
 def span_basis_indices(polys):

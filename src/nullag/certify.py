@@ -37,14 +37,13 @@ from .algebra import (
     MultiPoly,
     QuadraticForm,
     RationalMatrix,
-    enumerate_minors,
     psd_analyze,
     rat,
     rat_from_str,
     rat_to_str,
     vec_is_zero,
 )
-from .subspace import Subspace
+from .subspace import Subspace, _minor_index_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +110,17 @@ class TrivialityCertificate:
 
     @staticmethod
     def chain_from_json(obj):
-        chain = []
-        for entry in obj["chain"]:
-            beta = tuple(rat_from_str(x) for x in entry["beta"])
-            cone = [tuple(rat_from_str(x) for x in v) for v in entry["cone_basis"]]
-            chain.append((beta, cone))
-        return chain, bool(obj["terminal"])
+        try:
+            chain = [
+                (
+                    tuple(rat_from_str(x) for x in entry["beta"]),
+                    [tuple(rat_from_str(x) for x in v) for v in entry["cone_basis"]],
+                )
+                for entry in obj["chain"]
+            ]
+            return chain, bool(obj["terminal"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError("bad certificate JSON: %s" % exc) from exc
 
 
 class Obstruction:
@@ -566,12 +570,13 @@ def psd_combination_search(K: Subspace, seed=0, targets=24):
     d = K.d
     Pi = forms.float_columns()
     rng = np.random.default_rng(seed)
+    upper = np.triu_indices(d)
     target_list = [np.eye(d)]
     for _ in range(targets):
         G = rng.standard_normal((d, d))
         target_list.append(G @ G.T + 1e-3 * np.eye(d))
     for T in target_list:
-        tvec = _sym_vec(T, d)
+        tvec = T[upper]
         beta_f, *_ = np.linalg.lstsq(Pi, tvec, rcond=None)
         if float(np.linalg.norm(Pi @ beta_f - tvec)) > 1e-9 * max(1.0, float(np.linalg.norm(tvec))):
             continue
@@ -717,7 +722,7 @@ def _heuristic_combination(K: Subspace) -> CertificateOutcome:
     """
     forms = K.minor_forms()
     Pi = forms.float_columns()
-    target = _sym_vec(np.eye(K.d), K.d)
+    target = np.eye(K.d)[np.triu_indices(K.d)]
     beta_f, *_ = np.linalg.lstsq(Pi, target, rcond=None)
     resid = float(np.linalg.norm(Pi @ beta_f - target))
     if resid > 1e-8 * max(1.0, float(np.linalg.norm(target))):
@@ -742,6 +747,13 @@ def grassmann_genericity(k, m, n, chart, A, lambda_tol=1e-12, exact=None) -> Gen
     Lambda = det(Pi Pi^T) of their vectorization, the span dimension, and
     a combination beta whose form is positive definite when the span is
     full.
+
+    The float forms are one q0 x k x k tensor gathered through the flat
+    minor index map of the numeric rank-one search; column j of Pi lists
+    the upper triangle of form j in ``np.triu_indices(k)`` order, the row
+    layout of ``MinorForms.float_columns``.  On a rational chart the
+    exact span dimension is the rank of ``Subspace.minor_forms()`` of the
+    chart subspace.
     """
     if k > m * n:
         raise ValueError("k exceeds the matrix dimension")
@@ -758,33 +770,24 @@ def grassmann_genericity(k, m, n, chart, A, lambda_tol=1e-12, exact=None) -> Gen
     if np.linalg.matrix_rank(stack) < m * n:
         raise ValueError("chart subspaces are not transversal")
 
-    W0f = np.array([[float(x) for x in v] for v in W0])
-    W1f = np.array([[float(x) for x in v] for v in W1])
-    span_vecs = W0f + A.T @ W1f  # rows: a_l + T(a_l)
-    # pencil coefficient vectors h_st in R^k
-    H = span_vecs.reshape(k, m, n)
-    pairs = enumerate_minors(m, n, 2)
-    q0 = len(pairs)
-    nvec = k * (k + 1) // 2
-    Pi = np.zeros((nvec, q0))
-    X_all = np.zeros((q0, k, k))
-    for jdx, (rows, cols) in enumerate(pairs):
-        h11 = H[:, rows[0], cols[0]]
-        h22 = H[:, rows[1], cols[1]]
-        h12 = H[:, rows[0], cols[1]]
-        h21 = H[:, rows[1], cols[0]]
-        X = 0.5 * (np.outer(h11, h22) + np.outer(h22, h11) - np.outer(h12, h21) - np.outer(h21, h12))
-        X_all[jdx] = X
-        Pi[:, jdx] = _sym_vec(X, k)
+    span_vecs = stack[:k] + A.T @ stack[k:]  # rows: a_l + T(a_l)
+    # pencil coefficient vectors h_st in R^k, one row per flat entry s * n + t
+    H = span_vecs.T
+    h11, h22, h12, h21 = (H[idx] for idx in _minor_index_arrays(m, n))
+    outer = lambda u, v: u[:, :, None] * v[:, None, :]
+    X_all = 0.5 * (((outer(h11, h22) + outer(h22, h11)) - outer(h12, h21)) - outer(h21, h12))
+    q0 = len(X_all)
+    upper = np.triu_indices(k)
+    Pi = np.ascontiguousarray(X_all[:, upper[0], upper[1]].T)
     lam = float(np.linalg.det(Pi @ Pi.T))
     span_dim = int(np.linalg.matrix_rank(Pi, tol=1e-10 * max(1.0, float(np.abs(Pi).max()))))
     exact_span_dim = None
     if exact or (exact is None and _chart_is_rational(chart, A_raw)):
-        exact_span_dim = _exact_span_dim(k, m, n, chart, A_raw, pairs)
+        exact_span_dim = _chart_subspace(m, n, W0, W1, A_raw).minor_forms().span_dim()
     beta = None
     min_eig = None
-    if abs(lam) > lambda_tol and span_dim == nvec:
-        target = _sym_vec(np.eye(k), k)
+    if abs(lam) > lambda_tol and span_dim == len(Pi):
+        target = np.eye(k)[upper]
         beta, *_ = np.linalg.lstsq(Pi, target, rcond=None)
         S = np.tensordot(beta, X_all, axes=1)
         min_eig = float(np.linalg.eigvalsh(S).min())
@@ -798,14 +801,6 @@ def grassmann_genericity(k, m, n, chart, A, lambda_tol=1e-12, exact=None) -> Gen
                 if e2 > min_eig:
                     beta, min_eig = cand, e2
     return GenericityReport(lam, span_dim, beta, min_eig, exact_span_dim)
-
-
-def _sym_vec(X, k):
-    out = []
-    for i in range(k):
-        for j in range(i, k):
-            out.append(X[i, j])
-    return np.array(out)
 
 
 def _chart_is_rational(chart, A):
@@ -822,31 +817,14 @@ def _chart_is_rational(chart, A):
     return True
 
 
-def _exact_span_dim(k, m, n, chart, A, pairs):
-    W0, W1 = chart
-    W0 = [tuple(rat(x) for x in v) for v in W0]
-    W1 = [tuple(rat(x) for x in v) for v in W1]
-    Aq = [[rat(x) for x in row] for row in A]
-    span_vecs = []
-    for l in range(k):
-        v = list(W0[l])
-        for i in range(m * n - k):
-            c = Aq[i][l]
+def _chart_subspace(m, n, W0, W1, A) -> Subspace:
+    """The chart subspace, spanned by W0[l] + sum_i A[i][l] W1[i], exactly."""
+    basis = []
+    for l, w in enumerate(W0):
+        v = [rat(x) for x in w]
+        for row, u in zip(A, W1):
+            c = rat(row[l])
             if c != 0:
-                for t in range(m * n):
-                    v[t] += c * W1[i][t]
-        span_vecs.append(v)
-    rows = []
-    for rows_idx, cols_idx in pairs:
-        h = lambda s, t: tuple(span_vecs[l][s * n + t] for l in range(k))
-        h11, h22 = h(rows_idx[0], cols_idx[0]), h(rows_idx[1], cols_idx[1])
-        h12, h21 = h(rows_idx[0], cols_idx[1]), h(rows_idx[1], cols_idx[0])
-        entries = []
-        for i in range(k):
-            for j in range(i, k):
-                val = (
-                    h11[i] * h22[j] + h11[j] * h22[i] - h12[i] * h21[j] - h12[j] * h21[i]
-                ) / 2
-                entries.append(val)
-        rows.append(entries)
-    return RationalMatrix(rows).rank() if rows else 0
+                v = [x + c * rat(y) for x, y in zip(v, u)]
+        basis.append([v[i * n : (i + 1) * n] for i in range(m)])
+    return Subspace(basis)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -26,7 +25,6 @@ from . import __version__
 from .algebra import rat_from_str, rat_to_str
 from .certify import (
     MinorCombination,
-    Obstruction,
     TrivialityCertificate,
     grassmann_genericity,
     reduce_chain,
@@ -54,14 +52,6 @@ EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 EXIT_NONTRIVIAL = 10
 EXIT_INCONCLUSIVE = 20
-
-
-def worker_count():
-    """Parallelism cap from NULLAG_THREADS (default 1: fully deterministic order)."""
-    try:
-        return max(1, int(os.environ.get("NULLAG_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _digest(obj):
@@ -102,6 +92,7 @@ def cmd_analyze(args):
     try:
         obj = _load_json(args.subspace)
         K = Subspace.from_json(obj)
+        candidates = _parse_candidates(args.candidates, K.d)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         _emit({"command": "analyze", "error": str(exc)}, args.json_out)
         return EXIT_SCHEMA
@@ -182,7 +173,6 @@ def cmd_analyze(args):
             return EXIT_NONTRIVIAL
 
     t2 = time.perf_counter()
-    candidates = [tuple(rat_from_str(x) for x in v) for v in (args.candidates or [])]
     mu = construct_nontrivial_for_subspace(
         K, budget=args.budget, seed=args.seed, candidates=candidates or None
     )
@@ -199,6 +189,17 @@ def cmd_analyze(args):
     report["conclusion"] = "inconclusive: no certificate chain and no measure within budget"
     _emit(report, args.json_out)
     return EXIT_INCONCLUSIVE
+
+
+def _parse_candidates(raw, d):
+    """The --candidates vectors as exact points of R^d; ValueError if malformed."""
+    try:
+        candidates = [tuple(rat_from_str(x) for x in v) for v in (raw or [])]
+    except (TypeError, ValueError) as exc:
+        raise ValueError("bad --candidates: %s" % exc) from exc
+    if any(len(v) != d for v in candidates):
+        raise ValueError("bad --candidates: every vector needs %d entries" % d)
+    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +357,9 @@ def cmd_verify(args):
     except (OSError, json.JSONDecodeError) as exc:
         _emit({"command": "verify", "error": str(exc)}, args.json_out)
         return EXIT_SCHEMA
+    if not isinstance(obj, dict):
+        _emit({"command": "verify", "error": "artifact JSON must be an object"}, args.json_out)
+        return EXIT_SCHEMA
     report = _report("verify", obj)
     targets = []
     kind = obj.get("kind")
@@ -419,8 +423,7 @@ def cmd_verify(args):
 # grassmann scan
 # ---------------------------------------------------------------------------
 
-def _scan_one(task):
-    k, m, n, seed, lambda_tol = task
+def _scan_one(k, m, n, seed, lambda_tol):
     rng = np.random.default_rng(seed)
     p = m * n
     basis = rng.standard_normal((p, p))
@@ -448,15 +451,7 @@ def cmd_grassmann_scan(args):
         _emit(report, args.json_out)
         return EXIT_SCHEMA
     t0 = time.perf_counter()
-    tasks = [(k, m, n, args.seed + i, args.lambda_tol) for i in range(args.samples)]
-    threads = worker_count()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_scan_one, tasks))
-    else:
-        results = [_scan_one(t) for t in tasks]
+    results = [_scan_one(k, m, n, args.seed + i, args.lambda_tol) for i in range(args.samples)]
     nonzero = sum(1 for r in results if abs(r["lambda"]) > args.lambda_tol)
     pd_found = sum(1 for r in results if r["pd_found"])
     report["kind"] = "grassmann-scan"

@@ -11,7 +11,6 @@ resulting equality-form Farkas problem with an exact simplex.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -93,15 +92,6 @@ class DiscreteMeasure:
     def is_dirac(self):
         return sum(1 for w in self.weights if (w != 0 if self.exact else w > 1e-15)) <= 1
 
-    def pruned(self):
-        """Drop zero-weight atoms."""
-        keep = [
-            (a, w)
-            for a, w in zip(self.atoms, self.weights)
-            if (w != 0 if self.exact else w > 1e-15)
-        ]
-        return DiscreteMeasure([a for a, _ in keep], [w for _, w in keep])
-
     def to_json(self):
         m, n = self.shape
         if self.exact:
@@ -129,7 +119,8 @@ class DiscreteMeasure:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("bad measure JSON: %s" % exc) from exc
         mu = DiscreteMeasure(atoms, weights)
-        if "shape" in obj and tuple(obj["shape"]) != mu.shape:
+        shape = obj.get("shape", list(mu.shape))
+        if not isinstance(shape, list) or tuple(shape) != mu.shape:
             raise ValueError("measure JSON shape inconsistent with atoms")
         return mu
 
@@ -311,30 +302,6 @@ def farkas_solve(problem: FarkasProblem) -> FarkasResult:
     if any(v < 0 for v in ys) or vec_dot(y, b) >= 0:
         raise RuntimeError("simplex produced an invalid infeasibility certificate")
     return FarkasResult(certificate=y)
-
-
-def farkas_feasible_bruteforce(problem: FarkasProblem) -> bool:
-    """Independent oracle: enumerate candidate basic solutions exhaustively.
-
-    A feasible system has a basic feasible solution supported on linearly
-    independent columns, so checking every independent column subset
-    decides feasibility.  Exponential; for cross-checking small systems.
-    """
-    A, b = problem.A, problem.b
-    n = A.cols
-    if all(x == 0 for x in b):
-        return True
-    for size in range(1, min(A.rows, n) + 1):
-        for subset in itertools.combinations(range(n), size):
-            sub = RationalMatrix.from_columns([A.column(j) for j in subset])
-            if sub.rank() < size:
-                continue
-            sol = sub.solve(b)
-            if sol is None:
-                continue
-            if all(x >= 0 for x in sol):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

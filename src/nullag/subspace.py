@@ -115,11 +115,12 @@ class Subspace:
                 RationalMatrix([[rat_from_str(x) for x in row] for row in bm])
                 for bm in obj["basis"]
             ]
+            stated = {key: int(obj[key]) for key in ("m", "n", "d") if key in obj}
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("bad subspace JSON: %s" % exc) from exc
         K = Subspace(basis)
-        for key in ("m", "n", "d"):
-            if key in obj and int(obj[key]) != getattr(K, key):
+        for key, value in stated.items():
+            if value != getattr(K, key):
                 raise ValueError("subspace JSON field %r inconsistent with basis" % key)
         return K
 
@@ -350,6 +351,14 @@ class MinorForms:
             for key, s in upper.items():
                 Pi[rows[key], k] = s / den
         return Pi
+
+    def span_dim(self):
+        """Dimension of the span of the Q_k, by exact rank."""
+        live = [upper for upper in self.S if upper]
+        if not live:
+            return 0
+        positions = sorted({key for upper in live for key in upper})
+        return RationalMatrix([[upper.get(key, 0) for key in positions] for upper in live]).rank()
 
     def solve(self, target: RationalMatrix):
         """One exact beta with sum_k beta_k Q_k == target, or None.

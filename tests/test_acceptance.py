@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from farkas_oracle import farkas_feasible_bruteforce
 from nullag.algebra import (
     RationalMatrix,
     cofactor_identity_2x2,
@@ -43,7 +44,6 @@ from nullag.fixtures import builtin, builtin_names, kr_family, kr_measure, sub_k
 from nullag.measures import (
     FarkasProblem,
     construct_nontrivial_for_subspace,
-    farkas_feasible_bruteforce,
     farkas_solve,
     is_null_lagrangian,
     two_atom_measure,

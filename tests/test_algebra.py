@@ -12,7 +12,6 @@ from nullag.algebra import (
     enumerate_minors,
     minor,
     nonvanishing_minor_candidates,
-    poly_compose_linear,
     psd_analyze,
     rat_from_str,
     rat_to_str,
@@ -189,7 +188,7 @@ def test_solve_inverse_nullspace():
 
 def test_poly_shift_example():
     f = MultiPoly(2, {(1, 1): 1})  # z1*z2
-    g = poly_compose_linear(f, RationalMatrix.identity(2), (Fraction(1), Fraction(0)))
+    g = f.compose_linear(RationalMatrix.identity(2), (Fraction(1), Fraction(0)))
     assert g == MultiPoly(2, {(1, 1): 1, (0, 1): 1})
 
 
@@ -208,9 +207,9 @@ def test_poly_homogeneous_shift_recovers_top_part():
             },
         )
         shift = tuple(rand_rat(rng) for _ in range(d))
-        g = poly_compose_linear(f, RationalMatrix.identity(d), shift)
+        g = f.compose_linear(RationalMatrix.identity(d), shift)
         assert g.homogeneous_part(2) == f.homogeneous_part(2)
-        assert poly_compose_linear(f, RationalMatrix.identity(d)) == f
+        assert f.compose_linear(RationalMatrix.identity(d)) == f
 
 
 def test_poly_arithmetic_at_random_points():

@@ -231,6 +231,62 @@ def test_grassmann_degenerate_dyad_chart():
     assert rep.exact_span_dim == 0
 
 
+def _rational_chart(rng, k, m, n, family):
+    """A seeded rational chart (W0, W1, A) with small-integer non-zero A.
+
+    The chart subspace is drawn first, from ``family``:
+      "dense"     small-integer matrices;
+      "one-row"   matrices supported in row 0 (needs n >= k), no non-zero minor;
+      "factored"  U_l V with U_l of size m x 2 and V of size 2 x n, whose
+                  minors are multiples of the minors of the U pencil.
+    W1 holds the coordinate vectors off the pivot columns of the subspace
+    basis, A is seeded, and W0 = T - A^T W1, so the chart subspace is T.
+    """
+    p = m * n
+    small = lambda: Fraction(rng.randint(-2, 2))
+    while True:
+        if family == "dense":
+            T = [[small() for _ in range(p)] for _ in range(k)]
+        elif family == "one-row":
+            T = [[small() if t < n else Fraction(0) for t in range(p)] for _ in range(k)]
+        else:
+            V = [[small() for _ in range(n)] for _ in range(2)]
+            T = []
+            for _ in range(k):
+                U = [[small() for _ in range(2)] for _ in range(m)]
+                T.append([U[i][0] * V[0][j] + U[i][1] * V[1][j] for i in range(m) for j in range(n)])
+        pivots = RationalMatrix(T).rref()[1]
+        if len(pivots) == k:
+            break
+    W1 = [[Fraction(int(t == s)) for t in range(p)] for s in range(p) if s not in pivots]
+    A = [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(p - k)]
+    A[rng.randrange(p - k)][rng.randrange(k)] = Fraction(rng.choice((-2, -1, 1, 2)))
+    W0 = [
+        [x - sum(A[i][l] * W1[i][t] for i in range(p - k)) for t, x in enumerate(T[l])]
+        for l in range(k)
+    ]
+    return W0, W1, A
+
+
+def test_grassmann_exact_span_matches_float_on_rational_charts():
+    rng = random.Random(2024)
+    seen = set()
+    for case in range(60):
+        k = rng.randint(1, 3)
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        family = ("dense", "one-row", "factored")[case % 3]
+        if family == "one-row" and n < k:
+            family = "dense"
+        W0, W1, A = _rational_chart(rng, k, m, n, family)
+        rep = grassmann_genericity(k, m, n, (W0, W1), A)
+        assert rep.exact_span_dim == rep.span_dim, (case, k, m, n, family)
+        if family == "one-row":
+            assert rep.exact_span_dim == 0
+        seen.add((family, rep.exact_span_dim))
+    # full, partial and zero spans all occur
+    assert {("one-row", 0), ("dense", 3), ("dense", 6), ("factored", 3)} <= seen
+
+
 def test_grassmann_random_scan():
     rng = np.random.default_rng(0)
     hits = 0

@@ -145,6 +145,37 @@ def test_verify_rejects_empty(tmp_path, capsys):
     assert code == 2
 
 
+ROTATION = {"m": 2, "n": 2, "d": 2, "basis": [[["1", "0"], ["0", "1"]], [["0", "1"], ["-1", "0"]]]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, extra",
+    [
+        pytest.param("verify", [1, 2], (), id="verify-list"),
+        pytest.param("verify", 3, (), id="verify-number"),
+        pytest.param("verify", None, (), id="verify-null"),
+        pytest.param("verify", {"kind": "triviality-certificate", "terminal": True,
+                                "subspace": ROTATION, "chain": [5]}, (), id="verify-chain-entry"),
+        pytest.param("verify", {"kind": "measure", "shape": 5, "atoms": [[["1", "0"], ["0", "0"]]],
+                                "weights": ["1"]}, (), id="verify-measure-shape"),
+        pytest.param("analyze", "Kr(r=0)", ("--candidates", "[[1.5, 2, 0, 0]]"), id="candidates-float"),
+        pytest.param("analyze", "Kr(r=0)", ("--candidates", "5"), id="candidates-number"),
+        pytest.param("analyze", "Kr(r=0)", ("--candidates", '[["a", "b", "0", "0"]]'),
+                     id="candidates-text"),
+        pytest.param("analyze", "Kr(r=0)", ("--candidates", '[["1"]]'), id="candidates-length"),
+        pytest.param("analyze", dict(ROTATION, d=None), (), id="analyze-null-dimension"),
+    ],
+)
+def test_malformed_input_exits_schema(tmp_path, capsys, command, payload, extra):
+    if payload == "Kr(r=0)":
+        payload = dump_fixture(capsys, payload)["subspace"]
+    path = write_subspace(tmp_path, payload)
+    code, report = run_cli(capsys, command, path, *extra)
+    assert code == 2
+    assert report["error"]
+    assert "verdicts" not in report or report["verdicts"] == []
+
+
 # ---------------------------------------------------------------------------
 # k1
 # ---------------------------------------------------------------------------
@@ -249,14 +280,6 @@ def test_reports_deterministic(tmp_path, capsys):
     _, g1 = run_cli(capsys, "grassmann-scan", "2", "4", "4", "--samples", "10", "--seed", "3")
     _, g2 = run_cli(capsys, "grassmann-scan", "2", "4", "4", "--samples", "10", "--seed", "3")
     assert _strip_timings(g1) == _strip_timings(g2)
-
-
-def test_threaded_scan_matches_serial(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NULLAG_THREADS", "1")
-    _, serial = run_cli(capsys, "grassmann-scan", "2", "4", "4", "--samples", "12", "--seed", "5")
-    monkeypatch.setenv("NULLAG_THREADS", "4")
-    _, threaded = run_cli(capsys, "grassmann-scan", "2", "4", "4", "--samples", "12", "--seed", "5")
-    assert _strip_timings(serial) == _strip_timings(threaded)
 
 
 def test_console_entry_point():

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from farkas_oracle import farkas_feasible_bruteforce
 from nullag.algebra import RationalMatrix, vec_dot
 from nullag.measures import (
     DiscreteMeasure,
     FarkasProblem,
     construct_nontrivial,
     construct_nontrivial_for_subspace,
-    farkas_feasible_bruteforce,
     farkas_solve,
     is_null_lagrangian,
     two_atom_measure,
