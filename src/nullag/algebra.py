@@ -11,6 +11,7 @@ All objects are treated as immutable after construction.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -337,6 +338,22 @@ def minor(A: RationalMatrix, rowset, colset) -> Fraction:
     return A.submatrix(rowset, colset).det()
 
 
+def _minor_orders(m, n, order):
+    """The sizes p that ``order`` names: "all" is p = 2..min(m,n), an
+    integer names itself and must lie in that range (ValueError)."""
+    if order == "all":
+        return range(2, min(m, n) + 1)
+    p = int(order)
+    if p < 2 or p > min(m, n):
+        raise ValueError("minor order %d out of range for %dx%d" % (p, m, n))
+    return (p,)
+
+
+def minor_count(m, n, order="all"):
+    """len(enumerate_minors(m, n, order)), without listing the minors."""
+    return sum(math.comb(m, p) * math.comb(n, p) for p in _minor_orders(m, n, order))
+
+
 def enumerate_minors(m, n, order="all"):
     """Deterministic lexicographic enumeration of minor index pairs.
 
@@ -344,15 +361,8 @@ def enumerate_minors(m, n, order="all"):
     ranges over p = 2..min(m,n)).  The returned order fixes the meaning of
     every coefficient-vector index used elsewhere.
     """
-    if order == "all":
-        orders = range(2, min(m, n) + 1)
-    else:
-        p = int(order)
-        if p < 2 or p > min(m, n):
-            raise ValueError("minor order %d out of range for %dx%d" % (p, m, n))
-        orders = (p,)
     out = []
-    for p in orders:
+    for p in _minor_orders(m, n, order):
         for rowset in itertools.combinations(range(m), p):
             for colset in itertools.combinations(range(n), p):
                 out.append((rowset, colset))
@@ -368,10 +378,7 @@ def nonvanishing_minor_candidates(matrices, m, n, order="all"):
     thousands of minors, almost all structurally zero).
     """
     needed = set()
-    if order == "all":
-        orders = range(2, min(m, n) + 1)
-    else:
-        orders = (int(order),)
+    orders = _minor_orders(m, n, order)
     for A in matrices:
         rows_sup = [set() for _ in range(m)]
         cols_sup = [set() for _ in range(n)]

@@ -510,17 +510,11 @@ def solve_beta_for_poly(K: Subspace, g: MultiPoly):
 def find_certificate_d_le_3(K: Subspace) -> CertificateOutcome:
     """Constructive certificate for pencils of dimension at most three.
 
-    Callers are expected to have ruled out rank-one directions; when the
-    reduction nevertheless runs into one, the outcome reports it instead
-    of a combination.
+    When the reduction runs into a rank-one direction, the outcome reports
+    it, exactly where it can, instead of a combination.
     """
     if K.d > 3:
         raise ValueError("constructive search supports d <= 3 (got d=%d)" % K.d)
-    if min(K.m, K.n) < 2:
-        return CertificateOutcome(
-            rank_one_witness=_any_nonzero_direction(K),
-            note="single-line matrices are all of rank at most one",
-        )
     kind, *rest = _certificate_target(K)
     if kind == "rank1":
         witness, note = rest
@@ -538,25 +532,14 @@ def find_certificate_d_le_3(K: Subspace) -> CertificateOutcome:
 def _symmetric_fallback(K: Subspace, note):
     """Terminal symmetric case: search instead of assuming either outcome.
 
-    Tries a numerically guided but exactly verified PSD combination first,
-    then an exact rank-one direction; reports inconclusive when both fail.
+    Tries a numerically guided but exactly verified PSD combination; when
+    none passes, the outcome carries no witness and the caller's rank-one
+    search decides.
     """
     comb = psd_combination_search(K)
     if comb is not None:
         return CertificateOutcome(combination=comb)
-    from .subspace import find_rank_one
-
-    res = find_rank_one(K, mode="numeric", density=40000, seed=0)
-    if res.found and res.witness is not None:
-        return CertificateOutcome(
-            rank_one_witness=res.witness,
-            note=note + "; exact rank-one direction recovered numerically",
-        )
-    return CertificateOutcome(
-        note=note
-        + "; no exactly verified combination found and no exact rank-one "
-        "direction recovered (inconclusive)",
-    )
+    return CertificateOutcome(note=note + "; no exactly verified combination found")
 
 
 def psd_combination_search(K: Subspace, seed=0, targets=24):
@@ -597,14 +580,6 @@ def _rationalize_combination(forms, beta_f):
         rep = psd_analyze(form.matrix)
         if rep.is_psd:
             return MinorCombination(beta, form)
-    return None
-
-
-def _any_nonzero_direction(K):
-    for l in range(K.d):
-        z = tuple(Fraction(int(i == l)) for i in range(K.d))
-        if not K.evaluate(z).is_zero():
-            return z
     return None
 
 
@@ -683,6 +658,10 @@ def reduce_chain(K: Subspace):
     form on K is built once, by the exact verification of its beta.
     """
     cone = [tuple(Fraction(int(i == k)) for i in range(K.d)) for k in range(K.d)]
+    if min(K.m, K.n) < 2:
+        # P(e_1) = B_1 is non-zero, and a non-zero single-line matrix has rank one
+        return Obstruction(cone, "no combination on cone", cone[0],
+                           "single-line matrices are all of rank at most one")
     chain = []
     cones = []
     while cone:

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .algebra import rat_from_str, rat_to_str
+from .algebra import RationalMatrix, rat_from_str, rat_to_str
 from .certify import (
     MinorCombination,
     TrivialityCertificate,
@@ -93,61 +93,19 @@ def cmd_analyze(args):
         obj = _load_json(args.subspace)
         K = Subspace.from_json(obj)
         candidates = _parse_candidates(args.candidates, K.d)
+        if args.density < 0:
+            raise ValueError("--density must be non-negative")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         _emit({"command": "analyze", "error": str(exc)}, args.json_out)
         return EXIT_SCHEMA
     report = _report("analyze", obj, seed=args.seed)
     report["subspace"] = {"m": K.m, "n": K.n, "d": K.d}
+
+    # the exact chain decides first; a rank-one search runs only where it
+    # stops without a witness
     t0 = time.perf_counter()
-
-    res = find_rank_one(K, mode="auto", density=args.density, seed=args.seed,
-                        tol=args.tol, absent_tol=args.absent_tol)
-    report["timings"]["find_rank_one"] = time.perf_counter() - t0
-    rank_entry = {
-        "operation": "find_rank_one",
-        "mode": res.mode,
-        "found": res.found,
-        "is_proof": res.is_proof,
-        "residual": res.residual,
-        "lower_bound": res.lower_bound,
-    }
-    if res.witness_float is not None:
-        rank_entry["witness_float"] = [float(x) for x in res.witness_float]
-    if res.witness is not None:
-        rank_entry["witness"] = [rat_to_str(x) for x in res.witness]
-    if res.witness_minpoly is not None:
-        rank_entry["witness_minpoly"] = {
-            "coeffs": [rat_to_str(c) for c in res.witness_minpoly["coeffs"]],
-            "branch": res.witness_minpoly["branch"],
-            "note": "every order-2 minor polynomial is divisible by this minimal polynomial",
-        }
-    report["verdicts"].append(rank_entry)
-
-    if res.found and res.witness is not None:
-        mu = two_atom_measure(K, res.witness)
-        nl = is_null_lagrangian(mu)
-        report["verdicts"].append(
-            {"operation": "is_null_lagrangian", "exact": True, "verdict": nl.verdict}
-        )
-        if nl.verdict:
-            report["measure"] = mu.to_json()
-            report["conclusion"] = "non-trivial measure from a rank-one direction"
-            _emit(report, args.json_out)
-            return EXIT_NONTRIVIAL
-    if res.found and res.witness_minpoly is not None:
-        # the direction is a quadratic irrational: existence is proved by
-        # divisibility even though no rational-atom measure is emitted
-        zf = res.witness_float
-        A = (zf @ K.basis_float()).reshape(K.m, K.n)
-        mu = DiscreteMeasure([A, -A], [0.5, 0.5])
-        report["measure"] = mu.to_json()
-        report["conclusion"] = "non-trivial measure from an exactly certified irrational rank-one direction"
-        _emit(report, args.json_out)
-        return EXIT_NONTRIVIAL
-
-    t1 = time.perf_counter()
     chain = reduce_chain(K)
-    report["timings"]["reduce_chain"] = time.perf_counter() - t1
+    report["timings"]["reduce_chain"] = time.perf_counter() - t0
     if isinstance(chain, TrivialityCertificate):
         report["verdicts"].append(
             {"operation": "reduce_chain", "terminal": True, "chain_length": len(chain.chain)}
@@ -164,11 +122,50 @@ def cmd_analyze(args):
             "note": chain.note,
         }
     )
-    if chain.rank_one_witness is not None:
-        mu = two_atom_measure(K, chain.rank_one_witness)
-        if is_null_lagrangian(mu).verdict:
+    witness = chain.rank_one_witness
+    if witness is None:
+        t1 = time.perf_counter()
+        res = find_rank_one(K, mode="auto", density=args.density, seed=args.seed,
+                            tol=args.tol, absent_tol=args.absent_tol)
+        report["timings"]["find_rank_one"] = time.perf_counter() - t1
+        rank_entry = {
+            "operation": "find_rank_one",
+            "mode": res.mode,
+            "found": res.found,
+            "is_proof": res.is_proof,
+            "residual": res.residual,
+            "lower_bound": res.lower_bound,
+        }
+        if res.witness_float is not None:
+            rank_entry["witness_float"] = [float(x) for x in res.witness_float]
+        if res.witness is not None:
+            rank_entry["witness"] = [rat_to_str(x) for x in res.witness]
+        if res.witness_minpoly is not None:
+            rank_entry["witness_minpoly"] = {
+                "coeffs": [rat_to_str(c) for c in res.witness_minpoly["coeffs"]],
+                "branch": res.witness_minpoly["branch"],
+                "note": "every order-2 minor polynomial is divisible by this minimal polynomial",
+            }
+        report["verdicts"].append(rank_entry)
+        if res.found and res.witness_minpoly is not None:
+            # the direction is a quadratic irrational: existence is proved by
+            # divisibility even though no rational-atom measure is emitted
+            A = (res.witness_float @ K.basis_float()).reshape(K.m, K.n)
+            mu = DiscreteMeasure([A, -A], [0.5, 0.5])
             report["measure"] = mu.to_json()
-            report["conclusion"] = "non-trivial measure from a rank-one direction found during reduction"
+            report["conclusion"] = "non-trivial measure from an exactly certified irrational rank-one direction"
+            _emit(report, args.json_out)
+            return EXIT_NONTRIVIAL
+        witness = res.witness
+    if witness is not None:
+        mu = two_atom_measure(K, witness)
+        nl = is_null_lagrangian(mu)
+        report["verdicts"].append(
+            {"operation": "is_null_lagrangian", "exact": True, "verdict": nl.verdict}
+        )
+        if nl.verdict:
+            report["measure"] = mu.to_json()
+            report["conclusion"] = "non-trivial measure from a rank-one direction"
             _emit(report, args.json_out)
             return EXIT_NONTRIVIAL
 
@@ -287,7 +284,7 @@ def _verify_measure_obj(obj, tol):
     return rep.verdict, entry
 
 
-def _verify_certificate_obj(obj, tol):
+def _verify_certificate_obj(obj):
     K = Subspace.from_json(obj["subspace"])
     chain, terminal = TrivialityCertificate.chain_from_json(obj)
     entries = []
@@ -321,8 +318,6 @@ def _verify_certificate_obj(obj, tol):
 
 
 def _same_span(c1, c2, d):
-    from .algebra import RationalMatrix
-
     if not c1 and not c2:
         return True
     if not c1 or not c2:
@@ -404,7 +399,7 @@ def cmd_verify(args):
                 report["verdicts"].append(entry)
                 all_ok = all_ok and ok
             elif kind_i == "certificate":
-                ok, entries = _verify_certificate_obj(target, args.tol)
+                ok, entries = _verify_certificate_obj(target)
                 report["verdicts"].extend(entries)
                 all_ok = all_ok and ok
             else:
@@ -446,8 +441,8 @@ def cmd_grassmann_scan(args):
     k, m, n = args.k, args.m, args.n
     inputs = {"k": k, "m": m, "n": n, "samples": args.samples, "seed": args.seed}
     report = _report("grassmann-scan", inputs, seed=args.seed)
-    if k > m * n or k < 1 or m < 2 or n < 2:
-        report["error"] = "bad dimensions"
+    if k > m * n or k < 1 or m < 2 or n < 2 or args.samples < 0:
+        report["error"] = "bad dimensions" if args.samples >= 0 else "--samples must be non-negative"
         _emit(report, args.json_out)
         return EXIT_SCHEMA
     t0 = time.perf_counter()

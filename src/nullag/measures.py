@@ -20,6 +20,7 @@ from .algebra import (
     RationalMatrix,
     enumerate_minors,
     minor,
+    minor_count,
     nonvanishing_minor_candidates,
     rat,
     rat_from_str,
@@ -162,7 +163,7 @@ def is_null_lagrangian(mu: DiscreteMeasure, shape=None, orders="all", tol=1e-9) 
     bary = mu.barycenter()
     if mu.exact:
         cand = nonvanishing_minor_candidates(list(mu.atoms) + [bary], m, n, orders)
-        total = len(enumerate_minors(m, n, orders))
+        total = minor_count(m, n, orders)
         residuals = {}
         for rows, cols in sorted(cand):
             val = sum(

@@ -459,7 +459,7 @@ class RankOneResult:
 
 
 def find_rank_one(K: Subspace, mode="auto", density=20000, seed=0, tol=1e-9,
-                  absent_tol=1e-6, refine_candidates=12) -> RankOneResult:
+                  absent_tol=1e-6) -> RankOneResult:
     """Search for z != 0 with rank P(z) <= 1.
 
     Exact mode (d <= 2) decides the question; numeric mode samples the unit
@@ -474,7 +474,7 @@ def find_rank_one(K: Subspace, mode="auto", density=20000, seed=0, tol=1e-9,
         return _find_rank_one_exact(K)
     if mode != "numeric":
         raise ValueError("unknown mode %r" % mode)
-    return _find_rank_one_numeric(K, density, seed, tol, absent_tol, refine_candidates)
+    return _find_rank_one_numeric(K, density, seed, tol, absent_tol)
 
 
 def _find_rank_one_exact(K: Subspace) -> RankOneResult:
@@ -604,6 +604,10 @@ def _rational_sqrt(x: Fraction):
 
 # -- numeric search ---------------------------------------------------------
 
+# sphere samples with the smallest residuals that Gauss-Newton refines
+_REFINE_CANDIDATES = 12
+
+
 def _minor_index_arrays(m, n):
     pairs = enumerate_minors(m, n, 2)
     a1 = np.array([r[0] * n + c[0] for r, c in pairs])
@@ -697,7 +701,7 @@ def _polish_witness(K: Subspace, z):
     return None
 
 
-def _find_rank_one_numeric(K, density, seed, tol, absent_tol, refine_candidates):
+def _find_rank_one_numeric(K, density, seed, tol, absent_tol):
     B = K.basis_float()
     idx = _minor_index_arrays(K.m, K.n)
     density = int(density)
@@ -709,7 +713,7 @@ def _find_rank_one_numeric(K, density, seed, tol, absent_tol, refine_candidates)
     for start in range(0, len(samples), block):
         Z = samples[start : start + block]
         res = _residuals(Z, B, idx)
-        k = min(len(res), max(1, refine_candidates // 2))
+        k = min(len(res), _REFINE_CANDIDATES // 2)
         order = np.argpartition(res, k - 1)[:k]
         for i in order:
             top.append((float(res[i]), Z[i]))
@@ -718,7 +722,7 @@ def _find_rank_one_numeric(K, density, seed, tol, absent_tol, refine_candidates)
             best_overall = float(res[i_min])
             best_z = Z[i_min]
     top.sort(key=lambda t: t[0])
-    for _, z0 in top[:refine_candidates]:
+    for _, z0 in top[:_REFINE_CANDIDATES]:
         z, res = _gauss_newton(z0, B, idx)
         if res is not None and res < best_overall:
             best_overall, best_z = res, z

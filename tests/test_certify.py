@@ -17,7 +17,6 @@ from nullag.certify import (
     verify_combination,
 )
 from nullag.fixtures import (
-    builtin,
     k0_pencil,
     kr_family,
     quaternion_pencil,
@@ -26,7 +25,7 @@ from nullag.fixtures import (
     v0_chart,
     v0_subspace,
 )
-from nullag.subspace import Subspace, apply_ops, find_rank_one, minor_polys, random_pencil_ops
+from nullag.subspace import Subspace, apply_ops, minor_polys, random_pencil_ops
 
 
 # ---------------------------------------------------------------------------

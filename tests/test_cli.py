@@ -1,10 +1,14 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from nullag.algebra import RationalMatrix, rat_from_str
 from nullag.cli import main
+from nullag.fixtures import quaternion_pencil
+from nullag.subspace import Subspace
 
 
 def run_cli(capsys, *argv):
@@ -49,13 +53,22 @@ def test_analyze_kr_nontrivial(tmp_path, capsys):
     assert len(weights) >= 2
 
 
+def entry(report, operation):
+    (found,) = [v for v in report["verdicts"] if v["operation"] == operation]
+    return found
+
+
 def test_analyze_rank_one_measure(tmp_path, capsys):
     sub = dump_fixture(capsys, "K0")["subspace"]
     path = write_subspace(tmp_path, sub)
     code, report = run_cli(capsys, "analyze", path)
     assert code == 10
-    assert report["verdicts"][0]["operation"] == "find_rank_one"
-    assert report["verdicts"][0]["found"]
+    # the d <= 2 chain stops at the rank-one direction and carries it exactly
+    assert not entry(report, "reduce_chain")["terminal"]
+    assert entry(report, "is_null_lagrangian")["verdict"]
+    A, B = [RationalMatrix([[rat_from_str(x) for x in row] for row in atom])
+            for atom in report["measure"]["atoms"]]
+    assert B == A.scale(-1) and A.rank() == 1
 
 
 def test_analyze_budget_exhaustion_inconclusive(tmp_path, capsys):
@@ -85,7 +98,69 @@ def test_analyze_irrational_witness(tmp_path, capsys):
     path = write_subspace(tmp_path, sub)
     code, report = run_cli(capsys, "analyze", path)
     assert code == 10
-    assert "witness_minpoly" in report["verdicts"][0]
+    assert not entry(report, "reduce_chain")["terminal"]
+    assert "witness_minpoly" in entry(report, "find_rank_one")
+
+
+def quaternion4():
+    """Left multiplications by 1, i, j, k: every non-zero element is invertible."""
+    one, i, j = quaternion_pencil().basis
+    return Subspace([one, i, j, i @ j]).to_json()
+
+
+@pytest.mark.parametrize("name", ["quaternion3", "sub-k0-random(seed=0,d=3)", "quaternion4"])
+def test_analyze_terminal_chain_runs_no_rank_one_search(tmp_path, capsys, monkeypatch, name):
+    sub = quaternion4() if name == "quaternion4" else dump_fixture(capsys, name)["subspace"]
+    path = write_subspace(tmp_path, sub)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank-one search after a terminal chain")
+
+    monkeypatch.setattr("nullag.cli.find_rank_one", refuse)
+    code, report = run_cli(capsys, "analyze", path)
+    assert code == 0
+    assert [v["operation"] for v in report["verdicts"]] == ["reduce_chain"]
+
+
+def random_basis(rng, m, n, d, dyad=False):
+    """d independent integer m x n matrices; the first is a dyad u v^T if asked."""
+    while True:
+        basis = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)] for _ in range(d)]
+        if dyad:
+            u = [rng.choice((-2, -1, 1, 2)) for _ in range(m)]
+            v = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+            basis[0] = [[a * b for b in v] for a in u]
+        try:
+            return Subspace(basis).to_json()
+        except ValueError:
+            continue
+
+
+def analyze_and_verify(tmp_path, capsys, sub):
+    path = write_subspace(tmp_path, sub)
+    out = str(tmp_path / "report.json")
+    code, report = run_cli(capsys, "analyze", path, "--json-out", out)
+    verify_code, _ = run_cli(capsys, "verify", out)
+    return code, report, verify_code
+
+
+@pytest.mark.parametrize("m, n, d", [(1, 3, 2), (1, 3, 3), (1, 5, 4), (4, 1, 4)])
+def test_analyze_single_line_nontrivial(tmp_path, capsys, m, n, d):
+    # every non-zero element of a single-line subspace has rank one
+    sub = random_basis(random.Random(m * 100 + n * 10 + d), m, n, d)
+    code, report, verify_code = analyze_and_verify(tmp_path, capsys, sub)
+    assert code == 10
+    assert len(report["measure"]["atoms"]) == 2
+    assert verify_code == 0
+
+
+def test_analyze_planted_dyad_nontrivial(tmp_path, capsys):
+    rng = random.Random(2026)
+    for d in (1, 2, 3, 4):
+        for _ in range(2):
+            sub = random_basis(rng, rng.randint(2, 4), rng.randint(2, 4), d, dyad=True)
+            code, _, verify_code = analyze_and_verify(tmp_path, capsys, sub)
+            assert (d, code, verify_code) == (d, 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +239,7 @@ ROTATION = {"m": 2, "n": 2, "d": 2, "basis": [[["1", "0"], ["0", "1"]], [["0", "
                      id="candidates-text"),
         pytest.param("analyze", "Kr(r=0)", ("--candidates", '[["1"]]'), id="candidates-length"),
         pytest.param("analyze", dict(ROTATION, d=None), (), id="analyze-null-dimension"),
+        pytest.param("analyze", "Kr(r=0)", ("--density", "-5"), id="density-negative"),
     ],
 )
 def test_malformed_input_exits_schema(tmp_path, capsys, command, payload, extra):
@@ -232,6 +308,12 @@ def test_grassmann_scan_k1(capsys):
 def test_grassmann_scan_bad_dims(capsys):
     code, report = run_cli(capsys, "grassmann-scan", "9", "2", "2")
     assert code == 2
+
+
+def test_grassmann_scan_negative_samples(capsys):
+    code, report = run_cli(capsys, "grassmann-scan", "2", "4", "4", "--samples", "-3")
+    assert code == 2
+    assert "samples" in report["error"]
 
 
 def test_verify_grassmann_scan_report(tmp_path, capsys):

@@ -9,9 +9,7 @@ from nullag.conslaw import (
     build_atoms,
     five_atom_measure,
     iterate_weights,
-    minors_3x2,
     negative_branch_evidence,
-    p1_alpha_matrix,
     p1_matrix,
     push_forward_to_K1,
     solve_linear_weights,

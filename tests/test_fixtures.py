@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from nullag.algebra import MultiPoly
@@ -110,7 +108,7 @@ def test_sym3_random_is_certificate_case():
 def test_sym3_rank_one_free_hand_instance():
     # span{E11 - E22, E12 + E21, E13 + E31}: the minors are
     # -x^2 - y^2, -z^2, -yz, xz (up to repeats), which only vanish at 0
-    from nullag.subspace import Subspace, minor_polys
+    from nullag.subspace import Subspace
 
     K = Subspace(
         [
