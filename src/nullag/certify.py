@@ -24,7 +24,10 @@ integer symmetric matrix
 
 A11 = A_{r1 c1}, A22 = A_{r2 c2}, A12 = A_{r1 c2}, A21 = A_{r2 c1}.  A
 combination sum_k beta_k Q_k is summed over the support of beta in
-integers and divided once.  ``minor_polys`` stays the general-order route.
+integers and divided once.  The d <= 3 reduction builds its targets, a
+square (v.z)^2 or a pencil determinant, with the same outer-product
+builder as S_k and halves once, so each target is an exact symmetric
+matrix that ``MinorForms.solve`` pulls back to a beta.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import (
-    MultiPoly,
-    QuadraticForm,
     RationalMatrix,
     psd_analyze,
     rat,
@@ -43,7 +44,7 @@ from .algebra import (
     rat_to_str,
     vec_is_zero,
 )
-from .subspace import Subspace, _minor_index_arrays
+from .subspace import Subspace, _add_sym_outer, _minor_index_arrays, _rational_sqrt
 
 
 # ---------------------------------------------------------------------------
@@ -51,30 +52,22 @@ from .subspace import Subspace, _minor_index_arrays
 # ---------------------------------------------------------------------------
 
 class MinorCombination:
-    """Coefficients over the order-2 minor enumeration, as a quadratic form.
+    """Coefficients beta over the order-2 minor enumeration.
 
-    ``form`` is the combination's form on the pencil it was built for, or
-    None when only beta is known; verification rebuilds the form from beta
-    and never reads this field.
+    Its form on a pencil K is ``K.minor_forms().combination(beta)``.
     """
 
-    __slots__ = ("beta", "form")
+    __slots__ = ("beta",)
 
-    def __init__(self, beta, form: QuadraticForm = None):
+    def __init__(self, beta):
         beta = tuple(rat(b) for b in beta)
         if all(b == 0 for b in beta):
             raise ValueError("combination must have a non-zero coefficient")
         self.beta = beta
-        self.form = form
 
     def __repr__(self):
         nz = sum(1 for b in self.beta if b != 0)
         return "MinorCombination(%d coefficients, %d non-zero)" % (len(self.beta), nz)
-
-
-def combination_form(K: Subspace, beta) -> QuadraticForm:
-    """The quadratic form of sum_k beta_k M_k(P_K(z)), built exactly."""
-    return K.minor_forms().combination(beta)
 
 
 class TrivialityCertificate:
@@ -197,9 +190,23 @@ def _transpose_grid(E):
     return [list(col) for col in zip(*E)]
 
 
+def _sparse(v):
+    return [(l, x) for l, x in enumerate(v) if x != 0]
+
+
+def _half_matrix(d, acc):
+    """The symmetric d x d matrix whose upper triangle is acc / 2."""
+    m = [[Fraction(0)] * d for _ in range(d)]
+    for (i, j), s in acc.items():
+        m[i][j] = m[j][i] = s / 2
+    return RationalMatrix(m)
+
+
 def _square_of(v):
-    lin = MultiPoly.linear(v)
-    return lin * lin
+    """The matrix of the form (v.z)^2."""
+    acc = {}
+    _add_sym_outer(acc, _sparse(v), _sparse(v), 1)
+    return _half_matrix(len(v), acc)
 
 
 def _case_span_one(E, d, i0):
@@ -224,7 +231,7 @@ def _case_span_one(E, d, i0):
         rows = stacked if stacked else [tuple(Fraction(0) for _ in range(d))]
         z0 = RationalMatrix(rows).nullspace()[0]
         return ("rank1", z0, "a direction annihilates every entry off the first row and column")
-    return ("poly", _square_of(v))
+    return ("form", _square_of(v))
 
 
 def _case_min_two(E, d):
@@ -272,28 +279,24 @@ def _case_min_two(E, d):
             "which always carries a rank-one direction",
         )
     # d == 2: the pencil determinant decides everything
-    det_poly = (
-        MultiPoly.linear(E[0][0]) * MultiPoly.linear(E[1][1])
-        - MultiPoly.linear(E[0][1]) * MultiPoly.linear(E[1][0])
-    )
-    return _decide_binary_form(det_poly)
+    acc = {}
+    _add_sym_outer(acc, _sparse(E[0][0]), _sparse(E[1][1]), 1)
+    _add_sym_outer(acc, _sparse(E[0][1]), _sparse(E[1][0]), -1)
+    return _decide_binary_form(_half_matrix(d, acc))
 
 
-def _decide_binary_form(h: MultiPoly):
-    """For a binary quadratic pencil determinant: definite => certificate,
-    real root => rank-one direction."""
-    if h.is_zero():
+def _decide_binary_form(H: RationalMatrix):
+    """For the 2x2 matrix of a binary quadratic pencil determinant:
+    definite => certificate, real root => rank-one direction."""
+    if H.is_zero():
         return ("rank1", (Fraction(1), Fraction(0)), "pencil determinant vanishes identically")
-    c20 = h.terms.get((2, 0), Fraction(0))
-    c11 = h.terms.get((1, 1), Fraction(0))
-    c02 = h.terms.get((0, 2), Fraction(0))
+    # h(z) = c20 z1^2 + c11 z1 z2 + c02 z2^2
+    c20, c11, c02 = H[0, 0], 2 * H[0, 1], H[1, 1]
     if c20 == 0:
         return ("rank1", (Fraction(1), Fraction(0)), "pencil determinant vanishes at (1, 0)")
     disc = c11 * c11 - 4 * c20 * c02
     if disc < 0:
-        return ("poly", h if c20 > 0 else -h)
-    from .subspace import _rational_sqrt
-
+        return ("form", H if c20 > 0 else -H)
     root = _rational_sqrt(disc)
     if root is not None:
         t = (-c11 + root) / (2 * c20)
@@ -343,7 +346,7 @@ def _case_span_two(E, d, i0):
     psi = _intersect_spans([E[0][0], E[0][1]], U1, d)
     if psi is None:
         raise RuntimeError("span intersection unexpectedly empty")
-    return ("poly", _square_of(psi))
+    return ("form", _square_of(psi))
 
 
 def _intersect_spans(vs, ws, d):
@@ -387,7 +390,7 @@ def _case_span_three(E, d, i0):
     for i in range(1, len(E)):
         for j in range(3, n_):
             if not vec_is_zero(E[i][j]):
-                return ("poly", _square_of(E[i][j]))
+                return ("form", _square_of(E[i][j]))
     E = [row[:3] for row in E]
     m_ = len(E)
     if m_ > 3:
@@ -448,7 +451,7 @@ def _case_span_three(E, d, i0):
         E[i][2] = tuple(M2i[0, 1] * a + M2i[1, 1] * b for a, b in zip(c1, c2))
     b = tuple(x - y for x, y in zip(E[1][2], E[2][1]))
     if any(x != 0 for x in b):
-        return ("poly", _square_of(b))
+        return ("form", _square_of(b))
     # symmetric terminal shape: (b.z)^2 degenerates, and rank-one-free
     # three-dimensional symmetric pencils do exist, so neither outcome can
     # be assumed here; fall back to a direct search
@@ -456,8 +459,9 @@ def _case_span_three(E, d, i0):
 
 
 def _certificate_target(K: Subspace):
-    """Run the reduction; return ('poly', g) with g PSD non-zero in the minor
-    span, or ('rank1', witness_or_None, note)."""
+    """Run the reduction; return ('form', T) with T the matrix of a PSD
+    non-zero form in the minor span, ('rank1', witness_or_None, note) or
+    ('symmetric', None, note)."""
     d = K.d
     E = K.entry_grid()
     for _ in range(16 * (K.m + K.n + 4)):
@@ -500,13 +504,6 @@ def _certificate_target(K: Subspace):
     raise RuntimeError("pencil reduction failed to terminate")
 
 
-def solve_beta_for_poly(K: Subspace, g: MultiPoly):
-    """Exact beta with sum_k beta_k M_k(P_K(z)) == g, or None."""
-    if not g.is_homogeneous(2):
-        return None
-    return K.minor_forms().solve(QuadraticForm.from_poly(g).matrix)
-
-
 def find_certificate_d_le_3(K: Subspace) -> CertificateOutcome:
     """Constructive certificate for pencils of dimension at most three.
 
@@ -521,12 +518,10 @@ def find_certificate_d_le_3(K: Subspace) -> CertificateOutcome:
         return CertificateOutcome(rank_one_witness=witness, note=note)
     if kind == "symmetric":
         return _symmetric_fallback(K, rest[1])
-    g = rest[0]
-    beta = solve_beta_for_poly(K, g)
+    beta = K.minor_forms().solve(rest[0])
     if beta is None:
-        raise RuntimeError("target polynomial left the minor span; reduction is broken")
-    comb = MinorCombination(beta, QuadraticForm.from_poly(g))
-    return CertificateOutcome(combination=comb)
+        raise RuntimeError("target form left the minor span; reduction is broken")
+    return CertificateOutcome(combination=MinorCombination(beta))
 
 
 def _symmetric_fallback(K: Subspace, note):
@@ -579,7 +574,7 @@ def _rationalize_combination(forms, beta_f):
             continue
         rep = psd_analyze(form.matrix)
         if rep.is_psd:
-            return MinorCombination(beta, form)
+            return MinorCombination(beta)
     return None
 
 
@@ -588,23 +583,17 @@ def _rationalize_combination(forms, beta_f):
 # ---------------------------------------------------------------------------
 
 class VerifyReport:
-    """Exact verdict for one combination on one subspace cone.
+    """Exact verdict for one combination on one subspace cone."""
 
-    ``form`` is the combination's form on the whole pencil, rebuilt from
-    beta for this verdict.
-    """
+    __slots__ = ("verdict", "psd", "nonzero", "neg_witness", "pos_witness", "kernel")
 
-    __slots__ = ("verdict", "psd", "nonzero", "neg_witness", "pos_witness", "kernel", "form")
-
-    def __init__(self, verdict, psd, nonzero, neg_witness=None, pos_witness=None, kernel=None,
-                 form=None):
+    def __init__(self, verdict, psd, nonzero, neg_witness=None, pos_witness=None, kernel=None):
         self.verdict = verdict
         self.psd = psd
         self.nonzero = nonzero
         self.neg_witness = neg_witness
         self.pos_witness = pos_witness
         self.kernel = kernel
-        self.form = form
 
     @property
     def ok(self):
@@ -615,18 +604,17 @@ def verify_combination(K: Subspace, comb: MinorCombination, cone_basis=None) -> 
     """Exact check that the combination is PSD and non-zero on the cone.
 
     The cone is a subspace given by basis vectors in R^d (None means all
-    of R^d).  The form is rebuilt from beta, so a tampered ``form`` field
-    cannot fool the verdict.
+    of R^d).  The form is built from beta alone.
     """
-    form = combination_form(K, comb.beta)
+    form = K.minor_forms().combination(comb.beta)
     if cone_basis is None:
         cone_basis = [tuple(Fraction(int(i == k)) for i in range(K.d)) for k in range(K.d)]
     cone_basis = [tuple(rat(x) for x in v) for v in cone_basis]
     if not cone_basis:
-        return VerifyReport("trivial", True, False, form=form)
+        return VerifyReport("trivial", True, False)
     restricted = form.restrict(cone_basis)
     if restricted.is_zero():
-        return VerifyReport("trivial", True, False, form=form)
+        return VerifyReport("trivial", True, False)
     rep = psd_analyze(restricted.matrix)
     lift = lambda w: tuple(
         sum(w[r] * cone_basis[r][i] for r in range(len(cone_basis)))
@@ -634,13 +622,13 @@ def verify_combination(K: Subspace, comb: MinorCombination, cone_basis=None) -> 
     )
     if rep.is_psd:
         kernel = [lift(w) for w in rep.kernel]
-        return VerifyReport("psd-nontrivial", True, True, kernel=kernel, form=form)
+        return VerifyReport("psd-nontrivial", True, True, kernel=kernel)
     neg = lift(rep.neg_witness)
     neg_rep = psd_analyze(restricted.matrix.scale(-1))
     if neg_rep.is_psd:
-        return VerifyReport("nsd-nontrivial", False, True, neg_witness=neg, form=form)
+        return VerifyReport("nsd-nontrivial", False, True, neg_witness=neg)
     pos = lift(neg_rep.neg_witness)
-    return VerifyReport("indefinite", False, True, neg_witness=neg, pos_witness=pos, form=form)
+    return VerifyReport("indefinite", False, True, neg_witness=neg, pos_witness=pos)
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +667,11 @@ def reduce_chain(K: Subspace):
                     for i in range(K.d)
                 )
             return Obstruction(cone, "no combination on cone", lifted, outcome.note)
-        beta = outcome.combination.beta
-        report = verify_combination(K, MinorCombination(beta), cone)
+        comb = outcome.combination
+        report = verify_combination(K, comb, cone)
         if not report.ok:
             raise RuntimeError("chain step failed exact verification: %s" % report.verdict)
-        chain.append(MinorCombination(beta, report.form))
+        chain.append(comb)
         cones.append(cone)
         kernel = report.kernel
         if len(kernel) >= len(cone):

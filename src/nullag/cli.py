@@ -95,6 +95,8 @@ def cmd_analyze(args):
         candidates = _parse_candidates(args.candidates, K.d)
         if args.density < 0:
             raise ValueError("--density must be non-negative")
+        if args.budget < 0:
+            raise ValueError("--budget must be non-negative")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         _emit({"command": "analyze", "error": str(exc)}, args.json_out)
         return EXIT_SCHEMA
@@ -529,7 +531,7 @@ def build_parser():
     pa.add_argument("--absent-tol", type=float, default=1e-6)
     pa.add_argument("--density", type=int, default=20000)
     pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--budget", type=int, default=512)
+    pa.add_argument("--budget", type=int, default=256)
     pa.add_argument("--candidates", type=json.loads, default=None,
                     help="extra atom directions as a JSON list of rational-string vectors")
     pa.add_argument("--json-out", default=None)

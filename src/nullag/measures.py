@@ -11,12 +11,12 @@ resulting equality-form Farkas problem with an exact simplex.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import (
-    MultiPoly,
     RationalMatrix,
     enumerate_minors,
     minor,
@@ -378,66 +378,33 @@ def default_cone_sampler(d, seed=0, candidates=None):
     return gen()
 
 
-def construct_nontrivial(F, cone_sampler=None, d=None, budget=512, rounds=8,
-                         batch=32, value_fn=None, seed=0, candidates=None):
-    """Search for a non-trivial measure with barycenter 0 commuting with F.
+# points drawn per growth step of the sample
+_BATCH = 32
 
-    ``F`` is a list of homogeneous polynomials that must contain the d
-    coordinate projections (so that a solution automatically has
-    barycenter zero).  Alternatively ``value_fn``/``d`` supply the family
-    lazily as a per-point value tuple, which keeps huge minor families
-    affordable.  Feasibility over a finite sample is monotone in the
-    sample, so the sample grows in rounds until the Farkas solve succeeds
-    or the budget runs out.
+
+def construct_nontrivial(value_fn, d, budget=256, seed=0, candidates=None):
+    """Search for a non-trivial measure on R^d with barycenter 0 commuting
+    with a family of homogeneous functions.
+
+    ``value_fn(p)`` gives the family's non-zero values at a point p as a
+    sparse map {key: value}; the keys sort in a fixed row order, and the
+    family must contain the d coordinate projections, so that a solution
+    automatically has barycenter zero.  Points come from
+    ``default_cone_sampler(d, seed, candidates)``.  Feasibility over a
+    finite sample is monotone in the sample, so the sample grows, first to
+    max(32, 2d) points and then by 32, until the Farkas solve succeeds or
+    ``budget`` points are drawn.
 
     Returns a VectorMeasure (atoms in R^d), or None.
     """
-    if value_fn is None:
-        if not F:
-            raise ValueError("empty polynomial family")
-        d = F[0].nvars
-        projections_present = set()
-        for f in F:
-            for i in range(d):
-                if f == MultiPoly.variable(d, i):
-                    projections_present.add(i)
-        if len(projections_present) != d:
-            raise ValueError("family must contain all %d coordinate projections" % d)
-
-        def value_fn(p, _F=F):
-            # sparse row map: function index -> non-zero value at p
-            out = {}
-            for idx, f in enumerate(_F):
-                v = f.eval(p)
-                if v != 0:
-                    out[idx] = v
-            return out
-
-    elif d is None:
-        raise ValueError("value_fn requires d")
-
-    sampler = cone_sampler if cone_sampler is not None else default_cone_sampler(
-        d, seed=seed, candidates=candidates
-    )
+    sampler = default_cone_sampler(d, seed=seed, candidates=candidates)
     points = []
     values = []
-
-    def grow(count):
-        added = 0
-        for p in sampler:
+    while True:
+        want = min(max(_BATCH, 2 * d) if not points else _BATCH, budget - len(points))
+        for p in itertools.islice(sampler, max(want, 0)):
             points.append(p)
             values.append(value_fn(p))
-            added += 1
-            if added >= count:
-                break
-        return added
-
-    first = max(batch, 2 * d)
-    for rnd in range(rounds):
-        want = first if rnd == 0 else batch
-        want = min(want, budget - len(points))
-        if want > 0:
-            grow(want)
         if not points:
             return None
         rows = _independent_value_rows(values)
@@ -451,16 +418,15 @@ def construct_nontrivial(F, cone_sampler=None, d=None, budget=512, rounds=8,
         if res.feasible:
             atoms = []
             weights = []
-            for lam, p, vals in zip(res.x, points, values):
+            for lam, p in zip(res.x, points):
                 if lam != 0:
                     atoms.append(p)
                     weights.append(lam)
             mu = VectorMeasure(atoms, weights)
-            _verify_vector_measure(mu, values, points, res.x)
+            _verify_vector_measure(mu, values, res.x)
             return mu
         if len(points) >= budget:
             return None
-    return None
 
 
 def _independent_value_rows(values):
@@ -494,7 +460,7 @@ def _independent_value_rows(values):
     return chosen
 
 
-def _verify_vector_measure(mu: VectorMeasure, values, points, x):
+def _verify_vector_measure(mu: VectorMeasure, values, x):
     total = sum(mu.weights, Fraction(0))
     if total != 1:
         raise RuntimeError("constructed measure weights do not sum to one")
@@ -513,52 +479,45 @@ def _verify_vector_measure(mu: VectorMeasure, values, points, x):
 # subspace front end
 # ---------------------------------------------------------------------------
 
-def subspace_value_fn(K: Subspace, orders="all"):
+def subspace_value_fn(K: Subspace):
     """Per-point values of every minor of P(z) plus the d projections.
 
-    Minor values are computed on the evaluated matrix with structural-zero
-    filtering, so sparse sample points stay cheap even for big shapes.
+    A minor is keyed ``(p, rows, cols)`` and the l-th projection
+    ``(min(m, n) + 1, l)``, so the keys sort in ``enumerate_minors(m, n)``
+    order, followed by the projections.  Minor values are computed on the
+    evaluated matrix with structural-zero filtering, so sparse sample
+    points stay cheap even for big shapes.
     """
-    pairs = enumerate_minors(K.m, K.n, orders)
-    index = {pc: i for i, pc in enumerate(pairs)}
-    nminors = len(pairs)
+    proj = min(K.m, K.n) + 1
 
     def value(p):
         M = K.evaluate(p)
         vals = {}
-        for rows, cols in nonvanishing_minor_candidates([M], K.m, K.n, orders):
+        for rows, cols in nonvanishing_minor_candidates([M], K.m, K.n):
             v = minor(M, rows, cols)
             if v != 0:
-                vals[index[(rows, cols)]] = v
+                vals[(len(rows), rows, cols)] = v
         for i in range(K.d):
             if p[i] != 0:
-                vals[nminors + i] = p[i]
+                vals[(proj, i)] = p[i]
         return vals
 
     return value
 
 
-def construct_nontrivial_for_subspace(K: Subspace, budget=512, rounds=8, seed=0,
-                                      candidates=None, orders="all"):
+def construct_nontrivial_for_subspace(K: Subspace, budget=256, seed=0, candidates=None):
     """Non-trivial barycenter-zero measure on K, or None.
 
     Solves the convex-hull membership in pencil coordinates, maps atoms
     through the pencil and re-verifies the matrix measure exactly against
     every minor order before returning it.
     """
-    vm = construct_nontrivial(
-        None,
-        d=K.d,
-        budget=budget,
-        rounds=rounds,
-        value_fn=subspace_value_fn(K, orders),
-        seed=seed,
-        candidates=candidates,
-    )
+    vm = construct_nontrivial(subspace_value_fn(K), K.d, budget=budget, seed=seed,
+                              candidates=candidates)
     if vm is None:
         return None
     mu = DiscreteMeasure([K.evaluate(p) for p in vm.points], vm.weights)
-    report = is_null_lagrangian(mu, orders=orders)
+    report = is_null_lagrangian(mu)
     if not report.verdict:
         raise RuntimeError("constructed matrix measure fails exact verification")
     if not mu.barycenter().is_zero():

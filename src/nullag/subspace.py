@@ -282,10 +282,11 @@ class MinorForms:
         S_k = A11 A22^T + A22 A11^T - A12 A21^T - A21 A12^T,
 
     where A11 = A_{r1 c1}, A22 = A_{r2 c2}, A12 = A_{r1 c2}, A21 = A_{r2 c1}.
-    Q_k is the matrix ``QuadraticForm.from_poly`` gives for the minor
-    polynomial.  ``S[k]`` holds the non-zero upper-triangle entries of the
-    integer matrix S_k as ``{(i, j): s}`` with i <= j; the products run over
-    the non-zero coordinates of the entry vectors only.
+    ``S[k]`` holds the non-zero upper-triangle entries of the integer matrix
+    S_k as ``{(i, j): s}`` with i <= j; the products run over the non-zero
+    coordinates of the entry vectors only.  A combination is its beta:
+    ``combination`` gives the form of sum_k beta_k M_k, and ``solve`` pulls
+    an exact symmetric target matrix back to a beta.
     """
 
     __slots__ = ("d", "L", "S")

@@ -404,8 +404,8 @@ def test_criterion_8_duality_exclusion():
     for name, K in cases:
         chain = reduce_chain(K)
         terminal = isinstance(chain, TrivialityCertificate) and chain.terminal
-        budget = 64 if terminal else 256
-        mu = construct_nontrivial_for_subspace(K, budget=budget, rounds=4, seed=1)
+        budget = 64 if terminal else 128
+        mu = construct_nontrivial_for_subspace(K, budget=budget, seed=1)
         found = mu is not None
         if found:
             assert is_null_lagrangian(mu).verdict

@@ -9,11 +9,9 @@ from nullag.certify import (
     MinorCombination,
     Obstruction,
     TrivialityCertificate,
-    combination_form,
     find_certificate_d_le_3,
     grassmann_genericity,
     reduce_chain,
-    solve_beta_for_poly,
     verify_combination,
 )
 from nullag.fixtures import (
@@ -43,9 +41,10 @@ def test_certificate_diag_pencil():
     beta = [Fraction(0)] * len(pairs)
     beta[pairs.index(((0, 1), (0, 1)))] = Fraction(1)  # y1^2
     beta[pairs.index(((2, 3), (2, 3)))] = Fraction(1)  # y2^2
-    comb = MinorCombination(beta, combination_form(K, beta))
-    assert comb.form.matrix == RationalMatrix.identity(2)
-    rep2 = psd_analyze(comb.form.matrix)
+    comb = MinorCombination(beta)
+    form = K.minor_forms().combination(beta)
+    assert form.matrix == RationalMatrix.identity(2)
+    rep2 = psd_analyze(form.matrix)
     assert rep2.is_psd and rep2.rank == 2 and rep2.kernel == []
     assert verify_combination(K, comb).ok
 
@@ -56,7 +55,8 @@ def test_certificate_rotation_single_minor():
     assert out.found
     beta = out.combination.beta
     assert len(beta) == 1 and beta[0] != 0
-    assert out.combination.form.matrix == RationalMatrix.identity(2).scale(abs(beta[0]))
+    form = K.minor_forms().combination(beta)
+    assert form.matrix == RationalMatrix.identity(2).scale(abs(beta[0]))
     assert verify_combination(K, out.combination).ok
 
 
@@ -115,7 +115,7 @@ def test_certificate_transport_invariance():
 def test_zero_combination_rejected():
     K = rotation_pencil()
     with pytest.raises(ValueError):
-        MinorCombination([0], QuadraticForm(RationalMatrix.zeros(2, 2)))
+        MinorCombination([0])
 
 
 def test_indefinite_combination_witnesses():
@@ -123,10 +123,10 @@ def test_indefinite_combination_witnesses():
     pairs = enumerate_minors(3, 3, 2)
     beta = [Fraction(0)] * len(pairs)
     beta[pairs.index(((0, 1), (0, 1)))] = Fraction(1)  # gamma^2 - alpha^2 on the pencil
-    comb = MinorCombination(beta, combination_form(K, beta))
+    comb = MinorCombination(beta)
     rep = verify_combination(K, comb)
     assert rep.verdict == "indefinite"
-    form = combination_form(K, beta)
+    form = K.minor_forms().combination(beta)
     assert form(rep.neg_witness) < 0
     assert form(rep.pos_witness) > 0
 
@@ -322,5 +322,5 @@ def test_solve_beta_consistency():
     K = rotation_pencil()
     polys = minor_polys(K, 2)
     g = polys[0]
-    beta = solve_beta_for_poly(K, g)
+    beta = K.minor_forms().solve(QuadraticForm.from_poly(g).matrix)
     assert beta == (Fraction(1),)

@@ -240,6 +240,7 @@ ROTATION = {"m": 2, "n": 2, "d": 2, "basis": [[["1", "0"], ["0", "1"]], [["0", "
         pytest.param("analyze", "Kr(r=0)", ("--candidates", '[["1"]]'), id="candidates-length"),
         pytest.param("analyze", dict(ROTATION, d=None), (), id="analyze-null-dimension"),
         pytest.param("analyze", "Kr(r=0)", ("--density", "-5"), id="density-negative"),
+        pytest.param("analyze", "Kr(r=0)", ("--budget", "-5"), id="budget-negative"),
     ],
 )
 def test_malformed_input_exits_schema(tmp_path, capsys, command, payload, extra):

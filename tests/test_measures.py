@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from farkas_oracle import farkas_feasible_bruteforce
-from nullag.algebra import RationalMatrix, vec_dot
+from nullag.algebra import RationalMatrix, enumerate_minors, minor, vec_dot
 from nullag.measures import (
     DiscreteMeasure,
     FarkasProblem,
@@ -12,9 +12,9 @@ from nullag.measures import (
     construct_nontrivial_for_subspace,
     farkas_solve,
     is_null_lagrangian,
+    subspace_value_fn,
     two_atom_measure,
 )
-from nullag.algebra import MultiPoly
 from nullag.subspace import Subspace, find_rank_one
 
 
@@ -158,20 +158,59 @@ def test_construct_on_rank_one_line():
 
 
 def test_construct_polynomial_family_surface():
-    # same search expressed through an explicit polynomial family
-    F = [MultiPoly(1, {(2,): 1}), MultiPoly.variable(1, 0)]
-    vm = construct_nontrivial(F, seed=0)
+    # same search expressed through the value function of an explicit family;
+    # sample points are non-zero, so every listed value is non-zero
+    vm = construct_nontrivial(lambda p: {0: p[0] ** 2, 1: p[0]}, 1, seed=0)
     assert vm is None  # z^2 >= 0 blocks any non-trivial barycenter-zero measure
 
-    F2 = [MultiPoly.zero(1), MultiPoly.variable(1, 0)]
-    vm2 = construct_nontrivial(F2, seed=0)
+    # the family {0, z}
+    vm2 = construct_nontrivial(lambda p: {1: p[0]}, 1, seed=0)
     assert vm2 is not None
     assert vm2.barycenter() == (Fraction(0),)
 
 
-def test_construct_fails_without_projections():
-    with pytest.raises(ValueError):
-        construct_nontrivial([MultiPoly(2, {(2, 0): 1})])
+def test_construct_draws_the_whole_budget():
+    # {z^2, z} is never feasible, so the sample grows until the budget
+    drawn = []
+
+    def value_fn(p):
+        drawn.append(p)
+        return {0: p[0] ** 2, 1: p[0]}
+
+    assert construct_nontrivial(value_fn, 1, budget=320) is None
+    assert len(drawn) == len(set(drawn)) == 320
+
+
+def test_value_fn_keys_follow_the_minor_enumeration():
+    # the sorted keys are the row order of the Farkas instance: non-zero
+    # minors in enumerate_minors order, then the non-zero projections
+    rng = random.Random(29)
+    for m in range(2, 6):
+        for n in range(2, 6):
+            d = rng.randint(1, 4)
+            while True:
+                basis = [[[rand_rat(rng) if rng.random() < 0.4 else 0 for _ in range(n)]
+                          for _ in range(m)] for _ in range(d)]
+                try:
+                    K = Subspace(basis)
+                    break
+                except ValueError:
+                    continue
+            for _ in range(3):
+                p = tuple(rand_rat(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(d))
+                if not any(p):
+                    continue
+                M = K.evaluate(p)
+                vals = subspace_value_fn(K)(p)
+                minors = [(rows, cols) for rows, cols in enumerate_minors(m, n)
+                          if minor(M, rows, cols) != 0]
+                proj = [l for l in range(d) if p[l] != 0]
+                assert sorted(vals) == ([(len(rows), rows, cols) for rows, cols in minors]
+                                        + [(min(m, n) + 1, l) for l in proj])
+                for rows, cols in minors:
+                    assert vals[(len(rows), rows, cols)] == minor(M, rows, cols)
+                for l in proj:
+                    assert vals[(min(m, n) + 1, l)] == p[l]
 
 
 def test_construct_blocked_by_certificate():
@@ -183,4 +222,4 @@ def test_construct_blocked_by_certificate():
     b2[2][2] = b2[3][3] = 1
     K = Subspace([b1, b2])
     for seed in range(4):
-        assert construct_nontrivial_for_subspace(K, budget=96, rounds=3, seed=seed) is None
+        assert construct_nontrivial_for_subspace(K, budget=96, seed=seed) is None

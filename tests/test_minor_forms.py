@@ -12,7 +12,6 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from nullag.algebra import MultiPoly, QuadraticForm, RationalMatrix
-from nullag.certify import combination_form, solve_beta_for_poly
 from nullag.subspace import Subspace, minor_polys
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -86,7 +85,7 @@ def test_combination_form_matches_poly_sum(case):
         acc = MultiPoly.zero(K.d)
         for b, p in zip(beta, polys):
             acc = acc + p.scale(b)
-        assert combination_form(K, beta) == QuadraticForm.from_poly(acc)
+        assert K.minor_forms().combination(beta) == QuadraticForm.from_poly(acc)
 
 
 @settings(SETTINGS, max_examples=25)
@@ -104,4 +103,4 @@ def test_solve_beta_matches_monomial_solve(case):
             sym[i][j] = sym[j][i] = rand_rat(rng)
     generic = QuadraticForm(RationalMatrix(sym)).to_poly()
     for g in (in_span, line * line, generic, polys[0], MultiPoly.zero(K.d)):
-        assert solve_beta_for_poly(K, g) == monomial_solve(polys, g)
+        assert K.minor_forms().solve(QuadraticForm.from_poly(g).matrix) == monomial_solve(polys, g)
