@@ -282,10 +282,7 @@ def _det_bareiss(A):
     scale = Fraction(1)
     m = []
     for r in A.entries:
-        l = 1
-        for x in r:
-            d = x.denominator
-            l = l * d // _gcd(l, d)
+        l = math.lcm(*(x.denominator for x in r))
         scale /= l
         m.append([int(x * l) for x in r])
     sign = 1
@@ -309,10 +306,36 @@ def _det_bareiss(A):
     return sign * scale * m[n - 1][n - 1]
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def independent_indices(vectors):
+    """Indices of the rational vectors independent of those before them.
+
+    These are the pivot columns of the matrix with the vectors as columns.
+    One forward-elimination pass in integers: each vector is cleared of
+    denominators and reduced against the stored (pivot, row) pairs, with
+    the gcd of its entries divided out after each step; a non-zero
+    remainder is stored with its first non-zero position as the next pair.
+    Once the pivots fill the dimension no later vector can be independent.
+    """
+    chosen = []
+    basis = []
+    for idx, v in enumerate(vectors):
+        l = math.lcm(*(x.denominator for x in v))
+        r = [x.numerator * (l // x.denominator) for x in v]
+        for p, br in basis:
+            f = r[p]
+            if f:
+                c = br[p]
+                r = [c * a - f * b for a, b in zip(r, br)]
+                g = math.gcd(*r)
+                if g > 1:
+                    r = [a // g for a in r]
+        if not any(r):
+            continue
+        basis.append((next(i for i, x in enumerate(r) if x), r))
+        chosen.append(idx)
+        if len(basis) == len(r):
+            break
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -627,28 +650,9 @@ class MultiPoly:
 
 
 def span_basis_indices(polys):
-    """Indices of a maximal linearly independent subset, by exact rank.
-
-    The subset keeps the first polynomial achieving each new pivot, so the
-    selection is deterministic in the given order.
-    """
+    """Indices of the polynomials independent of those before them."""
     monomials = sorted({e for p in polys for e in p.terms})
-    if not monomials:
-        return []
-    rows = [p.coefficient_vector(monomials) for p in polys]
-    chosen = []
-    basis_rows = []
-    for idx, r in enumerate(rows):
-        r = list(r)
-        for br in basis_rows:
-            piv = next(i for i, x in enumerate(br) if x != 0)
-            if r[piv] != 0:
-                f = r[piv] / br[piv]
-                r = [a - f * b for a, b in zip(r, br)]
-        if any(x != 0 for x in r):
-            basis_rows.append(r)
-            chosen.append(idx)
-    return chosen
+    return independent_indices([p.coefficient_vector(monomials) for p in polys])
 
 
 # ---------------------------------------------------------------------------

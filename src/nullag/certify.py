@@ -10,6 +10,15 @@ to a canonical shape, read off an explicitly non-negative polynomial
 (a squared linear form, or a definite 2x2 determinant), and pull it back
 through the invariance of the minor span under pencil operations.
 
+The reduction is built from two elimination steps.  Clearing the first
+row moves a row of span s to the top, its first s independent entries to
+columns 0..s-1, and clears the rest of the row by column operations;
+each span case begins with it.  Clearing the first column moves s rows
+with independent column-0 entries to the top and clears column 0 below
+them by row operations; the two-column case and the tall three-span case
+use it.  Every "first independent vectors" choice, and every span
+dimension, comes from ``algebra.independent_indices``.
+
 The descending chain repeatedly restricts to the kernel of the current
 certificate form; it stops at the zero cone (triviality certified) or at
 a cone carrying no combination (obstruction).
@@ -38,6 +47,7 @@ import numpy as np
 
 from .algebra import (
     RationalMatrix,
+    independent_indices,
     psd_analyze,
     rat,
     rat_from_str,
@@ -172,10 +182,7 @@ class CertificateOutcome:
 # carry rank).
 
 def _vector_rank(vectors):
-    vectors = [v for v in vectors if not vec_is_zero(v)]
-    if not vectors:
-        return 0
-    return RationalMatrix(vectors).rank()
+    return len(independent_indices(vectors))
 
 
 def _drop_zero_lines(E):
@@ -209,68 +216,76 @@ def _square_of(v):
     return _half_matrix(len(v), acc)
 
 
-def _case_span_one(E, d, i0):
+def _annihilator(vectors, d):
+    """A non-zero z with v.z = 0 for every given v; they span less than R^d."""
+    rows = [v for v in vectors if not vec_is_zero(v)] or [(Fraction(0),) * d]
+    return RationalMatrix(rows).nullspace()[0]
+
+
+def _clear_first_row(E, i0, s):
+    """Row i0 moved to the top, its first s independent entries moved to
+    columns 0..s-1, and the rest of that row cleared by column operations."""
     E = [list(r) for r in E]
     E[0], E[i0] = E[i0], E[0]
-    n_ = len(E[0])
-    j_star = next(j for j in range(n_) if not vec_is_zero(E[0][j]))
-    for row in E:
-        row[0], row[j_star] = row[j_star], row[0]
-    v = E[0][0]
-    pivot_pos = next(i for i, x in enumerate(v) if x != 0)
-    for j in range(1, n_):
-        w = E[0][j]
-        if vec_is_zero(w):
-            continue
-        t = w[pivot_pos] / v[pivot_pos]
+    # the pivots increase, so these swaps never displace a later pivot
+    for target, j in enumerate(independent_indices(E[0])[:s]):
         for row in E:
-            row[j] = tuple(a - t * b for a, b in zip(row[j], row[0]))
-    inner = [E[i][j] for i in range(1, len(E)) for j in range(1, n_)]
-    stacked = [w for w in inner if not vec_is_zero(w)]
-    if _vector_rank(stacked) < d:
-        rows = stacked if stacked else [tuple(Fraction(0) for _ in range(d))]
-        z0 = RationalMatrix(rows).nullspace()[0]
-        return ("rank1", z0, "a direction annihilates every entry off the first row and column")
-    return ("form", _square_of(v))
+            row[target], row[j] = row[j], row[target]
+    W = RationalMatrix.from_columns(E[0][:s])
+    for j in range(s, len(E[0])):
+        if vec_is_zero(E[0][j]):
+            continue
+        coeffs = W.solve(E[0][j])
+        for row in E:
+            row[j] = tuple(
+                a - sum(c * w[t] for c, w in zip(coeffs, row)) for t, a in enumerate(row[j])
+            )
+    return E
+
+
+def _clear_first_column(E, s):
+    """s rows whose column-0 entries are independent moved to the top, and
+    column 0 below them cleared by row operations."""
+    E = [list(r) for r in E]
+    # the chosen rows increase with chosen[pos] >= pos, so these swaps
+    # never displace a later chosen row
+    for pos, i in enumerate(independent_indices([row[0] for row in E])[:s]):
+        E[pos], E[i] = E[i], E[pos]
+    top = RationalMatrix.from_columns([row[0] for row in E[:s]])
+    for i in range(s, len(E)):
+        if vec_is_zero(E[i][0]):
+            continue
+        coeffs = top.solve(E[i][0])
+        E[i] = [
+            tuple(a - sum(c * E[k][j][t] for k, c in enumerate(coeffs)) for t, a in enumerate(v))
+            for j, v in enumerate(E[i])
+        ]
+    return E
+
+
+def _has_rows_below(E, s):
+    return any(not vec_is_zero(v) for row in E[s:] for v in row)
+
+
+def _case_span_one(E, d, i0):
+    E = _clear_first_row(E, i0, 1)
+    inner = [v for row in E[1:] for v in row[1:]]
+    if _vector_rank(inner) < d:
+        return ("rank1", _annihilator(inner, d),
+                "a direction annihilates every entry off the first row and column")
+    return ("form", _square_of(E[0][0]))
 
 
 def _case_min_two(E, d):
     """Pencil with two columns (rows handled by transposition upstream)."""
-    m_ = len(E)
     for j in (0, 1):
-        col = [E[i][j] for i in range(m_)]
+        col = [row[j] for row in E]
         if _vector_rank(col) < d:
-            rows = [v for v in col if not vec_is_zero(v)]
-            rows = rows if rows else [tuple(Fraction(0) for _ in range(d))]
-            z0 = RationalMatrix(rows).nullspace()[0]
-            return ("rank1", z0, "a direction annihilates one full column of a two-column pencil")
-    # bring d rows with independent first-column entries to the top
-    chosen = []
-    chosen_rows = []
-    for i in range(m_):
-        if _vector_rank(chosen + [E[i][0]]) > len(chosen):
-            chosen.append(E[i][0])
-            chosen_rows.append(i)
-        if len(chosen) == d:
-            break
-    E = [list(r) for r in E]
-    # chosen_rows is strictly increasing with chosen_rows[pos] >= pos, so
-    # these swaps never displace a later chosen row
-    for pos, i in enumerate(chosen_rows):
-        E[pos], E[i] = E[i], E[pos]
-    top = RationalMatrix.from_columns([E[k][0] for k in range(d)])
-    for i in range(d, m_):
-        coeffs = top.solve(E[i][0])
-        for k in range(d):
-            if coeffs[k] != 0:
-                E[i] = [
-                    tuple(a - coeffs[k] * b for a, b in zip(E[i][j], E[k][j]))
-                    for j in range(2)
-                ]
-    leftover = [i for i in range(d, m_) if any(not vec_is_zero(v) for v in E[i])]
-    if leftover:
+            return ("rank1", _annihilator(col, d),
+                    "a direction annihilates one full column of a two-column pencil")
+    E = _clear_first_column(E, d)
+    if _has_rows_below(E, d):
         return ("continue", E)
-    E = E[:d]
     if d == 3:
         return (
             "rank1",
@@ -309,38 +324,13 @@ def _decide_binary_form(H: RationalMatrix):
 
 
 def _case_span_two(E, d, i0):
-    E = [list(r) for r in E]
-    E[0], E[i0] = E[i0], E[0]
-    n_ = len(E[0])
-    # two independent pivots in row 0
-    piv = []
-    for j in range(n_):
-        if _vector_rank([E[0][k] for k in piv] + [E[0][j]]) > len(piv):
-            piv.append(j)
-        if len(piv) == 2:
-            break
-    # piv is strictly increasing, so these swaps cannot displace a later pivot
-    for target, j in enumerate(piv):
-        if j != target:
-            for row in E:
-                row[target], row[j] = row[j], row[target]
-    W = RationalMatrix.from_columns([E[0][0], E[0][1]])
-    for j in range(2, n_):
-        if vec_is_zero(E[0][j]):
-            continue
-        coeffs = W.solve(E[0][j])
-        for row in E:
-            row[j] = tuple(
-                a - coeffs[0] * b0 - coeffs[1] * b1
-                for a, b0, b1 in zip(row[j], row[0], row[1])
-            )
+    E = _clear_first_row(E, i0, 2)
     lower_cols = [
-        j for j in range(2, n_) if any(not vec_is_zero(E[i][j]) for i in range(1, len(E)))
+        j for j in range(2, len(E[0])) if any(not vec_is_zero(row[j]) for row in E[1:])
     ]
     if not lower_cols:
         return ("continue", [row[:2] for row in E])
-    j0 = lower_cols[0]
-    U1 = [E[i][j0] for i in range(1, len(E)) if not vec_is_zero(E[i][j0])]
+    U1 = [row[lower_cols[0]] for row in E[1:] if not vec_is_zero(row[lower_cols[0]])]
     if _vector_rank(U1) == 1:
         return ("continue", E)
     psi = _intersect_spans([E[0][0], E[0][1]], U1, d)
@@ -364,57 +354,17 @@ def _intersect_spans(vs, ws, d):
 
 
 def _case_span_three(E, d, i0):
-    E = [list(r) for r in E]
-    E[0], E[i0] = E[i0], E[0]
-    n_ = len(E[0])
-    piv = []
-    for j in range(n_):
-        if _vector_rank([E[0][k] for k in piv] + [E[0][j]]) > len(piv):
-            piv.append(j)
-        if len(piv) == 3:
-            break
-    for target, j in enumerate(piv):
-        if j != target:
-            for row in E:
-                row[target], row[j] = row[j], row[target]
-    W = RationalMatrix.from_columns([E[0][0], E[0][1], E[0][2]])
-    for j in range(3, n_):
-        if vec_is_zero(E[0][j]):
-            continue
-        coeffs = W.solve(E[0][j])
-        for row in E:
-            row[j] = tuple(
-                a - sum(coeffs[k] * row[k][t] for k in range(3))
-                for t, a in enumerate(row[j])
-            )
-    for i in range(1, len(E)):
-        for j in range(3, n_):
-            if not vec_is_zero(E[i][j]):
-                return ("form", _square_of(E[i][j]))
+    E = _clear_first_row(E, i0, 3)
+    for row in E[1:]:
+        for v in row[3:]:
+            if not vec_is_zero(v):
+                return ("form", _square_of(v))
     E = [row[:3] for row in E]
-    m_ = len(E)
-    if m_ > 3:
-        col0 = [E[i][0] for i in range(m_)]
-        if _vector_rank(col0) < 3:
+    if len(E) > 3:
+        if _vector_rank([row[0] for row in E]) < 3:
             return ("continue", E)
-        chosen = []
-        chosen_rows = []
-        for i in range(m_):
-            if _vector_rank(chosen + [E[i][0]]) > len(chosen):
-                chosen.append(E[i][0])
-                chosen_rows.append(i)
-            if len(chosen) == 3:
-                break
-        for pos, i in enumerate(chosen_rows):
-            E[pos], E[i] = E[i], E[pos]
-        top = RationalMatrix.from_columns([E[k][0] for k in range(3)])
-        for i in range(3, m_):
-            coeffs = top.solve(E[i][0])
-            E[i] = [
-                tuple(a - sum(coeffs[k] * E[k][j][t] for k in range(3)) for t, a in enumerate(E[i][j]))
-                for j in range(3)
-            ]
-        if any(any(not vec_is_zero(v) for v in E[i]) for i in range(3, m_)):
+        E = _clear_first_column(E, 3)
+        if _has_rows_below(E, 3):
             return ("continue", E)
         E = E[:3]
     col0 = RationalMatrix([list(E[i][0]) for i in range(3)])
@@ -475,13 +425,11 @@ def _certificate_target(K: Subspace):
         row_spans = [_vector_rank(row) for row in E]
         col_spans = [_vector_rank([E[i][j] for i in range(m_)]) for j in range(n_)]
         s = min(row_spans + col_spans)
-        transposed = False
         if s in row_spans:
             i0 = row_spans.index(s)
         else:
             E = _transpose_grid(E)
             i0 = col_spans.index(s)
-            transposed = True
             m_, n_ = n_, m_
         if s == 1:
             return _case_span_one(E, d, i0)
@@ -582,6 +530,11 @@ def _rationalize_combination(forms, beta_f):
 # verification
 # ---------------------------------------------------------------------------
 
+def _lift(w, basis):
+    """The point with coordinates w on the basis vectors."""
+    return tuple(sum(c * v[i] for c, v in zip(w, basis)) for i in range(len(basis[0])))
+
+
 class VerifyReport:
     """Exact verdict for one combination on one subspace cone."""
 
@@ -616,18 +569,14 @@ def verify_combination(K: Subspace, comb: MinorCombination, cone_basis=None) -> 
     if restricted.is_zero():
         return VerifyReport("trivial", True, False)
     rep = psd_analyze(restricted.matrix)
-    lift = lambda w: tuple(
-        sum(w[r] * cone_basis[r][i] for r in range(len(cone_basis)))
-        for i in range(K.d)
-    )
     if rep.is_psd:
-        kernel = [lift(w) for w in rep.kernel]
+        kernel = [_lift(w, cone_basis) for w in rep.kernel]
         return VerifyReport("psd-nontrivial", True, True, kernel=kernel)
-    neg = lift(rep.neg_witness)
+    neg = _lift(rep.neg_witness, cone_basis)
     neg_rep = psd_analyze(restricted.matrix.scale(-1))
     if neg_rep.is_psd:
         return VerifyReport("nsd-nontrivial", False, True, neg_witness=neg)
-    pos = lift(neg_rep.neg_witness)
+    pos = _lift(neg_rep.neg_witness, cone_basis)
     return VerifyReport("indefinite", False, True, neg_witness=neg, pos_witness=pos)
 
 
@@ -660,12 +609,7 @@ def reduce_chain(K: Subspace):
             outcome = _heuristic_combination(sub)
         if not outcome.found:
             witness = outcome.rank_one_witness
-            lifted = None
-            if witness is not None:
-                lifted = tuple(
-                    sum(witness[r] * cone[r][i] for r in range(len(cone)))
-                    for i in range(K.d)
-                )
+            lifted = None if witness is None else _lift(witness, cone)
             return Obstruction(cone, "no combination on cone", lifted, outcome.note)
         comb = outcome.combination
         report = verify_combination(K, comb, cone)

@@ -93,8 +93,6 @@ def cmd_analyze(args):
         obj = _load_json(args.subspace)
         K = Subspace.from_json(obj)
         candidates = _parse_candidates(args.candidates, K.d)
-        if args.density < 0:
-            raise ValueError("--density must be non-negative")
         if args.budget < 0:
             raise ValueError("--budget must be non-negative")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -127,8 +125,7 @@ def cmd_analyze(args):
     witness = chain.rank_one_witness
     if witness is None:
         t1 = time.perf_counter()
-        res = find_rank_one(K, mode="auto", density=args.density, seed=args.seed,
-                            tol=args.tol, absent_tol=args.absent_tol)
+        res = find_rank_one(K, mode="auto", seed=args.seed)
         report["timings"]["find_rank_one"] = time.perf_counter() - t1
         rank_entry = {
             "operation": "find_rank_one",
@@ -216,6 +213,7 @@ def cmd_k1(args):
     report = _report("k1", inputs, seed=args.seed)
     try:
         flux = FluxFunction.named(args.flux)
+        eps = None if args.eps == "auto" else float(args.eps)
     except ValueError as exc:
         report["error"] = str(exc)
         _emit(report, args.json_out)
@@ -233,7 +231,8 @@ def cmd_k1(args):
         _emit(report, args.json_out)
         return EXIT_PRECONDITION
     report["system"] = system.to_json()
-    eps = system.eps0 / 2 if args.eps == "auto" else float(args.eps)
+    if eps is None:
+        eps = system.eps0 / 2
     try:
         result = iterate_weights(system, eps, tol=args.tol)
         mu_alpha = five_atom_measure(system, result, tol=args.measure_tol)
@@ -497,7 +496,7 @@ def cmd_fixtures(args):
         return EXIT_VERIFIED
     try:
         entry = builtin(args.name)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         _emit({"command": "fixtures", "error": str(exc)}, args.json_out)
         return EXIT_SCHEMA
     out = {
@@ -527,9 +526,6 @@ def build_parser():
 
     pa = sub.add_parser("analyze", help="decide a subspace: certificate, measure, or inconclusive")
     pa.add_argument("subspace", help="subspace JSON path ('-' for stdin)")
-    pa.add_argument("--tol", type=float, default=1e-9)
-    pa.add_argument("--absent-tol", type=float, default=1e-6)
-    pa.add_argument("--density", type=int, default=20000)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--budget", type=int, default=256)
     pa.add_argument("--candidates", type=json.loads, default=None,

@@ -279,11 +279,6 @@ class K1Point:
         M = p1_matrix(flux, u, v)
         return K1Point(u, v, M, check_against=M, tol=tol)
 
-    @staticmethod
-    def on_stripped(flux, alpha, u, v, tol=1e-9):
-        M = p1_alpha_matrix(flux, alpha, u, v)
-        return K1Point(u, v, M, check_against=M, tol=tol)
-
 
 def _minor(M, i, j):
     return M[i, 0] * M[j, 1] - M[i, 1] * M[j, 0]

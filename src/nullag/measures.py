@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import (
     RationalMatrix,
     enumerate_minors,
+    independent_indices,
     minor,
     minor_count,
     nonvanishing_minor_candidates,
@@ -430,34 +431,17 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, candidates=None):
 
 
 def _independent_value_rows(values):
-    """Indices of a row basis of the (functions x points) value matrix.
+    """Keys of a row basis of the (functions x points) value matrix.
 
-    Values are sparse per-point maps {function index: value}; rows that
-    vanish on every point never appear.  Identical constraint rows are
-    redundant and dependent rows do not change the solution set, so the
-    Farkas instance only needs a basis.
+    Values are sparse per-point maps {key: value}; rows that vanish on
+    every point never appear.  The rows are taken in sorted key order and
+    a row is kept when ``independent_indices`` finds it independent of the
+    rows before it: dependent rows, repeated ones included, do not change
+    the solution set, so the Farkas instance only needs this basis.
     """
-    ncols = len(values)
     live = sorted(set().union(*values)) if values else []
-    basis_rows = []
-    chosen = []
-    seen = set()
-    for r in live:
-        row = [values[c].get(r, Fraction(0)) for c in range(ncols)]
-        key = tuple(row)
-        if key in seen:
-            continue
-        seen.add(key)
-        red = list(row)
-        for br in basis_rows:
-            piv = next(i for i, x in enumerate(br) if x != 0)
-            if red[piv] != 0:
-                f = red[piv] / br[piv]
-                red = [a - f * bb for a, bb in zip(red, br)]
-        if any(x != 0 for x in red):
-            basis_rows.append(red)
-            chosen.append(r)
-    return chosen
+    rows = ([v.get(r, Fraction(0)) for v in values] for r in live)
+    return [live[i] for i in independent_indices(rows)]
 
 
 def _verify_vector_measure(mu: VectorMeasure, values, x):

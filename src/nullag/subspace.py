@@ -459,8 +459,7 @@ class RankOneResult:
         )
 
 
-def find_rank_one(K: Subspace, mode="auto", density=20000, seed=0, tol=1e-9,
-                  absent_tol=1e-6) -> RankOneResult:
+def find_rank_one(K: Subspace, mode="auto", density=20000, seed=0) -> RankOneResult:
     """Search for z != 0 with rank P(z) <= 1.
 
     Exact mode (d <= 2) decides the question; numeric mode samples the unit
@@ -475,7 +474,7 @@ def find_rank_one(K: Subspace, mode="auto", density=20000, seed=0, tol=1e-9,
         return _find_rank_one_exact(K)
     if mode != "numeric":
         raise ValueError("unknown mode %r" % mode)
-    return _find_rank_one_numeric(K, density, seed, tol, absent_tol)
+    return _find_rank_one_numeric(K, density, seed)
 
 
 def _find_rank_one_exact(K: Subspace) -> RankOneResult:
@@ -607,6 +606,10 @@ def _rational_sqrt(x: Fraction):
 
 # sphere samples with the smallest residuals that Gauss-Newton refines
 _REFINE_CANDIDATES = 12
+# residual below which a direction counts as found, and above which a miss
+# is reported as mode "numeric" rather than "numeric-inconclusive"
+_FOUND_TOL = 1e-9
+_ABSENT_TOL = 1e-6
 
 
 def _minor_index_arrays(m, n):
@@ -702,7 +705,7 @@ def _polish_witness(K: Subspace, z):
     return None
 
 
-def _find_rank_one_numeric(K, density, seed, tol, absent_tol):
+def _find_rank_one_numeric(K, density, seed):
     B = K.basis_float()
     idx = _minor_index_arrays(K.m, K.n)
     density = int(density)
@@ -727,7 +730,7 @@ def _find_rank_one_numeric(K, density, seed, tol, absent_tol):
         z, res = _gauss_newton(z0, B, idx)
         if res is not None and res < best_overall:
             best_overall, best_z = res, z
-    if best_overall is not None and best_overall < tol:
+    if best_overall is not None and best_overall < _FOUND_TOL:
         exact = _polish_witness(K, best_z)
         return RankOneResult(
             True,
@@ -737,7 +740,7 @@ def _find_rank_one_numeric(K, density, seed, tol, absent_tol):
             is_proof=exact is not None,
             mode="numeric",
         )
-    certified = best_overall is not None and best_overall > absent_tol
+    certified = best_overall is not None and best_overall > _ABSENT_TOL
     return RankOneResult(
         False,
         witness_float=np.asarray(best_z) if best_z is not None else None,

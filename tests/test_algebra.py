@@ -10,6 +10,7 @@ from nullag.algebra import (
     cofactor_identity_2x2,
     det_sum_expansion,
     enumerate_minors,
+    independent_indices,
     minor,
     nonvanishing_minor_candidates,
     psd_analyze,
@@ -246,6 +247,36 @@ def test_span_basis_indices():
     p3 = MultiPoly(d, {(0, 2): 1})
     assert span_basis_indices([p1, p2, p3]) == [0, 2]
     assert span_basis_indices([MultiPoly.zero(2), p3]) == [1]
+
+
+def _vectors_with_dependencies(rng):
+    """0-8 rational vectors of one length 1-6, among them zero vectors,
+    repeats and combinations of earlier vectors."""
+    n = rng.randint(1, 6)
+    vs = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if vs and kind < 0.15:
+            vs.append(rng.choice(vs))
+        elif len(vs) >= 2 and kind < 0.35:
+            a, b = rng.sample(vs, 2)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3))
+            vs.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        elif kind < 0.45:
+            vs.append((Fraction(0),) * n)
+        else:
+            vs.append(tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.6
+                            else Fraction(0) for _ in range(n)))
+    return vs
+
+
+def test_independent_indices_are_the_pivot_columns():
+    assert independent_indices([]) == []
+    rng = random.Random(17)
+    for _ in range(400):
+        vs = _vectors_with_dependencies(rng)
+        expected = list(RationalMatrix.from_columns(vs).rref()[1]) if vs else []
+        assert independent_indices(vs) == expected
 
 
 # ---------------------------------------------------------------------------

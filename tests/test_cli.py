@@ -239,7 +239,6 @@ ROTATION = {"m": 2, "n": 2, "d": 2, "basis": [[["1", "0"], ["0", "1"]], [["0", "
                      id="candidates-text"),
         pytest.param("analyze", "Kr(r=0)", ("--candidates", '[["1"]]'), id="candidates-length"),
         pytest.param("analyze", dict(ROTATION, d=None), (), id="analyze-null-dimension"),
-        pytest.param("analyze", "Kr(r=0)", ("--density", "-5"), id="density-negative"),
         pytest.param("analyze", "Kr(r=0)", ("--budget", "-5"), id="budget-negative"),
     ],
 )
@@ -248,6 +247,22 @@ def test_malformed_input_exits_schema(tmp_path, capsys, command, payload, extra)
         payload = dump_fixture(capsys, payload)["subspace"]
     path = write_subspace(tmp_path, payload)
     code, report = run_cli(capsys, command, path, *extra)
+    assert code == 2
+    assert report["error"]
+    assert "verdicts" not in report or report["verdicts"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("fixtures", "dump", "Kr(r=-1)"), id="fixture-negative-r"),
+        pytest.param(("fixtures", "dump", "sym3-random(seed=x)"), id="fixture-text-seed"),
+        pytest.param(("fixtures", "dump", "V0(k=0,m=4,n=4)"), id="fixture-empty-basis"),
+        pytest.param(("k1", "--eps", "abc"), id="k1-eps-text"),
+    ],
+)
+def test_malformed_argument_exits_schema(capsys, argv):
+    code, report = run_cli(capsys, *argv)
     assert code == 2
     assert report["error"]
     assert "verdicts" not in report or report["verdicts"] == []

@@ -1,12 +1,19 @@
-"""Every imported name in the library and the tests is used.
+"""Every imported name in the library and the tests is used, and so is
+every library definition.
 
-A static scan with ``ast``: a name bound by an import statement (at any
-depth, inside functions too) must be read somewhere in the same module.
-``from __future__`` imports and package ``__init__.py`` files, which
-import to re-export, are skipped.
+Two static scans with ``ast``.  A name bound by an import statement (at
+any depth, inside functions too) must be read somewhere in the same
+module; ``from __future__`` imports and package ``__init__.py`` files,
+which import to re-export, are skipped.  Every top-level function and
+class and every non-dunder method of ``src/nullag`` must be named in
+``src/``, ``tests/`` or ``nullbench/`` outside its own definition, as an
+identifier, an attribute, an imported name or a part of a dotted string
+(the benchmark tracer wraps functions by dotted name).
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,3 +47,73 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# dead definitions
+# ---------------------------------------------------------------------------
+
+LIBRARY = sorted(ROOT.glob("src/nullag/*.py"))
+REFERRERS = LIBRARY + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("nullbench/*.py"))
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def named(node):
+    """Every name that ``node`` and its descendants mention: identifiers,
+    attributes, imported names and the parts of dotted strings."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name.split(".")[-1]] += 1
+            if sub.asname:
+                out[sub.asname] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and DOTTED.fullmatch(sub.value):
+            out.update(sub.value.split("."))
+    return out
+
+
+def definitions(tree):
+    """(qualified name, node) of each top-level function and class and of
+    each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, DEFS):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, DEFS) and not item.name.startswith("__"):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
+def dead_definitions(library, referrers):
+    """Definitions in ``library`` whose name appears nowhere in
+    ``referrers`` outside the definition itself."""
+    trees = {path: ast.parse(path.read_text()) for path in set(library) | set(referrers)}
+    mentions = Counter()
+    for path in referrers:
+        mentions.update(named(trees[path]))
+    return sorted(
+        "%s:%s" % (path.name, qualname)
+        for path in library
+        for qualname, node in definitions(trees[path])
+        if mentions[node.name] == named(node)[node.name]
+    )
+
+
+def test_dead_definition_detected(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def used():\n    return 1\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
+        "class C:\n    def named_by_string(self):\n        pass\n\n    def unused(self):\n        pass\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("from lib import used, C\nTARGETS = ('lib.C.named_by_string',)\nused()\n")
+    assert dead_definitions([lib], [lib, user]) == ["lib.py:C.unused", "lib.py:recursive"]
+
+
+def test_no_dead_definitions():
+    assert dead_definitions(LIBRARY, REFERRERS) == []
