@@ -169,19 +169,21 @@ def cmd_analyze(args):
             return EXIT_NONTRIVIAL
 
     t2 = time.perf_counter()
+    lp = {}
     mu = construct_nontrivial_for_subspace(
-        K, budget=args.budget, seed=args.seed, candidates=candidates or None
+        K, budget=args.budget, seed=args.seed, candidates=candidates or None, stats=lp
     )
     report["timings"]["construct_nontrivial"] = time.perf_counter() - t2
     if mu is not None:
         report["verdicts"].append(
-            {"operation": "construct_nontrivial", "found": True, "atoms": len(mu.atoms), "exact": True}
+            {"operation": "construct_nontrivial", "found": True, "atoms": len(mu.atoms), "exact": True,
+             **lp}
         )
         report["measure"] = mu.to_json()
         report["conclusion"] = "non-trivial measure with barycenter zero"
         _emit(report, args.json_out)
         return EXIT_NONTRIVIAL
-    report["verdicts"].append({"operation": "construct_nontrivial", "found": False})
+    report["verdicts"].append({"operation": "construct_nontrivial", "found": False, **lp})
     report["conclusion"] = "inconclusive: no certificate chain and no measure within budget"
     _emit(report, args.json_out)
     return EXIT_INCONCLUSIVE

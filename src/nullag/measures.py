@@ -7,11 +7,21 @@ over the rationals.  Non-trivial measures with barycenter zero are
 constructed by convex-hull membership: collect candidate support points,
 stack the values of a spanning family of polynomials, and solve the
 resulting equality-form Farkas problem with an exact simplex.
+
+The simplex runs on one fraction-free integer tableau: each row is scaled
+to integers once, every entry is the rational tableau entry times the
+basis determinant D (and a positive row or column scale), and a pivot is
+the exact Bareiss step (p*x - f*r) // D.  The reduced costs are one more
+row of that tableau.  All scale factors are positive and cancel in each
+pivot decision, so Bland's rule takes the same pivots as on the rational
+tableau and returns the same solution or certificate (see
+``farkas_solve``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -215,14 +225,16 @@ class FarkasResult:
 
     ``x``            solution with Ax = b, x >= 0 (exact), or None.
     ``certificate``  y with y.A >= 0 componentwise and y.b < 0, or None.
-    Exactly one of the two is set.
+    ``pivots``       simplex pivots taken.
+    Exactly one of ``x`` and ``certificate`` is set.
     """
 
-    __slots__ = ("x", "certificate")
+    __slots__ = ("x", "certificate", "pivots")
 
-    def __init__(self, x=None, certificate=None):
+    def __init__(self, x=None, certificate=None, pivots=0):
         self.x = x
         self.certificate = certificate
+        self.pivots = pivots
 
     @property
     def feasible(self):
@@ -232,78 +244,105 @@ class FarkasResult:
 def farkas_solve(problem: FarkasProblem) -> FarkasResult:
     """Exact phase-one simplex with Bland's rule (termination guaranteed).
 
-    Minimizes the artificial mass of Ax + s = b', x, s >= 0; a zero
-    optimum yields the solution, a positive optimum yields the separating
-    vector from the simplex multipliers.  Both outcomes are re-verified
-    exactly before returning.
+    Minimizes the artificial mass of Ax + s = b', x, s >= 0, where row i
+    is sign-flipped so that b'_i >= 0; a zero optimum yields the solution,
+    a positive optimum yields the separating vector from the simplex
+    multipliers.  Both outcomes are re-verified exactly before returning.
+
+    The tableau is fraction-free (Edmonds 1967, Bareiss 1968).  Row i is
+    scaled once by L_i, the lcm of its denominators, and its artificial
+    variable by L_i too, so the start is an integer tableau on a unit
+    basis, and the artificial costs become D0/L_i with D0 = lcm(L_i).
+    The reduced costs are one more tableau row.  Each pivot on
+    p = M[l][e] keeps row l, maps every other row r to
+    (p*r - r[e]*M[l]) // D, an exact division, and sets D = p; D is the
+    determinant of the current basis and stays positive.
+
+    Let T be the rational tableau of the unscaled problem on the same
+    basis.  Then M = D*T, except that a row whose basic variable is
+    artificial i carries a factor L_i and artificial column i a factor
+    1/L_i; the cost row holds D*D0*rc, divided by L_i in column n+i.
+    All these factors are positive, so the entering column (the first
+    non-basic one with a negative reduced cost) is the same.  In the
+    ratio test, a row's factor cancels in its own ratio M[i][-1] / M[i][e],
+    and D and the factor of column e are shared by every row, so the
+    ratios keep their order and their ties (compared by cross-multiplying;
+    a tie goes to the smaller basic index).  The pivots, the final basis,
+    x and y are therefore those of Bland's rule on T, with
+    y'_i = 1 - rc(n+i) read off the cost row.
     """
     A, b = problem.A, problem.b
     m, n = A.rows, A.cols
-    signs = [Fraction(-1) if x < 0 else Fraction(1) for x in b]
-    T = [
-        [signs[i] * A.entries[i][j] for j in range(n)]
-        + [Fraction(int(i == k)) for k in range(m)]
-        + [signs[i] * b[i]]
-        for i in range(m)
-    ]
-    basis = [n + i for i in range(m)]
     ncols = n + m
-
-    def reduced_cost(j):
-        # cost 0 on structural, 1 on artificial columns
-        rc = Fraction(1) if j >= n else Fraction(0)
-        for i in range(m):
-            if basis[i] >= n:
-                rc -= T[i][j]
-        return rc
-
+    signs = [-1 if x < 0 else 1 for x in b]
+    M = []
+    scales = []
+    for i in range(m):
+        row = [signs[i] * v for v in A.entries[i]] + [signs[i] * b[i]]
+        L = math.lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (L // v.denominator) for v in row]
+        M.append(ints[:n] + [int(k == i) for k in range(m)] + ints[n:])
+        scales.append(L)
+    D0 = math.lcm(*scales)
+    costs = [D0 // L for L in scales]
+    # reduced costs on the artificial basis: c_j - sum_i c_(n+i) M[i][j]
+    cost_row = [-sum(c * row[j] for c, row in zip(costs, M)) for j in range(n)] + [0] * m
+    cost_row.append(-sum(c * row[ncols] for c, row in zip(costs, M)))
+    basis = list(range(n, ncols))
+    basic = [False] * n + [True] * m
+    D = 1
+    pivots = 0
     while True:
-        enter = None
-        for j in range(ncols):
-            if j in basis:
-                continue
-            if reduced_cost(j) < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if cost_row[j] < 0 and not basic[j]), None)
         if enter is None:
             break
         leave = None
-        best = None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][ncols] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+        for i, row in enumerate(M):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # row[-1] / a against M[leave][-1] / M[leave][enter]
+                lhs = row[ncols] * M[leave][enter]
+                rhs = M[leave][ncols] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise RuntimeError("phase-one objective unbounded; this cannot happen")
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [a - f * p for a, p in zip(T[i], T[leave])]
+        prow = M[leave]
+        p = prow[enter]
+        for row in itertools.chain(M, (cost_row,)):
+            if row is prow:
+                continue
+            f = row[enter]
+            if f:
+                row[:] = [(p * x - f * r) // D for x, r in zip(row, prow)]
+            elif p != D:
+                row[:] = [p * x // D for x in row]
+        basic[basis[leave]] = False
+        basic[enter] = True
         basis[leave] = enter
+        D = p
+        pivots += 1
 
-    objective = sum((T[i][ncols] for i in range(m) if basis[i] >= n), Fraction(0))
-    if objective == 0:
+    if cost_row[ncols] == 0:  # -D*D0 times the artificial mass
         x = [Fraction(0)] * n
-        for i in range(m):
-            if basis[i] < n:
-                x[basis[i]] = T[i][ncols]
+        for row, j in zip(M, basis):
+            if j < n:
+                x[j] = Fraction(row[ncols], D)
         x = tuple(x)
         if any(xi < 0 for xi in x) or A.matvec(x) != b:
             raise RuntimeError("simplex produced an invalid solution")
-        return FarkasResult(x=x)
-    # simplex multipliers off the artificial columns: y'_i = (c_B B^-1)_i
-    yprime = []
-    for i in range(m):
-        yprime.append(sum((T[r][n + i] for r in range(m) if basis[r] >= n), Fraction(0)))
-    y = tuple(-signs[i] * yprime[i] for i in range(m))
+        return FarkasResult(x=x, pivots=pivots)
+    # simplex multipliers off the artificial columns: y'_i = 1 - rc(n+i)
+    y = tuple(
+        -signs[i] * (1 - Fraction(cost_row[n + i] * scales[i], D * D0)) for i in range(m)
+    )
     ys = [vec_dot(y, A.column(j)) for j in range(n)]
     if any(v < 0 for v in ys) or vec_dot(y, b) >= 0:
         raise RuntimeError("simplex produced an invalid infeasibility certificate")
-    return FarkasResult(certificate=y)
+    return FarkasResult(certificate=y, pivots=pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +422,7 @@ def default_cone_sampler(d, seed=0, candidates=None):
 _BATCH = 32
 
 
-def construct_nontrivial(value_fn, d, budget=256, seed=0, candidates=None):
+def construct_nontrivial(value_fn, d, budget=256, seed=0, candidates=None, stats=None):
     """Search for a non-trivial measure on R^d with barycenter 0 commuting
     with a family of homogeneous functions.
 
@@ -396,8 +435,15 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, candidates=None):
     max(32, 2d) points and then by 32, until the Farkas solve succeeds or
     ``budget`` points are drawn.
 
+    ``stats``, a dict if given, receives the Farkas counters:
+    ``farkas_solves``, ``farkas_pivots`` (summed over the solves) and the
+    last LP's ``farkas_rows`` and ``farkas_cols``.
+
     Returns a VectorMeasure (atoms in R^d), or None.
     """
+    if stats is None:
+        stats = {}
+    stats.update(farkas_solves=0, farkas_pivots=0, farkas_rows=0, farkas_cols=0)
     sampler = default_cone_sampler(d, seed=seed, candidates=candidates)
     points = []
     values = []
@@ -416,6 +462,9 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, candidates=None):
         )
         b = [Fraction(0)] * len(rows) + [Fraction(1)]
         res = farkas_solve(FarkasProblem(Amat, b))
+        stats["farkas_solves"] += 1
+        stats["farkas_pivots"] += res.pivots
+        stats["farkas_rows"], stats["farkas_cols"] = Amat.rows, Amat.cols
         if res.feasible:
             atoms = []
             weights = []
@@ -489,15 +538,17 @@ def subspace_value_fn(K: Subspace):
     return value
 
 
-def construct_nontrivial_for_subspace(K: Subspace, budget=256, seed=0, candidates=None):
+def construct_nontrivial_for_subspace(K: Subspace, budget=256, seed=0, candidates=None,
+                                      stats=None):
     """Non-trivial barycenter-zero measure on K, or None.
 
     Solves the convex-hull membership in pencil coordinates, maps atoms
     through the pencil and re-verifies the matrix measure exactly against
-    every minor order before returning it.
+    every minor order before returning it.  ``stats`` is passed on to
+    ``construct_nontrivial``.
     """
     vm = construct_nontrivial(subspace_value_fn(K), K.d, budget=budget, seed=seed,
-                              candidates=candidates)
+                              candidates=candidates, stats=stats)
     if vm is None:
         return None
     mu = DiscreteMeasure([K.evaluate(p) for p in vm.points], vm.weights)

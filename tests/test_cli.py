@@ -51,6 +51,11 @@ def test_analyze_kr_nontrivial(tmp_path, capsys):
     assert "measure" in report
     weights = report["measure"]["weights"]
     assert len(weights) >= 2
+    # one LP on the first 32 sample points: 14 independent value rows and
+    # the ones row
+    lp = entry(report, "construct_nontrivial")
+    assert (lp["farkas_solves"], lp["farkas_rows"], lp["farkas_cols"]) == (1, 15, 32)
+    assert lp["farkas_pivots"] > 0
 
 
 def entry(report, operation):
@@ -78,6 +83,8 @@ def test_analyze_budget_exhaustion_inconclusive(tmp_path, capsys):
     code, report = run_cli(capsys, "analyze", path, "--budget", "4")
     assert code == 20
     assert report["conclusion"].startswith("inconclusive")
+    lp = entry(report, "construct_nontrivial")
+    assert (lp["found"], lp["farkas_solves"], lp["farkas_cols"]) == (False, 1, 4)
 
 
 def test_analyze_schema_violation(tmp_path, capsys):

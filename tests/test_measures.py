@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from farkas_oracle import farkas_feasible_bruteforce
+from farkas_oracle import farkas_feasible_bruteforce, farkas_solve_reference
 from nullag.algebra import RationalMatrix, enumerate_minors, minor, vec_dot
 from nullag.measures import (
     DiscreteMeasure,
@@ -143,6 +145,88 @@ def test_farkas_fuzz_against_bruteforce():
             assert vec_dot(y, prob.b) < 0
 
 
+def _reference_systems():
+    """2,000 small seeded systems with degenerate features, then six of
+    the size construct_nontrivial solves on sym3-open (12-24 rows x 32-256
+    columns, a ones row and b = (0, ..., 0, 1))."""
+    rng = random.Random(12)
+    for k in range(2000):
+        m = rng.randint(1, 7)
+        n = rng.randint(1, 10)
+        den = rng.choice((1, 1, 2, 5))
+        A = [[Fraction(rng.randint(-4, 4), rng.randint(1, den)) if rng.random() < 0.7 else Fraction(0)
+              for _ in range(n)] for _ in range(m)]
+        if k % 5 == 1:
+            A[rng.randrange(m)] = [Fraction(0)] * n
+        if k % 7 == 2:
+            for row in A:
+                row[rng.randrange(n)] = Fraction(0)
+        if k % 3 == 0 and n > 1:
+            src, dst = rng.randrange(n), rng.randrange(n)
+            for row in A:
+                row[dst] = row[src]
+        kind = k % 4
+        if kind == 0:
+            b = [Fraction(0)] * m
+        elif kind == 1:
+            b = [Fraction(-rng.randint(0, 3), rng.randint(1, 2)) for _ in range(m)]
+        elif kind == 2:
+            b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)]
+        else:
+            A[-1] = [Fraction(1)] * n
+            b = [Fraction(0)] * (m - 1) + [Fraction(1)]
+        yield FarkasProblem(RationalMatrix(A), b)
+    for m, n, positive in ((12, 32, 0), (13, 64, 1), (12, 128, 0), (16, 48, 0), (24, 32, 1),
+                           (12, 256, 2)):
+        # non-negative first rows keep the origin out of the hull
+        A = [[Fraction(rng.randint(0 if i < positive else -9, 9), rng.randint(1, 3)) for _ in range(n)]
+             for i in range(m - 1)]
+        yield FarkasProblem(RationalMatrix(A + [[1] * n]), [0] * (m - 1) + [1])
+
+
+def test_farkas_matches_fraction_reference():
+    # the integer tableau takes Bland's pivots on the rational tableau
+    outcomes = set()
+    for prob in _reference_systems():
+        res = farkas_solve(prob)
+        ref = farkas_solve_reference(prob)
+        assert (res.x, res.certificate, res.pivots) == (ref.x, ref.certificate, ref.pivots)
+        outcomes.add((res.feasible, prob.A.rows >= 12))
+    assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
+
+
+def test_farkas_feasibility_matches_highs():
+    # systems of 6-12 rows and 12-40 columns, too large for the brute-force
+    # oracle: planted solutions, planted separating vectors, random b
+    rng = random.Random(31)
+    outcomes = set()
+    for k in range(90):
+        m = rng.randint(6, 12)
+        n = rng.randint(12, 40)
+        A = [[rng.randint(-3, 3) if rng.random() < 0.8 else 0 for _ in range(n)] for _ in range(m)]
+        if k % 3 == 0:
+            x0 = [rng.randint(1, 3) if rng.random() < 0.3 else 0 for _ in range(n)]
+            b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+        elif k % 3 == 1:
+            y0 = [rng.randint(-2, 2) for _ in range(m)]
+            y0[0] = 1
+            for j in range(n):
+                if sum(y * row[j] for y, row in zip(y0, A)) < 0:
+                    for row in A:
+                        row[j] = -row[j]
+            b = [rng.randint(-3, 3) for _ in range(m)]
+            b[0] -= sum(y * v for y, v in zip(y0, b)) + 1  # y0.b = -1
+        else:
+            b = [rng.randint(-3, 3) for _ in range(m)]
+        res = farkas_solve(FarkasProblem(RationalMatrix(A), b))
+        lp = linprog(np.zeros(n), A_eq=np.array(A, dtype=float), b_eq=np.array(b, dtype=float),
+                     bounds=(0, None), method="highs")
+        assert lp.status in (0, 2)  # optimal or infeasible
+        assert res.feasible == (lp.status == 0)
+        outcomes.add((k % 3, res.feasible))
+    assert {(0, True), (1, False)} <= outcomes
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -177,8 +261,13 @@ def test_construct_draws_the_whole_budget():
         drawn.append(p)
         return {0: p[0] ** 2, 1: p[0]}
 
-    assert construct_nontrivial(value_fn, 1, budget=320) is None
+    stats = {}
+    assert construct_nontrivial(value_fn, 1, budget=320, stats=stats) is None
     assert len(drawn) == len(set(drawn)) == 320
+    # one solve per growth step (32, 64, ..., 320 points); the last LP has
+    # the rows z^2, z and the ones row
+    assert stats["farkas_solves"] == 10 and stats["farkas_pivots"] > 0
+    assert (stats["farkas_rows"], stats["farkas_cols"]) == (3, 320)
 
 
 def test_value_fn_keys_follow_the_minor_enumeration():
