@@ -208,31 +208,39 @@ class RationalMatrix:
         return _det_bareiss(self)
 
     def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column tuple)."""
-        m = [list(r) for r in self.entries]
+        """Reduced row echelon form; returns (matrix, pivot column tuple).
+
+        Gauss-Jordan on integer rows: each row is cleared of denominators
+        once, every other row is eliminated against the pivot row as
+        ``p*row - f*pivot_row`` with the gcd of its entries divided out,
+        and each pivot row is divided by its pivot at the end.  The reduced
+        form is unique, so this is the rref of the rational matrix.
+        """
+        m = [_integer_row(r)[1] for r in self.entries]
         nrows, ncols = self.rows, self.cols
         pivots = []
         r = 0
         for c in range(ncols):
-            pr = None
-            for i in range(r, nrows):
-                if m[i][c] != 0:
-                    pr = i
-                    break
+            pr = next((i for i in range(r, nrows) if m[i][c]), None)
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
+            prow = m[r]
+            p = prow[c]
             for i in range(nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                f = m[i][c]
+                if f and i != r:
+                    row = [p * a - f * b for a, b in zip(m[i], prow)]
+                    g = math.gcd(*row)
+                    m[i] = [a // g for a in row] if g > 1 else row
             pivots.append(c)
             r += 1
             if r == nrows:
                 break
-        return RationalMatrix(m), tuple(pivots)
+        zero = Fraction(0)
+        red = [[Fraction(a, row[c]) if a else zero for a in row] for row, c in zip(m, pivots)]
+        red += [[zero] * ncols for _ in range(nrows - r)]
+        return RationalMatrix(red), tuple(pivots)
 
     def rank(self):
         return len(self.rref()[1])
@@ -276,15 +284,21 @@ class RationalMatrix:
         return RationalMatrix([list(red.entries[i][n:]) for i in range(n)])
 
 
+def _integer_row(v):
+    """(l, w): l the lcm of the denominators of the Fractions v, w = l v in ints."""
+    l = math.lcm(*(x.denominator for x in v))
+    return l, [x.numerator * (l // x.denominator) for x in v]
+
+
 def _det_bareiss(A):
     """Fraction-free Gaussian elimination on the integer-scaled matrix."""
     n = A.rows
     scale = Fraction(1)
     m = []
     for r in A.entries:
-        l = math.lcm(*(x.denominator for x in r))
+        l, w = _integer_row(r)
         scale /= l
-        m.append([int(x * l) for x in r])
+        m.append(w)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -319,8 +333,7 @@ def independent_indices(vectors):
     chosen = []
     basis = []
     for idx, v in enumerate(vectors):
-        l = math.lcm(*(x.denominator for x in v))
-        r = [x.numerator * (l // x.denominator) for x in v]
+        r = _integer_row(v)[1]
         for p, br in basis:
             f = r[p]
             if f:

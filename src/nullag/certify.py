@@ -21,7 +21,13 @@ dimension, comes from ``algebra.independent_indices``.
 
 The descending chain repeatedly restricts to the kernel of the current
 certificate form; it stops at the zero cone (triviality certified) or at
-a cone carrying no combination (obstruction).
+a cone carrying no combination (obstruction).  A cone of dimension d >= 4,
+and the symmetric 3x3 shape where the reduction ends without either
+outcome, take one exact step instead: ``MinorForms.solve`` on the
+identity matrix.  A beta found there is a positive definite step that
+ends the chain; no beta means the identity form lies outside the minor
+span, and the cone is an obstruction without a witness.  No floating
+point enters a chain step.
 
 Form convention.  Every minor form comes from ``Subspace.minor_forms``.
 With L the lcm of the basis denominators and A_ij = L a_ij the integer
@@ -456,7 +462,9 @@ def find_certificate_d_le_3(K: Subspace) -> CertificateOutcome:
     """Constructive certificate for pencils of dimension at most three.
 
     When the reduction runs into a rank-one direction, the outcome reports
-    it, exactly where it can, instead of a combination.
+    it, exactly where it can, instead of a combination.  At the symmetric
+    terminal shape neither outcome can be assumed, and the exact identity
+    step decides.
     """
     if K.d > 3:
         raise ValueError("constructive search supports d <= 3 (got d=%d)" % K.d)
@@ -465,65 +473,25 @@ def find_certificate_d_le_3(K: Subspace) -> CertificateOutcome:
         witness, note = rest
         return CertificateOutcome(rank_one_witness=witness, note=note)
     if kind == "symmetric":
-        return _symmetric_fallback(K, rest[1])
+        return _identity_combination(K, rest[1])
     beta = K.minor_forms().solve(rest[0])
     if beta is None:
         raise RuntimeError("target form left the minor span; reduction is broken")
     return CertificateOutcome(combination=MinorCombination(beta))
 
 
-def _symmetric_fallback(K: Subspace, note):
-    """Terminal symmetric case: search instead of assuming either outcome.
+def _identity_combination(K: Subspace, note="") -> CertificateOutcome:
+    """The combination whose form is exactly the identity, if there is one.
 
-    Tries a numerically guided but exactly verified PSD combination; when
-    none passes, the outcome carries no witness and the caller's rank-one
-    search decides.
+    The identity form is positive definite, so such a beta is a chain step
+    whose kernel is the origin.  Otherwise the outcome carries no witness,
+    and its note, after the caller's ``note``, says why.
     """
-    comb = psd_combination_search(K)
-    if comb is not None:
-        return CertificateOutcome(combination=comb)
-    return CertificateOutcome(note=note + "; no exactly verified combination found")
-
-
-def psd_combination_search(K: Subspace, seed=0, targets=24):
-    """Numeric-assisted search for an exactly PSD non-zero combination.
-
-    Projects a family of PSD target forms onto the span of the minor
-    forms, rationalizes candidate coefficients and keeps the first one
-    that passes the exact PSD check.  Sound but not complete.
-    """
-    forms = K.minor_forms()
-    d = K.d
-    Pi = forms.float_columns()
-    rng = np.random.default_rng(seed)
-    upper = np.triu_indices(d)
-    target_list = [np.eye(d)]
-    for _ in range(targets):
-        G = rng.standard_normal((d, d))
-        target_list.append(G @ G.T + 1e-3 * np.eye(d))
-    for T in target_list:
-        tvec = T[upper]
-        beta_f, *_ = np.linalg.lstsq(Pi, tvec, rcond=None)
-        if float(np.linalg.norm(Pi @ beta_f - tvec)) > 1e-9 * max(1.0, float(np.linalg.norm(tvec))):
-            continue
-        comb = _rationalize_combination(forms, beta_f)
-        if comb is not None:
-            return comb
-    return None
-
-
-def _rationalize_combination(forms, beta_f):
-    for digits in (10**6, 10**12):
-        beta = tuple(Fraction(float(b)).limit_denominator(digits) for b in beta_f)
-        if all(b == 0 for b in beta):
-            continue
-        form = forms.combination(beta)
-        if form.is_zero():
-            continue
-        rep = psd_analyze(form.matrix)
-        if rep.is_psd:
-            return MinorCombination(beta)
-    return None
+    beta = K.minor_forms().solve(RationalMatrix.identity(K.d))
+    if beta is not None:
+        return CertificateOutcome(combination=MinorCombination(beta))
+    outside = "identity form is outside the span of the minor forms"
+    return CertificateOutcome(note="%s; %s" % (note, outside) if note else outside)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +558,9 @@ def reduce_chain(K: Subspace):
     Every cone appearing here is a subspace: each certificate form is PSD,
     so its zero set within the current cone is the kernel of the
     restricted form.  With d <= 3 the per-step search is the guaranteed
-    constructive one; larger pencils fall back to the heuristic
-    identity-projection step and the chain is best-effort.  Each step's
+    constructive one.  A larger cone takes one exact step: the beta whose
+    form is the identity, when the identity lies in the span of the minor
+    forms; otherwise the chain stops there without a witness.  Each step's
     form on K is built once, by the exact verification of its beta.
     """
     cone = [tuple(Fraction(int(i == k)) for i in range(K.d)) for k in range(K.d)]
@@ -606,7 +575,7 @@ def reduce_chain(K: Subspace):
         if sub.d <= 3:
             outcome = find_certificate_d_le_3(sub)
         else:
-            outcome = _heuristic_combination(sub)
+            outcome = _identity_combination(sub)
         if not outcome.found:
             witness = outcome.rank_one_witness
             lifted = None if witness is None else _lift(witness, cone)
@@ -622,26 +591,6 @@ def reduce_chain(K: Subspace):
             raise RuntimeError("chain cone failed to shrink")
         cone = kernel
     return TrivialityCertificate(chain, cones, terminal=True)
-
-
-def _heuristic_combination(K: Subspace) -> CertificateOutcome:
-    """Identity-projection search for a PSD combination; heuristic only.
-
-    Solves the least-squares representation of the identity form in the
-    span of the minor forms, rationalizes, and keeps the result only if it
-    passes the exact PSD check.
-    """
-    forms = K.minor_forms()
-    Pi = forms.float_columns()
-    target = np.eye(K.d)[np.triu_indices(K.d)]
-    beta_f, *_ = np.linalg.lstsq(Pi, target, rcond=None)
-    resid = float(np.linalg.norm(Pi @ beta_f - target))
-    if resid > 1e-8 * max(1.0, float(np.linalg.norm(target))):
-        return CertificateOutcome(note="identity form is outside the span of the minor forms (heuristic)")
-    comb = _rationalize_combination(forms, beta_f)
-    if comb is not None:
-        return CertificateOutcome(combination=comb)
-    return CertificateOutcome(note="rationalized identity projection failed the exact PSD check (heuristic)")
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +610,9 @@ def grassmann_genericity(k, m, n, chart, A, lambda_tol=1e-12, exact=None) -> Gen
 
     The float forms are one q0 x k x k tensor gathered through the flat
     minor index map of the numeric rank-one search; column j of Pi lists
-    the upper triangle of form j in ``np.triu_indices(k)`` order, the row
-    layout of ``MinorForms.float_columns``.  On a rational chart the
-    exact span dimension is the rank of ``Subspace.minor_forms()`` of the
-    chart subspace.
+    the upper triangle of form j, row-major (``np.triu_indices(k)``
+    order).  On a rational chart the exact span dimension is the rank of
+    ``Subspace.minor_forms()`` of the chart subspace.
     """
     if k > m * n:
         raise ValueError("k exceeds the matrix dimension")

@@ -204,6 +204,20 @@ def _parse_candidates(raw, d):
 # k1
 # ---------------------------------------------------------------------------
 
+def _build_atoms_halving(flux, alpha, s0, t0):
+    """``build_atoms`` at the offsets (s0, t0).  At a positive base slope
+    the construction is local, so offsets too large for it are halved
+    together and tried again, at most 30 times."""
+    for _ in range(30):
+        try:
+            return build_atoms(flux, alpha, s0, t0)
+        except AtomConstructionError:
+            if flux.a_prime(alpha[1]) <= 0:
+                raise
+        s0, t0 = s0 / 2, t0 / 2
+    return build_atoms(flux, alpha, s0, t0)
+
+
 def cmd_k1(args):
     inputs = {
         "flux": args.flux,
@@ -223,7 +237,7 @@ def cmd_k1(args):
     alpha = (args.alpha1, args.alpha2)
     t0 = time.perf_counter()
     try:
-        system = build_atoms(flux, alpha, args.s0, args.t0)
+        system = _build_atoms_halving(flux, alpha, args.s0, args.t0)
     except AtomConstructionError as exc:
         report["error"] = str(exc)
         if flux.a_prime(args.alpha2) < 0:

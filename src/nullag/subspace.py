@@ -339,20 +339,6 @@ class MinorForms:
                 m[i][j] = m[j][i] = Fraction(s, den)
         return QuadraticForm(RationalMatrix(m))
 
-    def float_columns(self):
-        """Float matrix whose column k lists Q_k[i, j] for i <= j, row-major.
-
-        Each entry is the correctly rounded value of the exact one.
-        """
-        d = self.d
-        rows = {key: r for r, key in enumerate((i, j) for i in range(d) for j in range(i, d))}
-        Pi = np.zeros((len(rows), len(self.S)))
-        den = 2 * self.L * self.L
-        for k, upper in enumerate(self.S):
-            for key, s in upper.items():
-                Pi[rows[key], k] = s / den
-        return Pi
-
     def span_dim(self):
         """Dimension of the span of the Q_k, by exact rank."""
         live = [upper for upper in self.S if upper]

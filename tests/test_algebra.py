@@ -20,6 +20,8 @@ from nullag.algebra import (
     vec_dot,
 )
 
+from rref_oracle import inverse_reference, nullspace_reference, rref_reference, solve_reference
+
 
 def rand_rat(rng, span=9):
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
@@ -181,6 +183,59 @@ def test_solve_inverse_nullspace():
     for v in ns:
         assert all(x == 0 for x in A.matvec(v))
     assert A.rank() == 1
+
+
+def _rref_case(rng, t):
+    """Seeded matrix t: wide, tall, rank-deficient, with zero rows and
+    columns, or with large denominators, in turn."""
+    kind = t % 5
+    if kind == 0:  # wide
+        m, n = rng.randint(1, 3), rng.randint(4, 9)
+    elif kind == 1:  # tall
+        m, n = rng.randint(4, 9), rng.randint(1, 3)
+    else:
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+    if kind == 2:  # rank-deficient: a product through k < min(m, n)
+        k = rng.randint(0, min(m, n) - 1)
+        if k == 0:
+            return RationalMatrix.zeros(m, n)
+        B, C = rand_matrix(rng, m, k, 4), rand_matrix(rng, k, n, 4)
+        return B @ C
+    span = 10**12 if kind == 4 else 9
+    rows = [[rand_rat(rng, span) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+            for _ in range(m)]
+    if kind == 3:  # a zero row and a zero column
+        rows[rng.randrange(m)] = [Fraction(0)] * n
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = Fraction(0)
+    return RationalMatrix(rows)
+
+
+def test_rref_matches_fraction_reference():
+    rng = random.Random(17)
+    cases = [RationalMatrix([[3, 0, -6]]), RationalMatrix([[0, 0]]), RationalMatrix([[0], [5]])]
+    cases += [_rref_case(rng, t) for t in range(2000)]
+    for A in cases:
+        red, pivots = A.rref()
+        assert (red, pivots) == rref_reference(A)
+        assert A.rank() == len(pivots)
+        assert A.nullspace() == nullspace_reference(A)
+        x = [rand_rat(rng) for _ in range(A.cols)]
+        b = A.matvec(x)
+        assert A.solve(b) == solve_reference(A, b)
+        assert A.matvec(A.solve(b)) == b
+        b = [rand_rat(rng) for _ in range(A.rows)]
+        assert A.solve(b) == solve_reference(A, b)
+        if A.rows == A.cols:
+            inv = inverse_reference(A)
+            if inv is None:
+                with pytest.raises(ValueError):
+                    A.inverse()
+            else:
+                assert A.inverse() == inv
+    with pytest.raises(ValueError):
+        RationalMatrix([])  # no matrix has zero rows
 
 
 # ---------------------------------------------------------------------------

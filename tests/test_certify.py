@@ -4,11 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nullag.algebra import QuadraticForm, RationalMatrix, enumerate_minors, psd_analyze
+from nullag.algebra import (
+    QuadraticForm,
+    RationalMatrix,
+    enumerate_minors,
+    independent_indices,
+    psd_analyze,
+)
 from nullag.certify import (
     MinorCombination,
     Obstruction,
     TrivialityCertificate,
+    _certificate_target,
+    _identity_combination,
     find_certificate_d_le_3,
     grassmann_genericity,
     reduce_chain,
@@ -194,6 +202,80 @@ def test_chain_json_roundtrip():
     assert len(chain) == len(cert.chain)
     K2 = Subspace.from_json(obj["subspace"])
     assert K2 == K
+
+
+def _identity_in_minor_span(K):
+    """Whether I lies in the span of the S_k, by the independence kernel."""
+    d = K.d
+    upper = [(i, j) for i in range(d) for j in range(i, d)]
+    vectors = [tuple(Fraction(S.get(key, 0)) for key in upper) for S in K.minor_forms().S]
+    vectors.append(tuple(Fraction(int(i == j)) for i, j in upper))
+    return len(vectors) - 1 not in independent_indices(vectors)
+
+
+def _symmetric_terminal_pencil(rng):
+    """[[z1, z2, z3], [z2, a.z, b.z], [z3, b.z, c.z]]: the shape the d = 3
+    reduction leaves untouched and ends at without either outcome."""
+    a, b, c = ([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)] for _ in range(3))
+    basis = []
+    for l in range(3):
+        e = [Fraction(int(l == k)) for k in range(3)]
+        basis.append([[e[0], e[1], e[2]], [e[1], a[l], b[l]], [e[2], b[l], c[l]]])
+    return Subspace(basis)
+
+
+def _identity_step_cases():
+    rng = random.Random(11)
+    cases = []
+    while len(cases) < 30:
+        d = 4 + len(cases) % 3
+        density = (0.3, 0.5, 1.0)[len(cases) % 3]
+        basis = [[[Fraction(rng.randint(-2, 2)) if rng.random() < density else Fraction(0)
+                   for _ in range(4)] for _ in range(4)] for _ in range(d)]
+        try:
+            cases.append(("4x4", Subspace(basis)))
+        except ValueError:
+            continue
+    cases += [("symmetric", _symmetric_terminal_pencil(rng)) for _ in range(10)]
+    cases += [("kr", kr_family(r)) for r in (2, 3, 4)]
+    return cases
+
+
+def test_identity_step_is_exact_span_membership():
+    outcomes = set()
+    outside = "identity form is outside the span of the minor forms"
+    for family, K in _identity_step_cases():
+        in_span = _identity_in_minor_span(K)
+        outcomes.add((family, in_span))
+        if family == "symmetric":
+            kind, _, note = _certificate_target(K)
+            assert kind == "symmetric", note
+            outcome = find_certificate_d_le_3(K)
+        else:
+            outcome = _identity_combination(K)
+            # the d >= 4 chain is this one step
+            res = reduce_chain(K)
+            if in_span:
+                assert isinstance(res, TrivialityCertificate) and len(res.chain) == 1
+            else:
+                assert isinstance(res, Obstruction) and len(res.cone) == K.d
+                assert res.rank_one_witness is None and res.note == outside
+        assert outcome.found == in_span
+        if in_span:
+            form = K.minor_forms().combination(outcome.combination.beta)
+            assert form.matrix == RationalMatrix.identity(K.d)
+        else:
+            assert outcome.rank_one_witness is None
+            assert outcome.note.endswith(outside)
+    # both outcomes occur on the 4x4 draws; Kr(r) lies outside the span
+    assert {("4x4", True), ("4x4", False), ("symmetric", True), ("kr", False)} <= outcomes
+
+
+def test_identity_step_note_keeps_the_context():
+    outcome = _identity_combination(kr_family(2), "reduction terminated at a symmetric 3x3 pencil")
+    assert not outcome.found
+    assert outcome.note == ("reduction terminated at a symmetric 3x3 pencil; "
+                            "identity form is outside the span of the minor forms")
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,55 @@ def test_k1_negative_slope_with_evidence(capsys):
     assert report["negative_branch_evidence"]["sign_constant"]
 
 
+# (flux, alpha1, alpha2) draws of the numeric-probes workload with a
+# positive slope a'(alpha2) >= 0.25 where the default offsets 0.1 are too
+# large: the shifted flux does not change sign within them
+K1_LARGE_OFFSET_DRAWS = [
+    ("v - 2.718*v^3", -0.915, -0.301),
+    ("v - 2.762*v^3", 0.338, 0.298),
+    ("v - 2.867*v^3", 0.89, -0.293),
+    ("cubic:-3", -0.22, 0.283),
+    ("v - 2.862*v^3", -0.177, -0.291),
+    ("v - 2.591*v^3", 0.58, -0.309),
+    ("v - 2.349*v^3", -0.438, -0.326),
+    ("v - 2.772*v^3", 0.964, -0.297),
+    ("cubic:-2.807", -0.482, -0.297),
+    ("v - 2.648*v^3", -0.552, 0.304),
+    ("cubic:-2.349", -0.904, 0.326),
+]
+
+
+@pytest.mark.parametrize("flux,a1,a2", K1_LARGE_OFFSET_DRAWS)
+def test_k1_halves_offsets_at_positive_slope(tmp_path, capsys, flux, a1, a2):
+    out = tmp_path / "k1.json"
+    code, report = run_cli(capsys, "k1", "--flux", flux, "--alpha1", repr(a1),
+                           "--alpha2", repr(a2), "--json-out", str(out))
+    assert code == 0
+    assert report["system"]["s0"] == report["system"]["t0"] < 0.1
+    code, _ = run_cli(capsys, "verify", str(out))
+    assert code == 0
+
+
+def test_k1_offsets_kept_where_they_work(capsys):
+    code, report = run_cli(capsys, "k1", "--flux", "v - 2.718*v^3", "--alpha2", "0.1")
+    assert code == 0
+    assert report["system"]["s0"] == report["system"]["t0"] == 0.1
+
+
+def test_k1_offsets_not_halved_at_negative_slope(capsys):
+    # a'(0.5) = 1 - 3 * 2.718 / 4 < 0: no offset helps, exit 3 as before
+    code, report = run_cli(capsys, "k1", "--flux", "v - 2.718*v^3", "--alpha2", "0.5")
+    assert code == 3
+    assert "not positive" in report["error"]
+    assert "negative_branch_evidence" in report
+
+
+def test_k1_bad_offsets_still_refused(capsys):
+    code, report = run_cli(capsys, "k1", "--flux", "linear", "--s0", "-0.1")
+    assert code == 3
+    assert report["error"] == "offsets must be positive"
+
+
 def test_k1_bad_flux(capsys):
     code, report = run_cli(capsys, "k1", "--flux", "v +")
     assert code == 2

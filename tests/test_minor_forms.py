@@ -68,11 +68,9 @@ def test_forms_match_minor_polys(case):
     forms = K.minor_forms()
     polys = minor_polys(K, 2)
     assert len(forms.S) == len(polys)
-    Pi = forms.float_columns()
     for k, p in enumerate(polys):
         Q = QuadraticForm.from_poly(p).matrix
         assert forms.combination([int(l == k) for l in range(len(polys))]).matrix == Q
-        assert list(Pi[:, k]) == [float(Q[i, j]) for i in range(K.d) for j in range(i, K.d)]
 
 
 @SETTINGS
