@@ -243,7 +243,8 @@ class RationalMatrix:
         return RationalMatrix(red), tuple(pivots)
 
     def rank(self):
-        return len(self.rref()[1])
+        """Row rank, by the forward pass of ``independent_indices``."""
+        return len(independent_indices(self.entries))
 
     def nullspace(self):
         """Basis of the right null space, as a list of vectors."""
@@ -724,11 +725,6 @@ class QuadraticForm:
 
     def scale(self, c):
         return QuadraticForm(self.matrix.scale(c))
-
-    def restrict(self, basis):
-        """Form pulled back to coordinates on span(basis); basis is a list of vectors."""
-        C = RationalMatrix.from_columns(basis)
-        return QuadraticForm(C.transpose() @ self.matrix @ C)
 
     def is_zero(self):
         return self.matrix.is_zero()

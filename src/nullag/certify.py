@@ -21,13 +21,15 @@ dimension, comes from ``algebra.independent_indices``.
 
 The descending chain repeatedly restricts to the kernel of the current
 certificate form; it stops at the zero cone (triviality certified) or at
-a cone carrying no combination (obstruction).  A cone of dimension d >= 4,
-and the symmetric 3x3 shape where the reduction ends without either
-outcome, take one exact step instead: ``MinorForms.solve`` on the
-identity matrix.  A beta found there is a positive definite step that
-ends the chain; no beta means the identity form lies outside the minor
-span, and the cone is an obstruction without a witness.  No floating
-point enters a chain step.
+a cone carrying no combination (obstruction).  A step on a cone with
+basis C is decided and verified on the one pencil ``K.restricted(C)``,
+whose minor forms are exactly C^T Q_k C, and its kernel and any witness
+are lifted through C.  A cone of dimension d >= 4, and the symmetric
+3x3 shape where the reduction ends without either outcome, take one
+exact step instead: ``MinorForms.solve`` on the identity matrix.  A beta
+found there is a positive definite step that ends the chain; no beta
+means the identity form lies outside the minor span, and the cone is an
+obstruction without a witness.  No floating point enters a chain step.
 
 Form convention.  Every minor form comes from ``Subspace.minor_forms``.
 With L the lcm of the basis denominators and A_ij = L a_ij the integer
@@ -504,14 +506,12 @@ def _lift(w, basis):
 
 
 class VerifyReport:
-    """Exact verdict for one combination on one subspace cone."""
+    """Exact verdict for one combination on one subspace."""
 
-    __slots__ = ("verdict", "psd", "nonzero", "neg_witness", "pos_witness", "kernel")
+    __slots__ = ("verdict", "neg_witness", "pos_witness", "kernel")
 
-    def __init__(self, verdict, psd, nonzero, neg_witness=None, pos_witness=None, kernel=None):
+    def __init__(self, verdict, neg_witness=None, pos_witness=None, kernel=None):
         self.verdict = verdict
-        self.psd = psd
-        self.nonzero = nonzero
         self.neg_witness = neg_witness
         self.pos_witness = pos_witness
         self.kernel = kernel
@@ -521,31 +521,23 @@ class VerifyReport:
         return self.verdict == "psd-nontrivial"
 
 
-def verify_combination(K: Subspace, comb: MinorCombination, cone_basis=None) -> VerifyReport:
-    """Exact check that the combination is PSD and non-zero on the cone.
+def verify_combination(K: Subspace, comb: MinorCombination) -> VerifyReport:
+    """Exact check that the combination is PSD and non-zero on all of R^d.
 
-    The cone is a subspace given by basis vectors in R^d (None means all
-    of R^d).  The form is built from beta alone.
+    The form is built from beta alone.  A chain step on a cone C is checked
+    on ``K.restricted(C)``, whose minor forms are exactly C^T Q_k C; the
+    kernel and the witnesses are then in coordinates on C.
     """
     form = K.minor_forms().combination(comb.beta)
-    if cone_basis is None:
-        cone_basis = [tuple(Fraction(int(i == k)) for i in range(K.d)) for k in range(K.d)]
-    cone_basis = [tuple(rat(x) for x in v) for v in cone_basis]
-    if not cone_basis:
-        return VerifyReport("trivial", True, False)
-    restricted = form.restrict(cone_basis)
-    if restricted.is_zero():
-        return VerifyReport("trivial", True, False)
-    rep = psd_analyze(restricted.matrix)
+    if form.is_zero():
+        return VerifyReport("trivial")
+    rep = psd_analyze(form.matrix)
     if rep.is_psd:
-        kernel = [_lift(w, cone_basis) for w in rep.kernel]
-        return VerifyReport("psd-nontrivial", True, True, kernel=kernel)
-    neg = _lift(rep.neg_witness, cone_basis)
-    neg_rep = psd_analyze(restricted.matrix.scale(-1))
+        return VerifyReport("psd-nontrivial", kernel=rep.kernel)
+    neg_rep = psd_analyze(form.matrix.scale(-1))
     if neg_rep.is_psd:
-        return VerifyReport("nsd-nontrivial", False, True, neg_witness=neg)
-    pos = _lift(neg_rep.neg_witness, cone_basis)
-    return VerifyReport("indefinite", False, True, neg_witness=neg, pos_witness=pos)
+        return VerifyReport("nsd-nontrivial", neg_witness=rep.neg_witness)
+    return VerifyReport("indefinite", neg_witness=rep.neg_witness, pos_witness=neg_rep.neg_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +549,13 @@ def reduce_chain(K: Subspace):
 
     Every cone appearing here is a subspace: each certificate form is PSD,
     so its zero set within the current cone is the kernel of the
-    restricted form.  With d <= 3 the per-step search is the guaranteed
-    constructive one.  A larger cone takes one exact step: the beta whose
-    form is the identity, when the identity lies in the span of the minor
-    forms; otherwise the chain stops there without a witness.  Each step's
-    form on K is built once, by the exact verification of its beta.
+    restricted form.  Each step is decided and verified on one pencil,
+    K itself on the whole space and ``K.restricted(cone)`` below it, and
+    the kernel and any witness are lifted through the cone.  With d <= 3
+    the per-step search is the guaranteed constructive one.  A larger cone
+    takes one exact step: the beta whose form is the identity, when the
+    identity lies in the span of the minor forms; otherwise the chain
+    stops there without a witness.
     """
     cone = [tuple(Fraction(int(i == k)) for i in range(K.d)) for k in range(K.d)]
     if min(K.m, K.n) < 2:
@@ -570,8 +564,8 @@ def reduce_chain(K: Subspace):
                            "single-line matrices are all of rank at most one")
     chain = []
     cones = []
-    while cone:
-        sub = K.restricted(cone)
+    sub = K
+    while True:
         if sub.d <= 3:
             outcome = find_certificate_d_le_3(sub)
         else:
@@ -581,23 +575,28 @@ def reduce_chain(K: Subspace):
             lifted = None if witness is None else _lift(witness, cone)
             return Obstruction(cone, "no combination on cone", lifted, outcome.note)
         comb = outcome.combination
-        report = verify_combination(K, comb, cone)
+        report = verify_combination(sub, comb)
         if not report.ok:
             raise RuntimeError("chain step failed exact verification: %s" % report.verdict)
         chain.append(comb)
         cones.append(cone)
-        kernel = report.kernel
-        if len(kernel) >= len(cone):
+        if len(report.kernel) >= len(cone):
             raise RuntimeError("chain cone failed to shrink")
-        cone = kernel
-    return TrivialityCertificate(chain, cones, terminal=True)
+        if not report.kernel:
+            return TrivialityCertificate(chain, cones, terminal=True)
+        cone = [_lift(w, cone) for w in report.kernel]
+        sub = K.restricted(cone)
 
 
 # ---------------------------------------------------------------------------
 # Grassmannian genericity
 # ---------------------------------------------------------------------------
 
-def grassmann_genericity(k, m, n, chart, A, lambda_tol=1e-12, exact=None) -> GenericityReport:
+# |Lambda| at or below this counts as zero
+LAMBDA_TOL = 1e-12
+
+
+def grassmann_genericity(k, m, n, chart, A) -> GenericityReport:
     """Probe one chart point of the space of k-dimensional subspaces.
 
     ``chart`` is a pair (W0 basis, W1 basis) of transversal subspaces of
@@ -606,7 +605,7 @@ def grassmann_genericity(k, m, n, chart, A, lambda_tol=1e-12, exact=None) -> Gen
     subspace give quadratic forms on R^k; the report carries the volume
     Lambda = det(Pi Pi^T) of their vectorization, the span dimension, and
     a combination beta whose form is positive definite when the span is
-    full.
+    full (|Lambda| above ``LAMBDA_TOL``).
 
     The float forms are one q0 x k x k tensor gathered through the flat
     minor index map of the numeric rank-one search; column j of Pi lists
@@ -641,11 +640,11 @@ def grassmann_genericity(k, m, n, chart, A, lambda_tol=1e-12, exact=None) -> Gen
     lam = float(np.linalg.det(Pi @ Pi.T))
     span_dim = int(np.linalg.matrix_rank(Pi, tol=1e-10 * max(1.0, float(np.abs(Pi).max()))))
     exact_span_dim = None
-    if exact or (exact is None and _chart_is_rational(chart, A_raw)):
+    if _chart_is_rational(chart, A_raw):
         exact_span_dim = _chart_subspace(m, n, W0, W1, A_raw).minor_forms().span_dim()
     beta = None
     min_eig = None
-    if abs(lam) > lambda_tol and span_dim == len(Pi):
+    if abs(lam) > LAMBDA_TOL and span_dim == len(Pi):
         target = np.eye(k)[upper]
         beta, *_ = np.linalg.lstsq(Pi, target, rcond=None)
         S = np.tensordot(beta, X_all, axes=1)

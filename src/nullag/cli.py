@@ -22,10 +22,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .algebra import RationalMatrix, rat_from_str, rat_to_str
+from .algebra import RationalMatrix, rat_to_str
 from .certify import (
+    LAMBDA_TOL,
     MinorCombination,
     TrivialityCertificate,
+    _lift,
     grassmann_genericity,
     reduce_chain,
     verify_combination,
@@ -92,7 +94,6 @@ def cmd_analyze(args):
     try:
         obj = _load_json(args.subspace)
         K = Subspace.from_json(obj)
-        candidates = _parse_candidates(args.candidates, K.d)
         if args.budget < 0:
             raise ValueError("--budget must be non-negative")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -102,7 +103,9 @@ def cmd_analyze(args):
     report["subspace"] = {"m": K.m, "n": K.n, "d": K.d}
 
     # the exact chain decides first; a rank-one search runs only where it
-    # stops without a witness
+    # stops without a witness.  An exact rank-one direction gives the
+    # two-atom measure and anything else goes to the exact LP, so every
+    # exit 10 carries a measure with rational atoms.
     t0 = time.perf_counter()
     chain = reduce_chain(K)
     report["timings"]["reduce_chain"] = time.perf_counter() - t0
@@ -146,15 +149,6 @@ def cmd_analyze(args):
                 "note": "every order-2 minor polynomial is divisible by this minimal polynomial",
             }
         report["verdicts"].append(rank_entry)
-        if res.found and res.witness_minpoly is not None:
-            # the direction is a quadratic irrational: existence is proved by
-            # divisibility even though no rational-atom measure is emitted
-            A = (res.witness_float @ K.basis_float()).reshape(K.m, K.n)
-            mu = DiscreteMeasure([A, -A], [0.5, 0.5])
-            report["measure"] = mu.to_json()
-            report["conclusion"] = "non-trivial measure from an exactly certified irrational rank-one direction"
-            _emit(report, args.json_out)
-            return EXIT_NONTRIVIAL
         witness = res.witness
     if witness is not None:
         mu = two_atom_measure(K, witness)
@@ -170,9 +164,7 @@ def cmd_analyze(args):
 
     t2 = time.perf_counter()
     lp = {}
-    mu = construct_nontrivial_for_subspace(
-        K, budget=args.budget, seed=args.seed, candidates=candidates or None, stats=lp
-    )
+    mu = construct_nontrivial_for_subspace(K, budget=args.budget, seed=args.seed, stats=lp)
     report["timings"]["construct_nontrivial"] = time.perf_counter() - t2
     if mu is not None:
         report["verdicts"].append(
@@ -187,17 +179,6 @@ def cmd_analyze(args):
     report["conclusion"] = "inconclusive: no certificate chain and no measure within budget"
     _emit(report, args.json_out)
     return EXIT_INCONCLUSIVE
-
-
-def _parse_candidates(raw, d):
-    """The --candidates vectors as exact points of R^d; ValueError if malformed."""
-    try:
-        candidates = [tuple(rat_from_str(x) for x in v) for v in (raw or [])]
-    except (TypeError, ValueError) as exc:
-        raise ValueError("bad --candidates: %s" % exc) from exc
-    if any(len(v) != d for v in candidates):
-        raise ValueError("bad --candidates: every vector needs %d entries" % d)
-    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +207,7 @@ def cmd_k1(args):
         "t0": args.t0,
         "eps": args.eps,
     }
-    report = _report("k1", inputs, seed=args.seed)
+    report = _report("k1", inputs, seed=0)
     try:
         flux = FluxFunction.named(args.flux)
         eps = None if args.eps == "auto" else float(args.eps)
@@ -242,7 +223,7 @@ def cmd_k1(args):
         report["error"] = str(exc)
         if flux.a_prime(args.alpha2) < 0:
             report["negative_branch_evidence"] = negative_branch_evidence(
-                flux, alpha, delta=max(args.s0, args.t0), samples=10000, seed=args.seed
+                flux, alpha, delta=max(args.s0, args.t0), samples=10000
             )
         _emit(report, args.json_out)
         return EXIT_PRECONDITION
@@ -250,16 +231,16 @@ def cmd_k1(args):
     if eps is None:
         eps = system.eps0 / 2
     try:
-        result = iterate_weights(system, eps, tol=args.tol)
-        mu_alpha = five_atom_measure(system, result, tol=args.measure_tol)
-        pushed = push_forward_to_K1(mu_alpha, flux, alpha, tol=args.measure_tol)
+        result = iterate_weights(system, eps)
+        mu_alpha = five_atom_measure(system, result)
+        pushed = push_forward_to_K1(mu_alpha, flux, alpha)
     except (IterationError, ValueError, RuntimeError) as exc:
         report["error"] = str(exc)
         _emit(report, args.json_out)
         return EXIT_PRECONDITION
     report["timings"]["construction"] = time.perf_counter() - t0
-    rep_alpha = is_null_lagrangian(mu_alpha, orders=2, tol=args.measure_tol)
-    rep_pushed = is_null_lagrangian(pushed, orders=2, tol=args.measure_tol)
+    rep_alpha = is_null_lagrangian(mu_alpha, orders=2)
+    rep_pushed = is_null_lagrangian(pushed, orders=2)
     report["iteration"] = result.to_json()
     report["measure_stripped"] = mu_alpha.to_json()
     report["measure"] = pushed.to_json()
@@ -280,9 +261,9 @@ def cmd_k1(args):
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_measure_obj(obj, tol):
+def _verify_measure_obj(obj):
     mu = DiscreteMeasure.from_json(obj)
-    rep = is_null_lagrangian(mu, tol=tol)
+    rep = is_null_lagrangian(mu)
     entry = {
         "operation": "is_null_lagrangian",
         "exact": rep.exact,
@@ -302,28 +283,36 @@ def _verify_measure_obj(obj, tol):
 
 
 def _verify_certificate_obj(obj):
+    """Re-check a certificate chain: step i is verified on the restricted
+    pencil of the cone that step i - 1 leaves, K itself at step 0, and
+    the stored cone must span that cone."""
     K = Subspace.from_json(obj["subspace"])
     chain, terminal = TrivialityCertificate.chain_from_json(obj)
     entries = []
     d = K.d
-    expected_cone = [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)]
     ok = True
-    cone = expected_cone
+    cone = [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)]
     for step, (beta, stored_cone) in enumerate(chain):
         if not _same_span(cone, stored_cone, d):
             entries.append({"operation": "verify-cert", "step": step, "error": "cone mismatch"})
             ok = False
             break
-        rep = verify_combination(K, MinorCombination(beta), cone)
+        if not cone:
+            entries.append({"operation": "verify-cert", "step": step,
+                            "error": "chain continues past the origin"})
+            ok = False
+            break
+        sub = K.restricted(cone) if step else K
+        rep = verify_combination(sub, MinorCombination(beta))
         entry = {"operation": "verify_combination", "step": step, "verdict": rep.verdict}
         if not rep.ok:
             if rep.neg_witness is not None:
-                entry["witness_point"] = [rat_to_str(x) for x in rep.neg_witness]
+                entry["witness_point"] = [rat_to_str(x) for x in _lift(rep.neg_witness, cone)]
             entries.append(entry)
             ok = False
             break
         entries.append(entry)
-        cone = rep.kernel
+        cone = [_lift(w, cone) for w in rep.kernel]
     else:
         if terminal and cone:
             entries.append({"operation": "verify-cert", "error": "chain does not terminate at the origin"})
@@ -412,7 +401,7 @@ def cmd_verify(args):
     try:
         for kind_i, target in targets:
             if kind_i == "measure":
-                ok, entry = _verify_measure_obj(target, args.tol)
+                ok, entry = _verify_measure_obj(target)
                 report["verdicts"].append(entry)
                 all_ok = all_ok and ok
             elif kind_i == "certificate":
@@ -435,7 +424,7 @@ def cmd_verify(args):
 # grassmann scan
 # ---------------------------------------------------------------------------
 
-def _scan_one(k, m, n, seed, lambda_tol):
+def _scan_one(k, m, n, seed):
     rng = np.random.default_rng(seed)
     p = m * n
     basis = rng.standard_normal((p, p))
@@ -444,7 +433,7 @@ def _scan_one(k, m, n, seed, lambda_tol):
     W0 = [list(v) for v in basis[:k]]
     W1 = [list(v) for v in basis[k:]]
     A = rng.standard_normal((p - k, k))
-    rep = grassmann_genericity(k, m, n, (W0, W1), A, lambda_tol=lambda_tol, exact=False)
+    rep = grassmann_genericity(k, m, n, (W0, W1), A)
     return {
         "seed": seed,
         "lambda": rep.lambda_value,
@@ -463,12 +452,12 @@ def cmd_grassmann_scan(args):
         _emit(report, args.json_out)
         return EXIT_SCHEMA
     t0 = time.perf_counter()
-    results = [_scan_one(k, m, n, args.seed + i, args.lambda_tol) for i in range(args.samples)]
-    nonzero = sum(1 for r in results if abs(r["lambda"]) > args.lambda_tol)
+    results = [_scan_one(k, m, n, args.seed + i) for i in range(args.samples)]
+    nonzero = sum(1 for r in results if abs(r["lambda"]) > LAMBDA_TOL)
     pd_found = sum(1 for r in results if r["pd_found"])
     report["kind"] = "grassmann-scan"
     report["inputs"] = inputs
-    report["lambda_tol"] = args.lambda_tol
+    report["lambda_tol"] = LAMBDA_TOL
     report["samples"] = results
     report["summary"] = {
         "lambda_nonzero_fraction": nonzero / max(1, len(results)),
@@ -479,10 +468,10 @@ def cmd_grassmann_scan(args):
         from .fixtures import v0_chart
 
         chart, A0 = v0_chart(k, m, n)
-        rep = grassmann_genericity(k, m, n, chart, A0, lambda_tol=args.lambda_tol)
+        rep = grassmann_genericity(k, m, n, chart, A0)
         report["v0_probe"] = {
             "lambda": rep.lambda_value,
-            "lambda_nonzero": abs(rep.lambda_value) > args.lambda_tol,
+            "lambda_nonzero": abs(rep.lambda_value) > LAMBDA_TOL,
             "span_dim": rep.span_dim,
             "exact_span_dim": rep.exact_span_dim,
         }
@@ -544,8 +533,6 @@ def build_parser():
     pa.add_argument("subspace", help="subspace JSON path ('-' for stdin)")
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--budget", type=int, default=256)
-    pa.add_argument("--candidates", type=json.loads, default=None,
-                    help="extra atom directions as a JSON list of rational-string vectors")
     pa.add_argument("--json-out", default=None)
     pa.set_defaults(func=cmd_analyze)
 
@@ -556,15 +543,11 @@ def build_parser():
     pk.add_argument("--s0", type=float, default=0.1)
     pk.add_argument("--t0", type=float, default=0.1)
     pk.add_argument("--eps", default="auto", help='mass off the base atom; "auto" = eps0/2')
-    pk.add_argument("--tol", type=float, default=1e-12)
-    pk.add_argument("--measure-tol", type=float, default=1e-9)
-    pk.add_argument("--seed", type=int, default=0)
     pk.add_argument("--json-out", default=None)
     pk.set_defaults(func=cmd_k1)
 
     pv = sub.add_parser("verify", help="re-verify an emitted artifact")
     pv.add_argument("artifact", help="measure/certificate/report JSON path ('-' for stdin)")
-    pv.add_argument("--tol", type=float, default=1e-9)
     pv.add_argument("--json-out", default=None)
     pv.set_defaults(func=cmd_verify)
 
@@ -574,7 +557,6 @@ def build_parser():
     pg.add_argument("n", type=int)
     pg.add_argument("--samples", type=int, default=200)
     pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--lambda-tol", type=float, default=1e-12)
     pg.add_argument("--json-out", default=None)
     pg.set_defaults(func=cmd_grassmann_scan)
 

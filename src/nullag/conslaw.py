@@ -258,13 +258,11 @@ def p1_alpha_matrix(flux: FluxFunction, alpha, u, v):
 
 
 class K1Point:
-    """A state (u, v) together with its 3x2 matrix on the manifold."""
+    """The 3x2 matrix of a state (u, v), checked against the manifold."""
 
-    __slots__ = ("u", "v", "matrix")
+    __slots__ = ("matrix",)
 
     def __init__(self, u, v, matrix, check_against=None, tol=1e-9):
-        self.u = float(u)
-        self.v = float(v)
         self.matrix = np.asarray(matrix, dtype=float)
         if self.matrix.shape != (3, 2):
             raise ValueError("manifold points are 3x2 matrices")

@@ -81,18 +81,6 @@ def kr_measure(r: int) -> DiscreteMeasure:
     return DiscreteMeasure(atoms, [Fraction(1, 8)] * 8)
 
 
-def kr_z_candidates(r: int):
-    """Pencil coordinates of the eight atoms (signed coordinate directions)."""
-    d = 4 + r
-    out = []
-    for i in range(4):
-        for s in (1, -1):
-            v = [Fraction(0)] * d
-            v[i] = Fraction(s)
-            out.append(tuple(v))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # other named subspaces
 # ---------------------------------------------------------------------------
@@ -218,10 +206,9 @@ class FixtureEntry:
     produces one.
     """
 
-    __slots__ = ("name", "subspace", "expected", "source", "z_candidates")
+    __slots__ = ("name", "subspace", "expected", "source")
 
-    def __init__(self, name, subspace, rank_one, certificate, nontrivial_measure,
-                 source, z_candidates=None):
+    def __init__(self, name, subspace, rank_one, certificate, nontrivial_measure, source):
         if certificate and nontrivial_measure:
             raise ValueError("certificate and non-trivial measure exclude each other")
         if rank_one and not nontrivial_measure:
@@ -234,7 +221,6 @@ class FixtureEntry:
             "nontrivial_measure": nontrivial_measure,
         }
         self.source = source
-        self.z_candidates = z_candidates
 
 
 def _parse_args(argstr):
@@ -314,7 +300,6 @@ def builtin(name: str) -> FixtureEntry:
         return FixtureEntry(
             name, kr_family(r), False, False, True,
             "rank-one-free family supporting the eight-atom measure",
-            z_candidates=kr_z_candidates(r),
         )
     raise KeyError("unknown fixture %r" % name)
 

@@ -146,15 +146,14 @@ class NLReport:
     exactly zero and only counted.
     """
 
-    __slots__ = ("verdict", "residuals", "checked", "skipped", "exact", "tol")
+    __slots__ = ("verdict", "residuals", "checked", "skipped", "exact")
 
-    def __init__(self, verdict, residuals, checked, skipped, exact, tol):
+    def __init__(self, verdict, residuals, checked, skipped, exact):
         self.verdict = verdict
         self.residuals = residuals
         self.checked = checked
         self.skipped = skipped
         self.exact = exact
-        self.tol = tol
 
     def max_residual(self):
         if not self.residuals:
@@ -162,15 +161,13 @@ class NLReport:
         return max(abs(v) for v in self.residuals.values())
 
 
-def is_null_lagrangian(mu: DiscreteMeasure, shape=None, orders="all", tol=1e-9) -> NLReport:
+def is_null_lagrangian(mu: DiscreteMeasure, orders="all", tol=1e-9) -> NLReport:
     """Check int M dmu == M(barycenter) for the enumerated minors.
 
     Exact measures get an exact verdict (residuals must vanish
     identically); float measures are checked against ``tol``.
     """
     m, n = mu.shape
-    if shape is not None and tuple(shape) != (m, n):
-        raise ValueError("measure shape %r does not match %r" % ((m, n), tuple(shape)))
     bary = mu.barycenter()
     if mu.exact:
         cand = nonvanishing_minor_candidates(list(mu.atoms) + [bary], m, n, orders)
@@ -183,7 +180,7 @@ def is_null_lagrangian(mu: DiscreteMeasure, shape=None, orders="all", tol=1e-9) 
             ) - minor(bary, rows, cols)
             residuals[(rows, cols)] = val
         verdict = all(v == 0 for v in residuals.values())
-        return NLReport(verdict, residuals, len(residuals), total - len(residuals), True, 0)
+        return NLReport(verdict, residuals, len(residuals), total - len(residuals), True)
     pairs = enumerate_minors(m, n, orders)
     residuals = {}
     for rows, cols in pairs:
@@ -192,7 +189,7 @@ def is_null_lagrangian(mu: DiscreteMeasure, shape=None, orders="all", tol=1e-9) 
         ) - float(np.linalg.det(bary[np.ix_(rows, cols)]))
         residuals[(rows, cols)] = val
     verdict = all(abs(v) <= tol for v in residuals.values())
-    return NLReport(verdict, residuals, len(residuals), 0, False, tol)
+    return NLReport(verdict, residuals, len(residuals), 0, False)
 
 
 def two_atom_measure(K: Subspace, witness) -> DiscreteMeasure:
@@ -366,13 +363,12 @@ class VectorMeasure:
         )
 
 
-def default_cone_sampler(d, seed=0, candidates=None):
+def default_cone_sampler(d, seed=0):
     """Deterministic stratified stream of rational points on R^d \\ {0}.
 
-    Yields user candidates first, then signed coordinate directions, then
-    signed two-index combinations, then seeded random rational points.
-    Low-height points come first because structured measures tend to be
-    supported there.
+    Yields signed coordinate directions first, then signed two-index
+    combinations, then seeded random rational points.  Low-height points
+    come first because structured measures tend to be supported there.
     """
     import random as _random
 
@@ -386,10 +382,6 @@ def default_cone_sampler(d, seed=0, candidates=None):
             seen.add(p)
             return p
 
-        for p in candidates or []:
-            q = emit(p)
-            if q is not None:
-                yield q
         for i in range(d):
             for s in (1, -1):
                 p = [Fraction(0)] * d
@@ -422,7 +414,7 @@ def default_cone_sampler(d, seed=0, candidates=None):
 _BATCH = 32
 
 
-def construct_nontrivial(value_fn, d, budget=256, seed=0, candidates=None, stats=None):
+def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
     """Search for a non-trivial measure on R^d with barycenter 0 commuting
     with a family of homogeneous functions.
 
@@ -430,7 +422,7 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, candidates=None, stats
     sparse map {key: value}; the keys sort in a fixed row order, and the
     family must contain the d coordinate projections, so that a solution
     automatically has barycenter zero.  Points come from
-    ``default_cone_sampler(d, seed, candidates)``.  Feasibility over a
+    ``default_cone_sampler(d, seed)``.  Feasibility over a
     finite sample is monotone in the sample, so the sample grows, first to
     max(32, 2d) points and then by 32, until the Farkas solve succeeds or
     ``budget`` points are drawn.
@@ -444,7 +436,7 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, candidates=None, stats
     if stats is None:
         stats = {}
     stats.update(farkas_solves=0, farkas_pivots=0, farkas_rows=0, farkas_cols=0)
-    sampler = default_cone_sampler(d, seed=seed, candidates=candidates)
+    sampler = default_cone_sampler(d, seed=seed)
     points = []
     values = []
     while True:
@@ -538,8 +530,7 @@ def subspace_value_fn(K: Subspace):
     return value
 
 
-def construct_nontrivial_for_subspace(K: Subspace, budget=256, seed=0, candidates=None,
-                                      stats=None):
+def construct_nontrivial_for_subspace(K: Subspace, budget=256, seed=0, stats=None):
     """Non-trivial barycenter-zero measure on K, or None.
 
     Solves the convex-hull membership in pencil coordinates, maps atoms
@@ -547,8 +538,7 @@ def construct_nontrivial_for_subspace(K: Subspace, budget=256, seed=0, candidate
     every minor order before returning it.  ``stats`` is passed on to
     ``construct_nontrivial``.
     """
-    vm = construct_nontrivial(subspace_value_fn(K), K.d, budget=budget, seed=seed,
-                              candidates=candidates, stats=stats)
+    vm = construct_nontrivial(subspace_value_fn(K), K.d, budget=budget, seed=seed, stats=stats)
     if vm is None:
         return None
     mu = DiscreteMeasure([K.evaluate(p) for p in vm.points], vm.weights)

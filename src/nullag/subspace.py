@@ -377,10 +377,9 @@ class MinorForms:
 class MinorSpan:
     """Order-p minor polynomials of a pencil plus a basis of their span."""
 
-    __slots__ = ("order", "polys", "span_basis")
+    __slots__ = ("polys", "span_basis")
 
-    def __init__(self, order, polys, span_basis):
-        self.order = order
+    def __init__(self, polys, span_basis):
         self.polys = list(polys)
         self.span_basis = list(span_basis)
 
@@ -393,7 +392,7 @@ def minor_span(K: Subspace, order=2) -> MinorSpan:
     if order < 2 or order > min(K.m, K.n):
         raise ValueError("minor order %d out of range" % order)
     polys = minor_polys(K, order)
-    return MinorSpan(order, polys, span_basis_indices(polys))
+    return MinorSpan(polys, span_basis_indices(polys))
 
 
 # ---------------------------------------------------------------------------

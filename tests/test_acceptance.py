@@ -340,7 +340,7 @@ def test_criterion_6_grassmann_genericity():
         W0 = [list(v) for v in basis[:2]]
         W1 = [list(v) for v in basis[2:]]
         A = rng.standard_normal((14, 2))
-        rep = grassmann_genericity(2, 4, 4, (W0, W1), A, exact=False)
+        rep = grassmann_genericity(2, 4, 4, (W0, W1), A)
         if abs(rep.lambda_value) > 1e-12 and rep.beta is not None and rep.min_eigenvalue > 0:
             good += 1
     fraction = good / total

@@ -218,8 +218,9 @@ def test_rref_matches_fraction_reference():
     cases += [_rref_case(rng, t) for t in range(2000)]
     for A in cases:
         red, pivots = A.rref()
-        assert (red, pivots) == rref_reference(A)
-        assert A.rank() == len(pivots)
+        ref = rref_reference(A)
+        assert (red, pivots) == ref
+        assert A.rank() == len(ref[1])
         assert A.nullspace() == nullspace_reference(A)
         x = [rand_rat(rng) for _ in range(A.cols)]
         b = A.matvec(x)

@@ -142,7 +142,8 @@ def test_indefinite_combination_witnesses():
 def test_verify_on_restricted_cone():
     K = v0_subspace(2, 4, 4)
     out = find_certificate_d_le_3(K)
-    rep = verify_combination(K, out.combination, cone_basis=[(Fraction(1), Fraction(0))])
+    cone = [(Fraction(1), Fraction(0))]
+    rep = verify_combination(K.restricted(cone), out.combination)
     assert rep.verdict in ("psd-nontrivial", "trivial")
 
 

@@ -103,10 +103,18 @@ def test_analyze_irrational_witness(tmp_path, capsys):
         "basis": [[["1", "0"], ["0", "2"]], [["0", "1"], ["1", "0"]]],
     }
     path = write_subspace(tmp_path, sub)
-    code, report = run_cli(capsys, "analyze", path)
+    code, report = run_cli(capsys, "analyze", path, "--json-out", str(tmp_path / "rep.json"))
     assert code == 10
     assert not entry(report, "reduce_chain")["terminal"]
     assert "witness_minpoly" in entry(report, "find_rank_one")
+    # the direction is irrational, so the measure comes from the exact LP
+    assert entry(report, "construct_nontrivial")["found"]
+    measure = report["measure"]
+    assert all(isinstance(x, str) for atom in measure["atoms"] for row in atom for x in row)
+    assert all(isinstance(w, str) for w in measure["weights"])
+    code, verified = run_cli(capsys, "verify", str(tmp_path / "rep.json"))
+    assert code == 0
+    assert entry(verified, "is_null_lagrangian")["exact"] is True
 
 
 def quaternion4():
@@ -198,6 +206,41 @@ def test_verify_certificate_roundtrip_and_tamper(tmp_path, capsys):
     assert any(v.get("verdict") not in (None, "psd-nontrivial", True) for v in report["verdicts"])
 
 
+def test_verify_tampered_later_step_witness_in_cone(tmp_path, capsys):
+    # a certify-corpus subspace (seed 1) whose chain has three steps
+    sub = dump_fixture(capsys, "sub-k0-random(seed=2208,d=3)")["subspace"]
+    code, report = run_cli(capsys, "analyze", write_subspace(tmp_path, sub))
+    assert code == 0
+    cert = report["certificate"]
+    assert [len(step["cone_basis"]) for step in cert["chain"]] == [3, 2, 1]
+    K = Subspace.from_json(sub)
+    for step in (1, 2):
+        # the negated form is negative semidefinite and non-zero on the cone
+        tampered = json.loads(json.dumps(cert))
+        beta = [-rat_from_str(b) for b in tampered["chain"][step]["beta"]]
+        tampered["chain"][step]["beta"] = [str(b) for b in beta]
+        code, verified = run_cli(capsys, "verify", write_subspace(tmp_path, tampered, "bad.json"))
+        assert code == 1
+        failed = verified["verdicts"][-1]
+        assert (failed["step"], failed["verdict"]) == (step, "nsd-nontrivial")
+        w = tuple(rat_from_str(x) for x in failed["witness_point"])
+        cone = [tuple(rat_from_str(x) for x in v) for v in cert["chain"][step]["cone_basis"]]
+        assert RationalMatrix(cone + [w]).rank() == len(cone)
+        assert K.minor_forms().combination(beta)(w) < 0
+
+
+def test_verify_rejects_step_past_the_origin(tmp_path, capsys):
+    sub = dump_fixture(capsys, "rotation")["subspace"]
+    code, report = run_cli(capsys, "analyze", write_subspace(tmp_path, sub))
+    assert code == 0
+    cert = report["certificate"]
+    cert["chain"].append({"beta": cert["chain"][0]["beta"], "cone_basis": []})
+    code, verified = run_cli(capsys, "verify", write_subspace(tmp_path, cert, "bad.json"))
+    assert code == 1
+    assert verified["verdicts"][-1] == {"operation": "verify-cert", "step": 1,
+                                        "error": "chain continues past the origin"}
+
+
 def test_verify_kr_measure_dump(tmp_path, capsys):
     obj = dump_fixture(capsys, "Kr(r=1)")
     mu_path = tmp_path / "mu.json"
@@ -240,11 +283,6 @@ ROTATION = {"m": 2, "n": 2, "d": 2, "basis": [[["1", "0"], ["0", "1"]], [["0", "
                                 "subspace": ROTATION, "chain": [5]}, (), id="verify-chain-entry"),
         pytest.param("verify", {"kind": "measure", "shape": 5, "atoms": [[["1", "0"], ["0", "0"]]],
                                 "weights": ["1"]}, (), id="verify-measure-shape"),
-        pytest.param("analyze", "Kr(r=0)", ("--candidates", "[[1.5, 2, 0, 0]]"), id="candidates-float"),
-        pytest.param("analyze", "Kr(r=0)", ("--candidates", "5"), id="candidates-number"),
-        pytest.param("analyze", "Kr(r=0)", ("--candidates", '[["a", "b", "0", "0"]]'),
-                     id="candidates-text"),
-        pytest.param("analyze", "Kr(r=0)", ("--candidates", '[["1"]]'), id="candidates-length"),
         pytest.param("analyze", dict(ROTATION, d=None), (), id="analyze-null-dimension"),
         pytest.param("analyze", "Kr(r=0)", ("--budget", "-5"), id="budget-negative"),
     ],

@@ -1,7 +1,7 @@
 import pytest
 
 from nullag.algebra import MultiPoly
-from nullag.fixtures import builtin, builtin_names, kr_family, kr_measure, kr_z_candidates
+from nullag.fixtures import builtin, builtin_names, kr_family, kr_measure
 from nullag.measures import is_null_lagrangian
 from nullag.subspace import find_rank_one, parametrize
 
@@ -55,8 +55,9 @@ def test_kr_measure_atoms_on_subspace():
     for r in range(3):
         K = kr_family(r)
         mu = kr_measure(r)
-        cands = kr_z_candidates(r)
-        evaluated = [K.evaluate(z) for z in cands]
+        # pencil coordinates of the atoms: the signed first four axes
+        evaluated = [K.evaluate([s * (l == i) for l in range(K.d)])
+                     for i in range(4) for s in (1, -1)]
         for atom in mu.atoms:
             assert any(atom == e for e in evaluated)
 

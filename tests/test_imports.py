@@ -1,14 +1,16 @@
 """Every imported name in the library and the tests is used, and so is
-every library definition.
+every library definition and every slot field.
 
-Two static scans with ``ast``.  A name bound by an import statement (at
+Three static scans with ``ast``.  A name bound by an import statement (at
 any depth, inside functions too) must be read somewhere in the same
 module; ``from __future__`` imports and package ``__init__.py`` files,
 which import to re-export, are skipped.  Every top-level function and
 class and every non-dunder method of ``src/nullag`` must be named in
 ``src/``, ``tests/`` or ``nullbench/`` outside its own definition, as an
 identifier, an attribute, an imported name or a part of a dotted string
-(the benchmark tracer wraps functions by dotted name).
+(the benchmark tracer wraps functions by dotted name).  Every field named
+in a ``__slots__`` of ``src/nullag`` must be read as an attribute
+(``x.field``) in one of those trees.
 """
 
 import ast
@@ -117,3 +119,53 @@ def test_dead_definition_detected(tmp_path):
 
 def test_no_dead_definitions():
     assert dead_definitions(LIBRARY, REFERRERS) == []
+
+
+# ---------------------------------------------------------------------------
+# dead fields
+# ---------------------------------------------------------------------------
+
+def slot_fields(tree):
+    """(class name, field) of each name in a class's ``__slots__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+                ):
+                    fields = ast.literal_eval(item.value)
+                    for field in (fields,) if isinstance(fields, str) else fields:
+                        yield node.name, field
+
+
+def dead_fields(library, referrers):
+    """Slot fields in ``library`` that no ``referrers`` file reads as an
+    attribute (``x.field`` in a load context)."""
+    read = {
+        sub.attr
+        for path in referrers
+        for sub in ast.walk(ast.parse(path.read_text()))
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    return sorted(
+        "%s:%s.%s" % (path.name, cls, field)
+        for path in library
+        for cls, field in slot_fields(ast.parse(path.read_text()))
+        if field not in read
+    )
+
+
+def test_dead_field_detected(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "class C:\n    __slots__ = ('read', 'written')\n\n    def __init__(self):\n"
+        "        self.read = 1\n        self.written = 2\n\n"
+        "class D:\n    __slots__ = 'alone'\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("from lib import C\nprint(C().read)\n")
+    assert dead_fields([lib], [lib, user]) == ["lib.py:C.written", "lib.py:D.alone"]
+
+
+def test_no_dead_fields():
+    assert dead_fields(LIBRARY, REFERRERS) == []

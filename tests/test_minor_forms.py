@@ -102,3 +102,21 @@ def test_solve_beta_matches_monomial_solve(case):
     generic = QuadraticForm(RationalMatrix(sym)).to_poly()
     for g in (in_span, line * line, generic, polys[0], MultiPoly.zero(K.d)):
         assert K.minor_forms().solve(QuadraticForm.from_poly(g).matrix) == monomial_solve(polys, g)
+
+
+@SETTINGS
+@given(pencils)
+def test_restricted_forms_are_pulled_back(case):
+    # a chain step on a cone C is decided on K.restricted(C), whose forms
+    # must be exactly C^T Q C for every combination Q of K's forms
+    rng, K = random_pencil(*case)
+    while True:
+        cone = [tuple(rand_rat(rng) for _ in range(K.d)) for _ in range(rng.randint(1, K.d))]
+        if RationalMatrix(cone).rank() == len(cone):
+            break
+    C = RationalMatrix.from_columns(cone)
+    sub = K.restricted(cone)
+    for _ in range(3):
+        beta = sparse_beta(rng, len(K.minor_forms().S))
+        Q = K.minor_forms().combination(beta).matrix
+        assert sub.minor_forms().combination(beta).matrix == C.transpose() @ Q @ C

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -66,8 +67,11 @@ def random_subspace(rng, m, n, d, span=5):
 # ---------------------------------------------------------------------------
 
 def test_dependent_basis_rejected():
-    with pytest.raises(ValueError, match="dependent"):
+    # the message names one vanishing combination of the basis
+    with pytest.raises(ValueError, match=re.escape("linearly dependent: (-2)*B1 + (1)*B2 = 0")):
         Subspace([[[1, 0], [0, 0]], [[2, 0], [0, 0]]])
+    with pytest.raises(ValueError, match=re.escape("(-1)*B1 + (-1)*B2 + (1)*B3 = 0")):
+        Subspace([[[1, 0], [0, 3]], [[0, 1], [0, 0]], [[1, 1], [0, 3]]])
 
 
 def test_parametrize_single_dyad():
