@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -137,6 +138,9 @@ def cmd_analyze(args):
             "is_proof": res.is_proof,
             "residual": res.residual,
             "lower_bound": res.lower_bound,
+            "minors_evaluated": res.minors,
+            "minors_total": math.comb(K.m, 2) * math.comb(K.n, 2),
+            "gauss_newton_steps": res.gauss_newton_steps,
         }
         if res.witness_float is not None:
             rank_entry["witness_float"] = [float(x) for x in res.witness_float]
@@ -568,11 +572,15 @@ def build_parser():
     return parser
 
 
+# built once per process: parse_args makes a fresh namespace on every call
+# and the parser keeps no state between calls
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "fixtures" and args.action == "dump" and not args.name:
-        parser.error("fixtures dump needs a name")
+        _PARSER.error("fixtures dump needs a name")
     return args.func(args)
 
 

@@ -413,6 +413,10 @@ class RankOneResult:
     ``residual``       scale-free residual at the reported direction.
     ``lower_bound``    smallest residual seen when nothing was found.
     ``is_proof``       verdict backed by exact computation.
+    ``minors``         number of order-2 minors searched: those whose exact
+                       form ``Subspace.minor_forms().S[k]`` is not zero.
+    ``gauss_newton_steps`` Gauss-Newton iterations summed over the refined
+                       candidates (0 in exact mode).
     """
 
     __slots__ = (
@@ -424,10 +428,13 @@ class RankOneResult:
         "lower_bound",
         "is_proof",
         "mode",
+        "minors",
+        "gauss_newton_steps",
     )
 
     def __init__(self, found, witness=None, witness_minpoly=None, witness_float=None,
-                 residual=None, lower_bound=None, is_proof=False, mode="numeric"):
+                 residual=None, lower_bound=None, is_proof=False, mode="numeric",
+                 minors=0, gauss_newton_steps=0):
         self.found = found
         self.witness = witness
         self.witness_minpoly = witness_minpoly
@@ -436,6 +443,8 @@ class RankOneResult:
         self.lower_bound = lower_bound
         self.is_proof = is_proof
         self.mode = mode
+        self.minors = minors
+        self.gauss_newton_steps = gauss_newton_steps
 
     def __repr__(self):
         return (
@@ -480,7 +489,7 @@ def _find_rank_one_exact(K: Subspace) -> RankOneResult:
     if all(upper.get((0, 0), 0) == 0 for upper in forms):
         w = (Fraction(1), Fraction(0))
         return RankOneResult(True, witness=w, witness_float=np.array([1.0, 0.0]),
-                             residual=0.0, is_proof=True, mode="exact")
+                             residual=0.0, is_proof=True, mode="exact", minors=len(forms))
 
     # dehomogenize at z = (t, 1) and take the gcd of the univariate forms
     # 2 L^2 M_k(t, 1) = S_00 t^2 + 2 S_01 t + S_11; the monic gcd ignores the scale
@@ -494,23 +503,23 @@ def _find_rank_one_exact(K: Subspace) -> RankOneResult:
     g = _poly_gcd_many(unis)
     deg = len(g) - 1
     if deg == 0:
-        return RankOneResult(False, is_proof=True, mode="exact")
+        return RankOneResult(False, is_proof=True, mode="exact", minors=len(forms))
     if deg == 1:
         t = -g[0] / g[1]
         w = (t, Fraction(1))
         return RankOneResult(True, witness=w, witness_float=np.array([float(t), 1.0]),
-                             residual=0.0, is_proof=True, mode="exact")
+                             residual=0.0, is_proof=True, mode="exact", minors=len(forms))
     # monic quadratic t^2 + b t + c
     b, c = g[1], g[0]
     disc = b * b - 4 * c
     if disc < 0:
-        return RankOneResult(False, is_proof=True, mode="exact")
+        return RankOneResult(False, is_proof=True, mode="exact", minors=len(forms))
     root = _rational_sqrt(disc)
     if root is not None:
         t = (-b + root) / 2
         w = (t, Fraction(1))
         return RankOneResult(True, witness=w, witness_float=np.array([float(t), 1.0]),
-                             residual=0.0, is_proof=True, mode="exact")
+                             residual=0.0, is_proof=True, mode="exact", minors=len(forms))
     tf = (-float(b) + math.sqrt(float(disc))) / 2.0
     return RankOneResult(
         True,
@@ -520,6 +529,7 @@ def _find_rank_one_exact(K: Subspace) -> RankOneResult:
         residual=0.0,
         is_proof=True,
         mode="exact",
+        minors=len(forms),
     )
 
 
@@ -606,6 +616,13 @@ def _minor_index_arrays(m, n):
     return a1, a2, b1, b2
 
 
+def _live_minor_index_arrays(K: Subspace):
+    """``_minor_index_arrays`` of K's shape at the minors whose exact form
+    ``K.minor_forms().S[k]`` is not zero; the others vanish on all of K."""
+    live = [k for k, upper in enumerate(K.minor_forms().S) if upper]
+    return tuple(a[live] for a in _minor_index_arrays(K.m, K.n))
+
+
 def _residuals(Z, B, idx):
     """Scale-free residual sqrt(sum minors^2) / ||P(z)||_F^2 per sample row."""
     a1, a2, b1, b2 = idx
@@ -633,13 +650,16 @@ def _sphere_samples(d, density, seed):
 
 
 def _gauss_newton(z, B, idx, iters=60):
+    """Refine z towards a zero of the minors in idx; returns the best
+    direction, its residual and the number of iterations run."""
     a1, a2, b1, b2 = idx
     Bt = B.T  # (mn) x d
     best = z / np.linalg.norm(z)
     best_res = None
     cur = best
     stale = 0
-    for _ in range(iters):
+    steps = 0
+    for steps in range(1, iters + 1):
         e = cur @ B
         s = float(e @ e)
         mvals = e[a1] * e[a2] - e[b1] * e[b2]
@@ -670,7 +690,7 @@ def _gauss_newton(z, B, idx, iters=60):
         if nrm == 0 or not np.all(np.isfinite(nz)):
             break
         cur = nz / nrm
-    return best, best_res
+    return best, best_res, steps
 
 
 def _polish_witness(K: Subspace, z):
@@ -692,11 +712,14 @@ def _polish_witness(K: Subspace, z):
 
 def _find_rank_one_numeric(K, density, seed):
     B = K.basis_float()
-    idx = _minor_index_arrays(K.m, K.n)
+    idx = _live_minor_index_arrays(K)
     density = int(density)
     best_overall = None
     best_z = None
-    block = max(1, int(4_000_000 // max(1, len(idx[0]))))
+    # sized by all C(m,2) C(n,2) minors, not the live ones: each block sends
+    # its 6 best samples on, so the block count fixes which candidates
+    # reach the Gauss-Newton refinement
+    block = max(1, int(4_000_000 // max(1, len(K.minor_forms().S))))
     samples = _sphere_samples(K.d, density, seed)
     top = []
     for start in range(0, len(samples), block):
@@ -711,8 +734,10 @@ def _find_rank_one_numeric(K, density, seed):
             best_overall = float(res[i_min])
             best_z = Z[i_min]
     top.sort(key=lambda t: t[0])
+    gn_steps = 0
     for _, z0 in top[:_REFINE_CANDIDATES]:
-        z, res = _gauss_newton(z0, B, idx)
+        z, res, steps = _gauss_newton(z0, B, idx)
+        gn_steps += steps
         if res is not None and res < best_overall:
             best_overall, best_z = res, z
     if best_overall is not None and best_overall < _FOUND_TOL:
@@ -724,6 +749,8 @@ def _find_rank_one_numeric(K, density, seed):
             residual=best_overall,
             is_proof=exact is not None,
             mode="numeric",
+            minors=len(idx[0]),
+            gauss_newton_steps=gn_steps,
         )
     certified = best_overall is not None and best_overall > _ABSENT_TOL
     return RankOneResult(
@@ -733,4 +760,6 @@ def _find_rank_one_numeric(K, density, seed):
         lower_bound=best_overall,
         is_proof=False,
         mode="numeric" if certified else "numeric-inconclusive",
+        minors=len(idx[0]),
+        gauss_newton_steps=gn_steps,
     )

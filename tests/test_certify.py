@@ -290,6 +290,7 @@ def test_grassmann_v0_chart():
     assert rep.span_dim == 3
     assert abs(rep.lambda_value) > 1e-12
     assert rep.beta is not None and rep.min_eigenvalue > 0
+    assert len(rep.beta) == 36  # one entry per order-2 minor of 4 x 4, C(4,2)^2
 
 
 def test_grassmann_degenerate_dyad_chart():

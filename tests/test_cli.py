@@ -56,6 +56,21 @@ def test_analyze_kr_nontrivial(tmp_path, capsys):
     lp = entry(report, "construct_nontrivial")
     assert (lp["farkas_solves"], lp["farkas_rows"], lp["farkas_cols"]) == (1, 15, 32)
     assert lp["farkas_pivots"] > 0
+    rank = entry(report, "find_rank_one")
+    assert (rank["minors_evaluated"], rank["minors_total"]) == (9, 9)
+    assert rank["gauss_newton_steps"] > 0
+
+
+def test_analyze_sweeps_only_live_minors(tmp_path, capsys):
+    # Kr(r=1) is 5 x 5: 24 of its 100 order-2 minors are not identically zero
+    sub = dump_fixture(capsys, "Kr(r=1)")["subspace"]
+    path = write_subspace(tmp_path, sub)
+    code, report = run_cli(capsys, "analyze", path)
+    assert code == 10
+    rank = entry(report, "find_rank_one")
+    assert (rank["mode"], rank["found"]) == ("numeric", False)
+    assert (rank["minors_evaluated"], rank["minors_total"]) == (24, 100)
+    assert rank["gauss_newton_steps"] > 0
 
 
 def entry(report, operation):
@@ -106,7 +121,9 @@ def test_analyze_irrational_witness(tmp_path, capsys):
     code, report = run_cli(capsys, "analyze", path, "--json-out", str(tmp_path / "rep.json"))
     assert code == 10
     assert not entry(report, "reduce_chain")["terminal"]
-    assert "witness_minpoly" in entry(report, "find_rank_one")
+    rank = entry(report, "find_rank_one")
+    assert "witness_minpoly" in rank
+    assert (rank["minors_evaluated"], rank["minors_total"], rank["gauss_newton_steps"]) == (1, 1, 0)
     # the direction is irrational, so the measure comes from the exact LP
     assert entry(report, "construct_nontrivial")["found"]
     measure = report["measure"]
@@ -472,6 +489,17 @@ def test_reports_deterministic(tmp_path, capsys):
     _, g1 = run_cli(capsys, "grassmann-scan", "2", "4", "4", "--samples", "10", "--seed", "3")
     _, g2 = run_cli(capsys, "grassmann-scan", "2", "4", "4", "--samples", "10", "--seed", "3")
     assert _strip_timings(g1) == _strip_timings(g2)
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # one process and one parser: analyze, k1 with non-default options, analyze
+    sub = dump_fixture(capsys, "K0")["subspace"]
+    path = write_subspace(tmp_path, sub)
+    code1, rep1 = run_cli(capsys, "analyze", path)
+    code_k1, _ = run_cli(capsys, "k1", "--flux", "quadratic:1", "--alpha2", "0.3", "--s0", "0.05")
+    code2, rep2 = run_cli(capsys, "analyze", path)
+    assert (code1, code_k1, code2) == (10, 0, 10)
+    assert _strip_timings(rep1) == _strip_timings(rep2)
 
 
 def test_console_entry_point():

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from nullag.algebra import MultiPoly, RationalMatrix, span_basis_indices
+from nullag.fixtures import kr_family
 from nullag.subspace import (
     PencilOp,
     Subspace,
+    _live_minor_index_arrays,
+    _minor_index_arrays,
+    _residuals,
+    _sphere_samples,
     apply_ops,
     find_rank_one,
     minor_polys,
@@ -303,3 +308,69 @@ def test_numeric_absence_k0():
     res = find_rank_one(k0_subspace(), mode="numeric", density=20000, seed=9)
     assert not res.found
     assert res.lower_bound > 1e-6
+
+
+def sparse_pencil(rng, m, n, d):
+    """d independent integer m x n matrices, each entry zero with probability 1/2."""
+    while True:
+        basis = [
+            [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(m)]
+            for _ in range(d)
+        ]
+        try:
+            return Subspace(basis)
+        except ValueError:
+            continue
+
+
+def test_live_minor_residuals_match_all_minors():
+    # a minor whose exact form is zero adds nothing to the residual
+    rng = random.Random(17)
+    pencils = [kr_family(r) for r in range(3)] + [sparse_pencil(rng, 3, 5, 4) for _ in range(6)]
+    dropped = 0
+    for K in pencils:
+        live = _live_minor_index_arrays(K)
+        full = _minor_index_arrays(K.m, K.n)
+        dropped += len(full[0]) - len(live[0])
+        B = K.basis_float()
+        Z = _sphere_samples(K.d, 2000, 3)
+        np.testing.assert_allclose(_residuals(Z, B, live), _residuals(Z, B, full), rtol=1e-12, atol=0)
+    assert dropped > 0
+
+
+def test_numeric_sweep_counts_live_minors():
+    res = find_rank_one(kr_family(2), mode="numeric")
+    assert not res.found
+    assert res.minors == 43  # of C(7,2)^2 = 441 order-2 minors
+    assert res.gauss_newton_steps > 0
+
+
+def test_numeric_planted_dyad_off_axes_3x5():
+    # P(z*) = u v^T at z* = (1, 2, -1, 1): the first basis matrix is the dyad
+    # minus the sparse rest, and two of the 30 minors vanish on the pencil
+    rng = random.Random(2)
+    zs = (1, 2, -1, 1)
+    while True:
+        u = [rng.choice((-2, -1, 0, 1, 2)) for _ in range(3)]
+        v = [rng.choice((-2, -1, 0, 1, 2)) for _ in range(5)]
+        if not any(u) or not any(v):
+            continue
+        rest = [
+            [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(5)] for _ in range(3)]
+            for _ in zs[1:]
+        ]
+        first = [
+            [u[i] * v[j] - sum(z * b[i][j] for z, b in zip(zs[1:], rest)) for j in range(5)]
+            for i in range(3)
+        ]
+        try:
+            K = Subspace([first] + rest)
+            break
+        except ValueError:
+            continue
+    res = find_rank_one(K, mode="numeric")
+    assert res.minors == 28
+    assert res.found and res.is_proof
+    w = res.witness
+    assert K.evaluate(w).rank() == 1
+    assert all(w[i] * zs[0] == w[0] * zs[i] for i in range(4))
