@@ -427,46 +427,59 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
     max(32, 2d) points and then by 32, until the Farkas solve succeeds or
     ``budget`` points are drawn.
 
+    An infeasible solve leaves its certificate y on its row keys and the
+    ones row.  If y . a_c >= 0 on every new column c of the next step
+    (with y = 0 on rows new at that step), y certifies the enlarged
+    system too, since a certificate on a subset of the rows certifies the
+    whole system, and the step is settled without a solve.  Only
+    infeasible steps are skipped, so the final LP, its vertex and the
+    measure are those of solving at every step.
+
     ``stats``, a dict if given, receives the Farkas counters:
-    ``farkas_solves``, ``farkas_pivots`` (summed over the solves) and the
-    last LP's ``farkas_rows`` and ``farkas_cols``.
+    ``farkas_solves``, ``farkas_screened`` (steps settled by the last
+    certificate), ``farkas_pivots`` (summed over the solves) and
+    ``farkas_rows`` and ``farkas_cols`` of the last LP solved.
 
     Returns a VectorMeasure (atoms in R^d), or None.
     """
     if stats is None:
         stats = {}
-    stats.update(farkas_solves=0, farkas_pivots=0, farkas_rows=0, farkas_cols=0)
+    stats.update(farkas_solves=0, farkas_screened=0, farkas_pivots=0, farkas_rows=0, farkas_cols=0)
     sampler = default_cone_sampler(d, seed=seed)
     points = []
     values = []
+    keys, y = (), None  # row keys and certificate of the last infeasible solve
     while True:
         want = min(max(_BATCH, 2 * d) if not points else _BATCH, budget - len(points))
+        start = len(points)
         for p in itertools.islice(sampler, max(want, 0)):
             points.append(p)
             values.append(value_fn(p))
         if not points:
             return None
-        rows = _independent_value_rows(values)
-        ncols = len(points)
-        Amat = RationalMatrix(
-            [[values[c].get(r, Fraction(0)) for c in range(ncols)] for r in rows]
-            + [[Fraction(1)] * ncols]
-        )
-        b = [Fraction(0)] * len(rows) + [Fraction(1)]
-        res = farkas_solve(FarkasProblem(Amat, b))
-        stats["farkas_solves"] += 1
-        stats["farkas_pivots"] += res.pivots
-        stats["farkas_rows"], stats["farkas_cols"] = Amat.rows, Amat.cols
-        if res.feasible:
-            atoms = []
-            weights = []
-            for lam, p in zip(res.x, points):
-                if lam != 0:
-                    atoms.append(p)
-                    weights.append(lam)
-            mu = VectorMeasure(atoms, weights)
-            _verify_vector_measure(mu, values, res.x)
-            return mu
+        if y is not None and all(
+            sum((yr * v[k] for k, yr in zip(keys, y) if k in v), y[-1]) >= 0
+            for v in values[start:]
+        ):
+            stats["farkas_screened"] += 1
+        else:
+            keys = _independent_value_rows(values)
+            ncols = len(points)
+            Amat = RationalMatrix(
+                [[values[c].get(r, Fraction(0)) for c in range(ncols)] for r in keys]
+                + [[Fraction(1)] * ncols]
+            )
+            b = [Fraction(0)] * len(keys) + [Fraction(1)]
+            res = farkas_solve(FarkasProblem(Amat, b))
+            stats["farkas_solves"] += 1
+            stats["farkas_pivots"] += res.pivots
+            stats["farkas_rows"], stats["farkas_cols"] = Amat.rows, Amat.cols
+            if res.feasible:
+                support = [(lam, p) for lam, p in zip(res.x, points) if lam != 0]
+                mu = VectorMeasure([p for _, p in support], [lam for lam, _ in support])
+                _verify_vector_measure(mu, values, res.x)
+                return mu
+            y = res.certificate
         if len(points) >= budget:
             return None
 
@@ -511,14 +524,20 @@ def subspace_value_fn(K: Subspace):
     ``(min(m, n) + 1, l)``, so the keys sort in ``enumerate_minors(m, n)``
     order, followed by the projections.  Minor values are computed on the
     evaluated matrix with structural-zero filtering, so sparse sample
-    points stay cheap even for big shapes.
+    points stay cheap even for big shapes.  When every basis matrix is
+    symmetric, P(z) is too and a minor equals its transpose; only the
+    twin with rows <= cols, the one that sorts first, is kept, so the
+    independent rows are the same.
     """
     proj = min(K.m, K.n) + 1
+    symmetric = all(b == b.transpose() for b in K.basis)
 
     def value(p):
         M = K.evaluate(p)
         vals = {}
         for rows, cols in nonvanishing_minor_candidates([M], K.m, K.n):
+            if symmetric and rows > cols:
+                continue
             v = minor(M, rows, cols)
             if v != 0:
                 vals[(len(rows), rows, cols)] = v

@@ -82,13 +82,17 @@ class Subspace:
         return self._minor_forms
 
     def evaluate(self, z):
-        """P(z) = sum_l z_l B_l, exactly."""
+        """P(z) = sum_l z_l B_l, exactly, added up over the non-zero z_l B_l[i][j]."""
         if len(z) != self.d:
             raise ValueError("point dimension mismatch")
-        acc = RationalMatrix.zeros(self.m, self.n)
-        for zl, b in zip(z, self.basis):
-            acc = acc + b.scale(rat(zl))
-        return acc
+        grid = [[Fraction(0)] * self.n for _ in range(self.m)]
+        for zl, b in zip(map(rat, z), self.basis):
+            if zl:
+                for acc, row in zip(grid, b.entries):
+                    for j, v in enumerate(row):
+                        if v:
+                            acc[j] += zl * v
+        return RationalMatrix(grid)
 
     def basis_float(self):
         """d x (m*n) float array of the flattened basis matrices."""

@@ -1,0 +1,89 @@
+"""Reference implementations of the measure constructor's sample path.
+
+``evaluate_reference`` is P(z) = sum_l z_l B_l as d dense scale-and-add
+passes over the whole basis.  ``value_fn_reference`` evaluates every
+minor of P(z), so on a symmetric pencil it keeps both transposed twins.
+``construct_nontrivial_reference`` solves the Farkas LP again at every
+growth step of the sample, with no certificate screening.  The library's
+``Subspace.evaluate``, ``subspace_value_fn`` and ``construct_nontrivial``
+must give the same matrices, the same independent rows and the same
+measure (or None) as these.
+"""
+
+import itertools
+from fractions import Fraction
+
+from nullag.algebra import RationalMatrix, minor, nonvanishing_minor_candidates, rat
+from nullag.measures import (
+    _BATCH,
+    FarkasProblem,
+    VectorMeasure,
+    _independent_value_rows,
+    _verify_vector_measure,
+    default_cone_sampler,
+    farkas_solve,
+)
+
+
+def evaluate_reference(K, z):
+    """P(z) as d dense passes: acc + B_l scaled by z_l."""
+    if len(z) != K.d:
+        raise ValueError("point dimension mismatch")
+    acc = RationalMatrix.zeros(K.m, K.n)
+    for zl, b in zip(z, K.basis):
+        acc = acc + b.scale(rat(zl))
+    return acc
+
+
+def value_fn_reference(K):
+    """Every non-zero minor of P(z), keyed ``(p, rows, cols)``, and the
+    non-zero projections, keyed ``(min(m, n) + 1, l)``."""
+    proj = min(K.m, K.n) + 1
+
+    def value(p):
+        M = evaluate_reference(K, p)
+        vals = {}
+        for rows, cols in nonvanishing_minor_candidates([M], K.m, K.n):
+            v = minor(M, rows, cols)
+            if v != 0:
+                vals[(len(rows), rows, cols)] = v
+        for i in range(K.d):
+            if p[i] != 0:
+                vals[(proj, i)] = p[i]
+        return vals
+
+    return value
+
+
+def construct_nontrivial_reference(value_fn, d, budget=256, seed=0):
+    """One exact Farkas solve per growth step of the sample.
+
+    Returns ``(measure or None, solves, pivots of the last solve)``.
+    """
+    sampler = default_cone_sampler(d, seed=seed)
+    points = []
+    values = []
+    solves = 0
+    while True:
+        want = min(max(_BATCH, 2 * d) if not points else _BATCH, budget - len(points))
+        for p in itertools.islice(sampler, max(want, 0)):
+            points.append(p)
+            values.append(value_fn(p))
+        if not points:
+            return None, solves, 0
+        rows = _independent_value_rows(values)
+        ncols = len(points)
+        Amat = RationalMatrix(
+            [[values[c].get(r, Fraction(0)) for c in range(ncols)] for r in rows]
+            + [[Fraction(1)] * ncols]
+        )
+        b = [Fraction(0)] * len(rows) + [Fraction(1)]
+        res = farkas_solve(FarkasProblem(Amat, b))
+        solves += 1
+        if res.feasible:
+            support = [(lam, p) for lam, p in zip(res.x, points) if lam != 0]
+            mu = VectorMeasure([p for _, p in support], [lam for lam, _ in support])
+            _verify_vector_measure(mu, values, res.x)
+            return mu, solves, res.pivots
+        if len(points) >= budget:
+            return None, solves, res.pivots

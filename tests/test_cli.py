@@ -54,7 +54,8 @@ def test_analyze_kr_nontrivial(tmp_path, capsys):
     # one LP on the first 32 sample points: 14 independent value rows and
     # the ones row
     lp = entry(report, "construct_nontrivial")
-    assert (lp["farkas_solves"], lp["farkas_rows"], lp["farkas_cols"]) == (1, 15, 32)
+    assert (lp["farkas_solves"], lp["farkas_screened"], lp["farkas_rows"], lp["farkas_cols"]) == (
+        1, 0, 15, 32)
     assert lp["farkas_pivots"] > 0
     rank = entry(report, "find_rank_one")
     assert (rank["minors_evaluated"], rank["minors_total"]) == (9, 9)
@@ -99,7 +100,8 @@ def test_analyze_budget_exhaustion_inconclusive(tmp_path, capsys):
     assert code == 20
     assert report["conclusion"].startswith("inconclusive")
     lp = entry(report, "construct_nontrivial")
-    assert (lp["found"], lp["farkas_solves"], lp["farkas_cols"]) == (False, 1, 4)
+    assert (lp["found"], lp["farkas_solves"], lp["farkas_screened"], lp["farkas_cols"]) == (
+        False, 1, 0, 4)
 
 
 def test_analyze_schema_violation(tmp_path, capsys):

@@ -1,13 +1,18 @@
+import importlib.util
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from farkas_oracle import farkas_feasible_bruteforce, farkas_solve_reference
+from nullag import measures
 from nullag.algebra import RationalMatrix, enumerate_minors, minor, vec_dot
 from nullag.measures import (
+    _independent_value_rows,
     DiscreteMeasure,
     FarkasProblem,
     construct_nontrivial,
@@ -17,7 +22,9 @@ from nullag.measures import (
     subspace_value_fn,
     two_atom_measure,
 )
+from nullag.fixtures import kr_family
 from nullag.subspace import Subspace, find_rank_one
+from sample_oracle import construct_nontrivial_reference, value_fn_reference
 
 
 def rand_rat(rng, span=5):
@@ -264,10 +271,12 @@ def test_construct_draws_the_whole_budget():
     stats = {}
     assert construct_nontrivial(value_fn, 1, budget=320, stats=stats) is None
     assert len(drawn) == len(set(drawn)) == 320
-    # one solve per growth step (32, 64, ..., 320 points); the last LP has
-    # the rows z^2, z and the ones row
-    assert stats["farkas_solves"] == 10 and stats["farkas_pivots"] > 0
-    assert (stats["farkas_rows"], stats["farkas_cols"]) == (3, 320)
+    # every growth step (32, 64, ..., 320 points) is either solved or
+    # settled by the last certificate; the last LP solved has the rows
+    # z^2, z and the ones row on the first 256 points
+    assert stats["farkas_solves"] + stats["farkas_screened"] == 10
+    assert stats["farkas_pivots"] > 0
+    assert (stats["farkas_rows"], stats["farkas_cols"]) == (3, 256)
 
 
 def test_value_fn_keys_follow_the_minor_enumeration():
@@ -312,3 +321,131 @@ def test_construct_blocked_by_certificate():
     K = Subspace([b1, b2])
     for seed in range(4):
         assert construct_nontrivial_for_subspace(K, budget=96, seed=seed) is None
+
+
+# ---------------------------------------------------------------------------
+# the sample path against the solve-every-step reference
+# ---------------------------------------------------------------------------
+
+def sym3_open_pool(count):
+    path = Path(__file__).resolve().parents[1] / "nullbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("nullbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.sym3_open_pool(count)
+
+
+@pytest.fixture
+def solve_pivots(monkeypatch):
+    """Pivot counts of the library's Farkas solves, in call order."""
+    pivots = []
+    solve = measures.farkas_solve
+
+    def spy(problem):
+        res = solve(problem)
+        pivots.append(res.pivots)
+        return res
+
+    monkeypatch.setattr(measures, "farkas_solve", spy)
+    return pivots
+
+
+def assert_matches_reference(value_fn, reference_fn, d, pivots, budget=256, seed=0):
+    ref, steps, last_pivots = construct_nontrivial_reference(reference_fn, d, budget, seed)
+    pivots.clear()
+    stats = {}
+    vm = construct_nontrivial(value_fn, d, budget=budget, seed=seed, stats=stats)
+    if ref is None:
+        assert vm is None
+    else:
+        assert (vm.points, vm.weights) == (ref.points, ref.weights)
+    assert stats["farkas_solves"] + stats["farkas_screened"] == steps
+    assert stats["farkas_solves"] == len(pivots) and pivots[-1] == last_pivots
+    assert stats["farkas_pivots"] == sum(pivots)
+    return vm, stats
+
+
+def test_screening_matches_solving_every_step_on_pencils(solve_pivots):
+    # the open symmetric 3x3 pool (three draws exhaust the budget) and the
+    # Kr ladder: same measure or None, same last LP as one solve per step
+    screened = []
+    for basis in sym3_open_pool(8):
+        K = Subspace(basis)
+        _, stats = assert_matches_reference(
+            subspace_value_fn(K), value_fn_reference(K), K.d, solve_pivots)
+        screened.append(stats["farkas_screened"])
+    for r in range(5):
+        K = kr_family(r)
+        vm, stats = assert_matches_reference(
+            subspace_value_fn(K), value_fn_reference(K), K.d, solve_pivots)
+        assert vm is not None and stats["farkas_screened"] == 0
+    # the three draws that exhaust the budget: 8 growth steps each
+    assert screened == [3, 0, 2, 0, 4, 0, 0, 0]
+
+
+def test_screening_matches_solving_every_step_on_polynomial_families(solve_pivots):
+    # {z^2, z}-style families: the projections plus seeded quadratic and
+    # cubic polynomials, some never feasible and some feasible
+    rng = random.Random(53)
+    screened = found = 0
+    for _ in range(24):
+        d = rng.randint(1, 3)
+        polys = []
+        for _ in range(rng.randint(1, 3)):
+            terms = []
+            for _ in range(rng.randint(1, 3)):
+                exps = [0] * d
+                for _ in range(rng.choice((2, 3))):
+                    exps[rng.randrange(d)] += 1
+                terms.append((rng.choice((-3, -2, -1, 1, 2, 3)), tuple(exps)))
+            polys.append(terms)
+
+        def value_fn(p, polys=polys):
+            vals = {}
+            for k, terms in enumerate(polys):
+                v = sum(c * math.prod(x ** e for x, e in zip(p, exps)) for c, exps in terms)
+                if v:
+                    vals[(0, k)] = v
+            vals.update(((1, i), x) for i, x in enumerate(p) if x)
+            return vals
+
+        vm, stats = assert_matches_reference(
+            value_fn, value_fn, d, solve_pivots, budget=rng.choice((64, 128)), seed=rng.randint(0, 9))
+        screened += stats["farkas_screened"]
+        found += vm is not None
+    assert screened > 0 and 0 < found < 24
+
+
+def test_transpose_skip_keeps_the_independent_rows():
+    # on a symmetric pencil a minor and its transpose give equal rows; the
+    # value function keeps only the twin that sorts first, and the row
+    # basis is the one of the full table
+    rng = random.Random(59)
+    skipped = 0
+    for _ in range(30):
+        m = rng.randint(2, 4)
+        d = rng.randint(1, min(4, m * (m + 1) // 2))
+        while True:
+            basis = []
+            for _ in range(d):
+                s = [[Fraction(0)] * m for _ in range(m)]
+                for i in range(m):
+                    for j in range(i, m):
+                        if rng.random() < 0.6:
+                            s[i][j] = s[j][i] = rand_rat(rng)
+                basis.append(s)
+            try:
+                K = Subspace(basis)
+                break
+            except ValueError:
+                continue
+        points = [tuple(rand_rat(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(d))
+                  for _ in range(rng.randint(1, 12))]
+        points = [p for p in points if any(p)] or [(Fraction(1),) * d]
+        full = [value_fn_reference(K)(p) for p in points]
+        kept = [subspace_value_fn(K)(p) for p in points]
+        for f, k in zip(full, kept):
+            assert k == {key: v for key, v in f.items() if len(key) == 2 or key[1] <= key[2]}
+            skipped += len(f) - len(k)
+        assert _independent_value_rows(kept) == _independent_value_rows(full)
+    assert skipped > 0

@@ -7,6 +7,7 @@ import pytest
 
 from nullag.algebra import MultiPoly, RationalMatrix, span_basis_indices
 from nullag.fixtures import kr_family
+from sample_oracle import evaluate_reference
 from nullag.subspace import (
     PencilOp,
     Subspace,
@@ -106,6 +107,36 @@ def test_parametrize_matches_evaluation():
         for i in range(3):
             for j in range(3):
                 assert pencil[i][j].eval(z) == M[i, j]
+
+
+def test_evaluate_matches_dense_sum():
+    # seeded pencils up to 5 x 5 with zero entries, at points with zero,
+    # integer and fractional coordinates (ints and strings are coerced)
+    rng = random.Random(41)
+    for _ in range(120):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        d = rng.randint(1, min(6, m * n))
+        while True:
+            basis = [[[rand_rat(rng) if rng.random() < 0.4 else 0 for _ in range(n)]
+                      for _ in range(m)] for _ in range(d)]
+            try:
+                K = Subspace(basis)
+                break
+            except ValueError:
+                continue
+        for _ in range(4):
+            z = [rng.choice((0, 0, rng.randint(-3, 3), rand_rat(rng), str(rand_rat(rng))))
+                 for _ in range(d)]
+            assert K.evaluate(z) == evaluate_reference(K, z)
+    K = random_subspace(rng, 2, 3, 2)
+    assert K.evaluate((0, 0)) == RationalMatrix.zeros(2, 3)
+    with pytest.raises(TypeError):
+        K.evaluate((Fraction(1), 0.5))
+    with pytest.raises(TypeError):
+        K.evaluate((0.0, 1))
+    for z in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            K.evaluate(z)
 
 
 def test_subspace_json_roundtrip():
