@@ -137,16 +137,15 @@ class TrivialityCertificate:
 class Obstruction:
     """A cone on which the certificate search failed."""
 
-    __slots__ = ("cone", "reason", "rank_one_witness", "note")
+    __slots__ = ("cone", "rank_one_witness", "note")
 
-    def __init__(self, cone, reason, rank_one_witness=None, note=""):
+    def __init__(self, cone, rank_one_witness=None, note=""):
         self.cone = [tuple(v) for v in cone]
-        self.reason = reason
         self.rank_one_witness = rank_one_witness
         self.note = note
 
     def __repr__(self):
-        return "Obstruction(reason=%r, cone_dim=%d)" % (self.reason, len(self.cone))
+        return "Obstruction(cone_dim=%d)" % len(self.cone)
 
 
 class GenericityReport:
@@ -560,8 +559,7 @@ def reduce_chain(K: Subspace):
     cone = [tuple(Fraction(int(i == k)) for i in range(K.d)) for k in range(K.d)]
     if min(K.m, K.n) < 2:
         # P(e_1) = B_1 is non-zero, and a non-zero single-line matrix has rank one
-        return Obstruction(cone, "no combination on cone", cone[0],
-                           "single-line matrices are all of rank at most one")
+        return Obstruction(cone, cone[0], "single-line matrices are all of rank at most one")
     chain = []
     cones = []
     sub = K
@@ -573,7 +571,7 @@ def reduce_chain(K: Subspace):
         if not outcome.found:
             witness = outcome.rank_one_witness
             lifted = None if witness is None else _lift(witness, cone)
-            return Obstruction(cone, "no combination on cone", lifted, outcome.note)
+            return Obstruction(cone, lifted, outcome.note)
         comb = outcome.combination
         report = verify_combination(sub, comb)
         if not report.ok:

@@ -103,10 +103,12 @@ def cmd_analyze(args):
     report = _report("analyze", obj, seed=args.seed)
     report["subspace"] = {"m": K.m, "n": K.n, "d": K.d}
 
-    # the exact chain decides first; a rank-one search runs only where it
-    # stops without a witness.  An exact rank-one direction gives the
-    # two-atom measure and anything else goes to the exact LP, so every
-    # exit 10 carries a measure with rational atoms.
+    # the exact chain decides first.  For d <= 2 it is complete: an
+    # obstruction without a witness means the rank-one directions are
+    # irrational (the note gives the discriminant), so only a pencil with
+    # d >= 3 gets the numeric rank-one sweep.  An exact rank-one direction
+    # gives the two-atom measure and anything else goes to the exact LP,
+    # so every exit 10 carries a measure with rational atoms.
     t0 = time.perf_counter()
     chain = reduce_chain(K)
     report["timings"]["reduce_chain"] = time.perf_counter() - t0
@@ -127,33 +129,27 @@ def cmd_analyze(args):
         }
     )
     witness = chain.rank_one_witness
-    if witness is None:
+    if witness is None and K.d >= 3:
         t1 = time.perf_counter()
-        res = find_rank_one(K, mode="auto", seed=args.seed)
+        res = find_rank_one(K, seed=args.seed)
         report["timings"]["find_rank_one"] = time.perf_counter() - t1
+        witness = res.witness
         rank_entry = {
             "operation": "find_rank_one",
             "mode": res.mode,
             "found": res.found,
-            "is_proof": res.is_proof,
+            "is_proof": witness is not None,
             "residual": res.residual,
-            "lower_bound": res.lower_bound,
+            "lower_bound": None if res.found else res.residual,
             "minors_evaluated": res.minors,
             "minors_total": math.comb(K.m, 2) * math.comb(K.n, 2),
             "gauss_newton_steps": res.gauss_newton_steps,
         }
         if res.witness_float is not None:
             rank_entry["witness_float"] = [float(x) for x in res.witness_float]
-        if res.witness is not None:
-            rank_entry["witness"] = [rat_to_str(x) for x in res.witness]
-        if res.witness_minpoly is not None:
-            rank_entry["witness_minpoly"] = {
-                "coeffs": [rat_to_str(c) for c in res.witness_minpoly["coeffs"]],
-                "branch": res.witness_minpoly["branch"],
-                "note": "every order-2 minor polynomial is divisible by this minimal polynomial",
-            }
+        if witness is not None:
+            rank_entry["witness"] = [rat_to_str(x) for x in witness]
         report["verdicts"].append(rank_entry)
-        witness = res.witness
     if witness is not None:
         mu = two_atom_measure(K, witness)
         nl = is_null_lagrangian(mu)
@@ -221,14 +217,21 @@ def cmd_k1(args):
         return EXIT_SCHEMA
     alpha = (args.alpha1, args.alpha2)
     t0 = time.perf_counter()
+    # a flux expression raises ValueError where it is undefined; at the
+    # base state or an atom that is a failed precondition, like the
+    # AtomConstructionError of build_atoms
     try:
         system = _build_atoms_halving(flux, alpha, args.s0, args.t0)
-    except AtomConstructionError as exc:
+    except ValueError as exc:
         report["error"] = str(exc)
-        if flux.a_prime(args.alpha2) < 0:
-            report["negative_branch_evidence"] = negative_branch_evidence(
-                flux, alpha, delta=max(args.s0, args.t0), samples=10000
-            )
+        # after an AtomConstructionError a'(alpha2) is defined
+        if isinstance(exc, AtomConstructionError) and flux.a_prime(args.alpha2) < 0:
+            try:
+                report["negative_branch_evidence"] = negative_branch_evidence(
+                    flux, alpha, delta=max(args.s0, args.t0), samples=10000
+                )
+            except ValueError as undefined:
+                report["error"] += "; no sign evidence: %s" % undefined
         _emit(report, args.json_out)
         return EXIT_PRECONDITION
     report["system"] = system.to_json()

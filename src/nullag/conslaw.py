@@ -65,11 +65,8 @@ class FluxFunction:
         dast = _diff(ast)
         from scipy.integrate import quad
 
-        def a(v, _ast=ast):
-            return _eval(_ast, v)
-
-        def a_prime(v, _ast=dast):
-            return _eval(_ast, v)
+        a = _defined_evaluator(ast, "flux %r" % text)
+        a_prime = _defined_evaluator(dast, "slope of flux %r" % text)
 
         def primitive(v, _a=a):
             val, _ = quad(_a, 0.0, v, limit=200)
@@ -216,6 +213,23 @@ def _eval(node, v):
     if kind == "pow":
         return _eval(node[1], v) ** node[2][1]
     raise ValueError("bad node %r" % (node,))
+
+
+def _defined_evaluator(node, label):
+    """v -> ``_eval(node, v)``, raising ValueError at a v where the value is
+    not a finite real number (a division by zero, a negative base under a
+    fractional power, an overflow)."""
+
+    def evaluate(v):
+        try:
+            value = _eval(node, v)
+            if value.__class__ is not complex and math.isfinite(value):
+                return value
+        except ArithmeticError:
+            pass
+        raise ValueError("%s is undefined at v = %r" % (label, float(v)))
+
+    return evaluate
 
 
 def _diff(node):

@@ -404,189 +404,38 @@ def minor_span(K: Subspace, order=2) -> MinorSpan:
 # ---------------------------------------------------------------------------
 
 class RankOneResult:
-    """Outcome of a rank-one connection search.
+    """Outcome of the numeric rank-one sweep.
 
-    ``found``          a rank-one direction was located.
-    ``witness``        exact rational direction (rank P(witness) == 1), or None.
-    ``witness_minpoly`` for d == 2 only: when the direction is a quadratic
-                       irrational t with z = (t, 1), the monic minimal
-                       polynomial coefficients (c0, c1, 1) and the chosen
-                       branch; every order-2 minor polynomial is divisible
-                       by this polynomial, which certifies exactness.
-    ``witness_float``  floating approximation of the direction.
-    ``residual``       scale-free residual at the reported direction.
-    ``lower_bound``    smallest residual seen when nothing was found.
-    ``is_proof``       verdict backed by exact computation.
+    ``found``          a direction with residual below ``_FOUND_TOL``.
+    ``witness``        exact rational direction (rank P(witness) == 1)
+                       polished from the float one, or None.
+    ``witness_float``  floating approximation of the best direction.
+    ``residual``       scale-free residual at that direction.
+    ``mode``           "numeric", or "numeric-inconclusive" when nothing
+                       was found but the smallest residual is at most
+                       ``_ABSENT_TOL``.
     ``minors``         number of order-2 minors searched: those whose exact
                        form ``Subspace.minor_forms().S[k]`` is not zero.
     ``gauss_newton_steps`` Gauss-Newton iterations summed over the refined
-                       candidates (0 in exact mode).
+                       candidates.
     """
 
-    __slots__ = (
-        "found",
-        "witness",
-        "witness_minpoly",
-        "witness_float",
-        "residual",
-        "lower_bound",
-        "is_proof",
-        "mode",
-        "minors",
-        "gauss_newton_steps",
-    )
+    __slots__ = ("found", "witness", "witness_float", "residual", "mode", "minors",
+                 "gauss_newton_steps")
 
-    def __init__(self, found, witness=None, witness_minpoly=None, witness_float=None,
-                 residual=None, lower_bound=None, is_proof=False, mode="numeric",
-                 minors=0, gauss_newton_steps=0):
+    def __init__(self, found, witness, witness_float, residual, mode, minors,
+                 gauss_newton_steps):
         self.found = found
         self.witness = witness
-        self.witness_minpoly = witness_minpoly
         self.witness_float = witness_float
         self.residual = residual
-        self.lower_bound = lower_bound
-        self.is_proof = is_proof
         self.mode = mode
         self.minors = minors
         self.gauss_newton_steps = gauss_newton_steps
 
     def __repr__(self):
-        return (
-            "RankOneResult(found=%r, witness=%r, residual=%r, lower_bound=%r, is_proof=%r, mode=%r)"
-            % (self.found, self.witness, self.residual, self.lower_bound, self.is_proof, self.mode)
-        )
-
-
-def find_rank_one(K: Subspace, mode="auto", density=20000, seed=0) -> RankOneResult:
-    """Search for z != 0 with rank P(z) <= 1.
-
-    Exact mode (d <= 2) decides the question; numeric mode samples the unit
-    sphere and refines by Gauss-Newton, and a negative answer is only a
-    probabilistic statement (flagged through ``is_proof``).
-    """
-    if mode == "auto":
-        mode = "exact" if K.d <= 2 else "numeric"
-    if mode == "exact":
-        if K.d > 2:
-            raise ValueError("exact mode supports d <= 2 only")
-        return _find_rank_one_exact(K)
-    if mode != "numeric":
-        raise ValueError("unknown mode %r" % mode)
-    return _find_rank_one_numeric(K, density, seed)
-
-
-def _find_rank_one_exact(K: Subspace) -> RankOneResult:
-    if K.d == 1:
-        if K.basis[0].rank() == 1:
-            w = (Fraction(1),)
-            return RankOneResult(True, witness=w, witness_float=np.array([1.0]),
-                                 residual=0.0, is_proof=True, mode="exact")
-        return RankOneResult(False, is_proof=True, mode="exact")
-
-    forms = [upper for upper in K.minor_forms().S if upper]
-    if not forms:
-        w = (Fraction(1), Fraction(0))
-        return RankOneResult(True, witness=w, witness_float=np.array([1.0, 0.0]),
-                             residual=0.0, is_proof=True, mode="exact")
-
-    # z = (1, 0): every form must have zero z1^2 coefficient
-    if all(upper.get((0, 0), 0) == 0 for upper in forms):
-        w = (Fraction(1), Fraction(0))
-        return RankOneResult(True, witness=w, witness_float=np.array([1.0, 0.0]),
-                             residual=0.0, is_proof=True, mode="exact", minors=len(forms))
-
-    # dehomogenize at z = (t, 1) and take the gcd of the univariate forms
-    # 2 L^2 M_k(t, 1) = S_00 t^2 + 2 S_01 t + S_11; the monic gcd ignores the scale
-    unis = []
-    for upper in forms:
-        unis.append([
-            Fraction(upper.get((1, 1), 0)),
-            Fraction(2 * upper.get((0, 1), 0)),
-            Fraction(upper.get((0, 0), 0)),
-        ])
-    g = _poly_gcd_many(unis)
-    deg = len(g) - 1
-    if deg == 0:
-        return RankOneResult(False, is_proof=True, mode="exact", minors=len(forms))
-    if deg == 1:
-        t = -g[0] / g[1]
-        w = (t, Fraction(1))
-        return RankOneResult(True, witness=w, witness_float=np.array([float(t), 1.0]),
-                             residual=0.0, is_proof=True, mode="exact", minors=len(forms))
-    # monic quadratic t^2 + b t + c
-    b, c = g[1], g[0]
-    disc = b * b - 4 * c
-    if disc < 0:
-        return RankOneResult(False, is_proof=True, mode="exact", minors=len(forms))
-    root = _rational_sqrt(disc)
-    if root is not None:
-        t = (-b + root) / 2
-        w = (t, Fraction(1))
-        return RankOneResult(True, witness=w, witness_float=np.array([float(t), 1.0]),
-                             residual=0.0, is_proof=True, mode="exact", minors=len(forms))
-    tf = (-float(b) + math.sqrt(float(disc))) / 2.0
-    return RankOneResult(
-        True,
-        witness=None,
-        witness_minpoly={"coeffs": (c, b, Fraction(1)), "branch": +1},
-        witness_float=np.array([tf, 1.0]),
-        residual=0.0,
-        is_proof=True,
-        mode="exact",
-        minors=len(forms),
-    )
-
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_mod(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(x != 0 for x in a):
-        da = len(a) - 1
-        f = a[-1] / lb
-        for k in range(db + 1):
-            a[da - db + k] -= f * b[k]
-        a = _poly_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _poly_gcd(a, b):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _poly_gcd_many(polys):
-    g = []
-    for p in polys:
-        p = _poly_trim(list(p))
-        if not p:
-            continue
-        g = p if not g else _poly_gcd(g, p)
-        if len(g) == 1:
-            return [Fraction(1)]
-    if not g:
-        return [Fraction(1)]
-    return [x / g[-1] for x in g]
-
-
-def poly_divides(g, p):
-    """True when g divides p exactly in Q[t] (coefficient lists, low to high)."""
-    p = _poly_trim(list(p))
-    if not p:
-        return True
-    return not _poly_mod(p, _poly_trim(list(g)))
+        return "RankOneResult(found=%r, witness=%r, residual=%r, mode=%r)" % (
+            self.found, self.witness, self.residual, self.mode)
 
 
 def _rational_sqrt(x: Fraction):
@@ -714,7 +563,15 @@ def _polish_witness(K: Subspace, z):
     return None
 
 
-def _find_rank_one_numeric(K, density, seed):
+def find_rank_one(K: Subspace, density=20000, seed=0) -> RankOneResult:
+    """Search for z != 0 with rank P(z) <= 1 by a numeric sweep.
+
+    ``density`` points of the unit sphere of R^d (a seeded random draw
+    when d >= 4) are scored by the residual of the live order-2 minors,
+    the best are refined by Gauss-Newton, and a found direction is
+    polished to an exact rational witness where rounding gives one.  A
+    negative answer is only a numeric statement, never a proof.
+    """
     B = K.basis_float()
     idx = _live_minor_index_arrays(K)
     density = int(density)
@@ -744,26 +601,10 @@ def _find_rank_one_numeric(K, density, seed):
         gn_steps += steps
         if res is not None and res < best_overall:
             best_overall, best_z = res, z
+    witness_float = None if best_z is None else np.asarray(best_z)
     if best_overall is not None and best_overall < _FOUND_TOL:
-        exact = _polish_witness(K, best_z)
-        return RankOneResult(
-            True,
-            witness=exact,
-            witness_float=np.asarray(best_z),
-            residual=best_overall,
-            is_proof=exact is not None,
-            mode="numeric",
-            minors=len(idx[0]),
-            gauss_newton_steps=gn_steps,
-        )
+        return RankOneResult(True, _polish_witness(K, best_z), witness_float, best_overall,
+                             "numeric", len(idx[0]), gn_steps)
     certified = best_overall is not None and best_overall > _ABSENT_TOL
-    return RankOneResult(
-        False,
-        witness_float=np.asarray(best_z) if best_z is not None else None,
-        residual=best_overall,
-        lower_bound=best_overall,
-        is_proof=False,
-        mode="numeric" if certified else "numeric-inconclusive",
-        minors=len(idx[0]),
-        gauss_newton_steps=gn_steps,
-    )
+    return RankOneResult(False, None, witness_float, best_overall,
+                         "numeric" if certified else "numeric-inconclusive", len(idx[0]), gn_steps)

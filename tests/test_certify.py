@@ -1,4 +1,7 @@
+import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +13,7 @@ from nullag.algebra import (
     enumerate_minors,
     independent_indices,
     psd_analyze,
+    rat_from_str,
 )
 from nullag.certify import (
     MinorCombination,
@@ -32,6 +36,7 @@ from nullag.fixtures import (
     v0_subspace,
 )
 from nullag.subspace import Subspace, apply_ops, minor_polys, random_pencil_ops
+from rank_one_oracle import find_rank_one_exact
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +282,81 @@ def test_identity_step_note_keeps_the_context():
     assert not outcome.found
     assert outcome.note == ("reduction terminated at a symmetric 3x3 pencil; "
                             "identity form is outside the span of the minor forms")
+
+
+# ---------------------------------------------------------------------------
+# the chain against the exact rank-one oracle, d <= 2
+# ---------------------------------------------------------------------------
+
+# c with sqrt(c) irrational: [[z1, z2], [z2, c z1]] drops rank only at
+# z2 = ±sqrt(c) z1
+NON_SQUARES = (2, 3, 5, 6, 7, 8, 10, Fraction(1, 2), Fraction(3, 4), Fraction(5, 9), Fraction(12, 7))
+
+
+def _low_dimension_draw(rng):
+    """One d in {1, 2} pencil of shape 2..4 x 2..4, from one of four families."""
+    m, n, d = rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 2)
+    family = rng.choice(("dense", "sparse", "dyad", "irrational"))
+    if family == "irrational":
+        c = rng.choice(NON_SQUARES)
+        pad = lambda b: [[b[i][j] if i < 2 and j < 2 else 0 for j in range(n)] for i in range(m)]
+        K = Subspace([pad([[1, 0], [0, c]]), pad([[0, 1], [1, 0]])])
+        return family, apply_ops(K, random_pencil_ops(m, n, 6, rng))
+    keep = 0.4 if family == "sparse" else 1.0
+    while True:
+        basis = [
+            [[rng.randint(-3, 3) if rng.random() < keep else 0 for _ in range(n)] for _ in range(m)]
+            for _ in range(d)
+        ]
+        if family == "dyad":
+            u = [rng.choice((-2, -1, 0, 1, 2)) for _ in range(m)]
+            v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+            basis[0] = [[a * b for b in v] for a in u]
+        try:
+            return family, Subspace(basis)
+        except ValueError:
+            continue
+
+
+def low_dimension_pencils(count=600, seed=19):
+    rng = random.Random(seed)
+    return [_low_dimension_draw(rng) for _ in range(count)]
+
+
+def _is_rational_square(x):
+    return x > 0 and all(math.isqrt(k) ** 2 == k for k in (x.numerator, x.denominator))
+
+
+def test_chain_agrees_with_exact_rank_one_oracle():
+    # for d <= 2 the chain alone decides the rank-one question: a terminal
+    # chain means no direction, a witness is a rational direction, and no
+    # witness means only irrational ones, in the quadratic field the
+    # oracle's minimal polynomial names
+    outcomes = Counter()
+    for family, K in low_dimension_pencils():
+        chain = reduce_chain(K)
+        oracle = find_rank_one_exact(K)
+        terminal = isinstance(chain, TrivialityCertificate)
+        assert terminal == (not oracle.found), K.to_json()
+        if terminal:
+            outcome = "terminal"
+        elif chain.rank_one_witness is not None:
+            outcome = "rational"
+            assert oracle.witness is not None, K.to_json()
+            assert K.evaluate(chain.rank_one_witness).rank() == 1
+            assert K.evaluate(oracle.witness).rank() == 1
+        else:
+            outcome = "irrational"
+            assert oracle.witness is None and oracle.witness_minpoly is not None, K.to_json()
+            found = re.search(r"irrational real root \(discriminant (\S+)\)$", chain.note)
+            assert found, chain.note
+            c0, c1, _ = oracle.witness_minpoly["coeffs"]
+            assert _is_rational_square(rat_from_str(found.group(1)) / (c1 * c1 - 4 * c0))
+        outcomes[family, outcome] += 1
+    assert sum(outcomes.values()) >= 500
+    assert outcomes["irrational", "irrational"] >= 50
+    assert {("dense", "terminal"), ("sparse", "terminal"), ("sparse", "rational"),
+            ("dyad", "rational")} <= set(outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -111,8 +111,13 @@ def test_analyze_schema_violation(tmp_path, capsys):
     assert "error" in report
 
 
-def test_analyze_irrational_witness(tmp_path, capsys):
-    # pencil [[z1, z2], [z2, 2 z1]]: rank drops only at z2 = ±sqrt(2) z1
+def refuse_rank_one_search(*args, **kwargs):
+    raise AssertionError("numeric rank-one search where the chain decides")
+
+
+def test_analyze_irrational_witness(tmp_path, capsys, monkeypatch):
+    # pencil [[z1, z2], [z2, 2 z1]]: rank drops only at z2 = ±sqrt(2) z1.
+    # With d = 2 the chain is complete, so no rank-one search runs
     sub = {
         "m": 2,
         "n": 2,
@@ -120,12 +125,13 @@ def test_analyze_irrational_witness(tmp_path, capsys):
         "basis": [[["1", "0"], ["0", "2"]], [["0", "1"], ["1", "0"]]],
     }
     path = write_subspace(tmp_path, sub)
+    monkeypatch.setattr("nullag.cli.find_rank_one", refuse_rank_one_search)
     code, report = run_cli(capsys, "analyze", path, "--json-out", str(tmp_path / "rep.json"))
     assert code == 10
-    assert not entry(report, "reduce_chain")["terminal"]
-    rank = entry(report, "find_rank_one")
-    assert "witness_minpoly" in rank
-    assert (rank["minors_evaluated"], rank["minors_total"], rank["gauss_newton_steps"]) == (1, 1, 0)
+    assert [v["operation"] for v in report["verdicts"]] == ["reduce_chain", "construct_nontrivial"]
+    chain = entry(report, "reduce_chain")
+    assert not chain["terminal"]
+    assert chain["note"] == "pencil determinant has an irrational real root (discriminant 8)"
     # the direction is irrational, so the measure comes from the exact LP
     assert entry(report, "construct_nontrivial")["found"]
     measure = report["measure"]
@@ -147,10 +153,7 @@ def test_analyze_terminal_chain_runs_no_rank_one_search(tmp_path, capsys, monkey
     sub = quaternion4() if name == "quaternion4" else dump_fixture(capsys, name)["subspace"]
     path = write_subspace(tmp_path, sub)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("rank-one search after a terminal chain")
-
-    monkeypatch.setattr("nullag.cli.find_rank_one", refuse)
+    monkeypatch.setattr("nullag.cli.find_rank_one", refuse_rank_one_search)
     code, report = run_cli(capsys, "analyze", path)
     assert code == 0
     assert [v["operation"] for v in report["verdicts"]] == ["reduce_chain"]
@@ -323,6 +326,8 @@ def test_malformed_input_exits_schema(tmp_path, capsys, command, payload, extra)
         pytest.param(("fixtures", "dump", "sym3-random(seed=x)"), id="fixture-text-seed"),
         pytest.param(("fixtures", "dump", "V0(k=0,m=4,n=4)"), id="fixture-empty-basis"),
         pytest.param(("k1", "--eps", "abc"), id="k1-eps-text"),
+        pytest.param(("k1", "--flux", "v/(v-v)"), id="k1-flux-zero-division"),
+        pytest.param(("k1", "--flux", "v^0.5"), id="k1-flux-complex"),
     ],
 )
 def test_malformed_argument_exits_schema(capsys, argv):
@@ -330,6 +335,26 @@ def test_malformed_argument_exits_schema(capsys, argv):
     assert code == 2
     assert report["error"]
     assert "verdicts" not in report or report["verdicts"] == []
+
+
+@pytest.mark.parametrize(
+    "flux, alpha2, where",
+    [
+        pytest.param("1/(v-5)", "5", "slope of flux '1/(v-5)' is undefined at v = 5.0",
+                     id="pole-at-base"),
+        pytest.param("(v+2)^0.5", "-2", "slope of flux '(v+2)^0.5' is undefined at v = -2.0",
+                     id="branch-point-at-base"),
+        # the slope is negative at the base state, and the flux is
+        # undefined at some sampled states beyond v = 2
+        pytest.param("(2-v)^0.5", "1.95", "no sign evidence: flux '(2-v)^0.5' is undefined at v = ",
+                     id="undefined-in-sign-evidence"),
+    ],
+)
+def test_k1_flux_undefined_near_base_state_exits_precondition(capsys, flux, alpha2, where):
+    code, report = run_cli(capsys, "k1", "--flux", flux, "--alpha2", alpha2)
+    assert code == 3
+    assert where in report["error"]
+    assert report["verdicts"] == []
 
 
 # ---------------------------------------------------------------------------

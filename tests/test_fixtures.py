@@ -100,7 +100,7 @@ def test_sym3_random_is_certificate_case():
     for seed in (0, 1, 2):
         entry = builtin("sym3-random(seed=%d)" % seed)
         assert entry.expected["certificate"]
-        res = find_rank_one(entry.subspace, mode="numeric", density=4000, seed=1)
+        res = find_rank_one(entry.subspace, density=4000, seed=1)
         assert not res.found
         cert = reduce_chain(entry.subspace)
         assert isinstance(cert, TrivialityCertificate) and cert.terminal
@@ -118,8 +118,8 @@ def test_sym3_rank_one_free_hand_instance():
             [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
         ]
     )
-    res = find_rank_one(K, mode="numeric", density=20000, seed=0)
-    assert not res.found and res.lower_bound > 1e-6
+    res = find_rank_one(K, density=20000, seed=0)
+    assert not res.found and res.residual > 1e-6
     from nullag.certify import TrivialityCertificate, reduce_chain
 
     cert = reduce_chain(K)

@@ -23,7 +23,8 @@ from nullag.measures import (
     two_atom_measure,
 )
 from nullag.fixtures import kr_family
-from nullag.subspace import Subspace, find_rank_one
+from nullag.certify import reduce_chain
+from nullag.subspace import Subspace
 from sample_oracle import construct_nontrivial_reference, value_fn_reference
 
 
@@ -67,8 +68,7 @@ def test_rank_one_pair_measure():
 
 def test_two_atom_measure_from_witness():
     K = Subspace([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
-    res = find_rank_one(K, mode="exact")
-    mu = two_atom_measure(K, res.witness)
+    mu = two_atom_measure(K, reduce_chain(K).rank_one_witness)
     assert is_null_lagrangian(mu).verdict
 
 

