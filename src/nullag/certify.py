@@ -601,9 +601,10 @@ def grassmann_genericity(k, m, n, chart, A) -> GenericityReport:
     R^(mn); ``A`` is the (mn-k) x k matrix of the linear map whose graph
     over W0 picks the subspace.  The 2x2 minors restricted to that
     subspace give quadratic forms on R^k; the report carries the volume
-    Lambda = det(Pi Pi^T) of their vectorization, the span dimension, and
-    a combination beta whose form is positive definite when the span is
-    full (|Lambda| above ``LAMBDA_TOL``).
+    Lambda = det(Pi Pi^T) of their vectorization, the span dimension, and,
+    when the span is full (|Lambda| above ``LAMBDA_TOL``), the combination
+    beta whose form is the identity by least squares, and the form's least
+    eigenvalue.
 
     The float forms are one q0 x k x k tensor gathered through the flat
     minor index map of the numeric rank-one search; column j of Pi lists
@@ -632,7 +633,6 @@ def grassmann_genericity(k, m, n, chart, A) -> GenericityReport:
     h11, h22, h12, h21 = (H[idx] for idx in _minor_index_arrays(m, n))
     outer = lambda u, v: u[:, :, None] * v[:, None, :]
     X_all = 0.5 * (((outer(h11, h22) + outer(h22, h11)) - outer(h12, h21)) - outer(h21, h12))
-    q0 = len(X_all)
     upper = np.triu_indices(k)
     Pi = np.ascontiguousarray(X_all[:, upper[0], upper[1]].T)
     lam = float(np.linalg.det(Pi @ Pi.T))
@@ -640,22 +640,10 @@ def grassmann_genericity(k, m, n, chart, A) -> GenericityReport:
     exact_span_dim = None
     if _chart_is_rational(chart, A_raw):
         exact_span_dim = _chart_subspace(m, n, W0, W1, A_raw).minor_forms().span_dim()
-    beta = None
-    min_eig = None
+    beta = min_eig = None
     if abs(lam) > LAMBDA_TOL and span_dim == len(Pi):
-        target = np.eye(k)[upper]
-        beta, *_ = np.linalg.lstsq(Pi, target, rcond=None)
-        S = np.tensordot(beta, X_all, axes=1)
-        min_eig = float(np.linalg.eigvalsh(S).min())
-        if min_eig <= 1e-9:
-            rng = np.random.default_rng(0)
-            for _ in range(3):
-                jitter = rng.standard_normal(q0) * 1e-6
-                cand = beta + jitter - np.linalg.lstsq(Pi, Pi @ jitter, rcond=None)[0]
-                S2 = np.tensordot(cand, X_all, axes=1)
-                e2 = float(np.linalg.eigvalsh(S2).min())
-                if e2 > min_eig:
-                    beta, min_eig = cand, e2
+        beta, *_ = np.linalg.lstsq(Pi, np.eye(k)[upper], rcond=None)
+        min_eig = float(np.linalg.eigvalsh(np.tensordot(beta, X_all, axes=1)).min())
     return GenericityReport(lam, span_dim, beta, min_eig, exact_span_dim)
 
 

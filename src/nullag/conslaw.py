@@ -9,10 +9,15 @@ contraction iteration starting from the linear solution converges to
 exact weights while staying componentwise positive.  Everything here is
 binary64: the flux is a user callable, so all verifications are
 tolerance-based and the tolerances ride along in the results.
+
+A flux expression is parsed by Python's ``ast``; a whitelisted copy of its
+tree and the copy's derivative are compiled once each, without builtins.
 """
 
 from __future__ import annotations
 
+import ast
+import itertools
 import math
 
 import numpy as np
@@ -61,17 +66,20 @@ class FluxFunction:
 
     @staticmethod
     def from_expression(text):
-        ast = _parse_flux_expression(text)
-        dast = _diff(ast)
+        """The flux of an expression in v, with F = int_0^v a by quadrature.
+
+        Grammar: ``str.isdigit`` digits, ``.``, ``+ - * / ^ ( )``, ``v``
+        and whitespace; each maximal run of digits and dots is one
+        ``float``.  ^ binds tighter than unary signs and its exponent must
+        be a number (``v^(0.5)``, not ``v^-1`` or ``v^2^3``); ** is refused.
+        Only a whitelisted copy of the parsed tree is compiled
+        (``_flux_functions``).  a and a' raise ValueError where the value
+        is not a finite real number.
+        """
         from scipy.integrate import quad
 
-        a = _defined_evaluator(ast, "flux %r" % text)
-        a_prime = _defined_evaluator(dast, "slope of flux %r" % text)
-
-        def primitive(v, _a=a):
-            val, _ = quad(_a, 0.0, v, limit=200)
-            return val
-
+        a, a_prime = _flux_functions(text)
+        primitive = lambda v: quad(a, 0.0, v, limit=200)[0]
         return FluxFunction(a, primitive, a_prime, name=text, check=True)
 
     @staticmethod
@@ -79,7 +87,9 @@ class FluxFunction:
         """Resolve "linear", "quadratic:c", "cubic:c", or an expression.
 
         quadratic:c means a(v) = v + c v^2 and cubic:c means
-        a(v) = v + c v^3, keeping a'(0) = 1 positive.
+        a(v) = v + c v^3, keeping a'(0) = 1 positive.  Any other spec is
+        an expression in v over digits, ``.``, ``+ - * / ^ ( )`` and spaces
+        with constant exponents, compiled from a whitelisted tree only.
         """
         if spec == "linear":
             return FluxFunction.linear()
@@ -96,162 +106,102 @@ class FluxFunction:
         return FluxFunction.from_expression(spec)
 
 
-# -- tiny arithmetic-expression parser: +, -, *, /, ^, v, constants ---------
+# -- flux expressions: Python's parser, a whitelisted tree, one compile ----
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch == "v":
-            tokens.append("v")
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            tokens.append(float(text[i:j]))
-            i = j
-            continue
-        raise ValueError("unexpected character %r in flux expression" % ch)
-    return tokens
+def _flux_functions(text):
+    """(a, a') of a flux expression, wrapped by ``_defined_evaluator``.
 
-
-def _parse_flux_expression(text):
-    tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take(expected=None):
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
+    Each maximal run of digits and dots is read by ``float`` and enters the
+    Python source as a placeholder name; whitespace becomes a space and ^
+    becomes **.  Only ``_checked``'s copy of the parsed tree is compiled.
+    """
+    source, names = [], {"v": ast.Name("v", ast.Load())}
+    kind = lambda ch: "number" if ch.isdigit() or ch == "." else "space" if ch.isspace() else ch
+    for k, run in itertools.groupby(text, kind):
+        run = "".join(run)
+        if k == "number":
+            name = "_%d" % len(names)
+            names[name], run = ast.Constant(float(run)), " %s " % name
+        elif k == "space":
+            run = " "
+        elif k not in "+-*/^()v":
+            raise ValueError("unexpected character %r in flux expression" % k)
+        elif run.startswith("**"):
             raise ValueError("malformed flux expression %r" % text)
-        pos[0] += 1
-        return tok
-
-    def parse_expr():
-        node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            node = (("add" if op == "+" else "sub"), node, rhs)
-        return node
-
-    def parse_term():
-        node = parse_factor()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_factor()
-            node = (("mul" if op == "*" else "div"), node, rhs)
-        return node
-
-    def parse_factor():
-        tok = peek()
-        if tok == "+":
-            take()
-            return parse_factor()
-        if tok == "-":
-            take()
-            return ("sub", ("num", 0.0), parse_factor())
-        return parse_power()
-
-    def parse_power():
-        base = parse_atom()
-        if peek() == "^":
-            take()
-            expo = parse_factor()
-            if expo[0] != "num":
-                raise ValueError("exponent must be a constant in %r" % text)
-            return ("pow", base, expo)
-        return base
-
-    def parse_atom():
-        tok = peek()
-        if tok == "(":
-            take()
-            node = parse_expr()
-            take(")")
-            return node
-        if tok == "v":
-            take()
-            return ("var",)
-        if isinstance(tok, float):
-            take()
-            return ("num", tok)
-        raise ValueError("malformed flux expression %r" % text)
-
-    node = parse_expr()
-    if pos[0] != len(tokens):
-        raise ValueError("trailing input in flux expression %r" % text)
-    return node
+        source.append(run.replace("^", "**"))
+    try:
+        tree = _checked(ast.parse("".join(source).strip(), mode="eval").body, names, text)
+        return (_defined_evaluator(_compiled(tree), "flux %r" % text),
+                _defined_evaluator(_compiled(_diff(tree)), "slope of flux %r" % text))
+    except SyntaxError:
+        raise ValueError("malformed flux expression %r" % text) from None
+    except (RecursionError, MemoryError):
+        raise ValueError("flux expression %r is nested too deeply" % text) from None
 
 
-def _eval(node, v):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        return v
-    if kind == "add":
-        return _eval(node[1], v) + _eval(node[2], v)
-    if kind == "sub":
-        return _eval(node[1], v) - _eval(node[2], v)
-    if kind == "mul":
-        return _eval(node[1], v) * _eval(node[2], v)
-    if kind == "div":
-        return _eval(node[1], v) / _eval(node[2], v)
-    if kind == "pow":
-        return _eval(node[1], v) ** node[2][1]
-    raise ValueError("bad node %r" % (node,))
+def _checked(node, names, text):
+    """A copy of ``node`` made of v, float constants, + - * / and powers
+    with a constant exponent.  Unary plus is dropped and unary minus
+    becomes 0.0 - x, so -v is +0.0 at v = 0."""
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        operand = _checked(node.operand, names, text)
+        return operand if isinstance(node.op, ast.UAdd) else _op(ast.Constant(0.0), ast.Sub, operand)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
+        left, right = _checked(node.left, names, text), _checked(node.right, names, text)
+        if isinstance(node.op, ast.Pow) and not isinstance(right, ast.Constant):
+            raise ValueError("exponent must be a constant in %r" % text)
+        return _op(left, type(node.op), right)
+    raise ValueError("malformed flux expression %r" % text)
 
 
-def _defined_evaluator(node, label):
-    """v -> ``_eval(node, v)``, raising ValueError at a v where the value is
-    not a finite real number (a division by zero, a negative base under a
-    fractional power, an overflow)."""
+def _op(left, op, right):
+    return ast.BinOp(left, op(), right)
+
+
+def _diff(node):
+    """d/dv of a ``_checked`` tree by the sum, product, quotient and
+    constant-power rules; subtrees are shared, not copied."""
+    if isinstance(node, ast.Constant):
+        return ast.Constant(0.0)
+    if isinstance(node, ast.Name):
+        return ast.Constant(1.0)
+    left, op, right = node.left, type(node.op), node.right
+    if op in (ast.Add, ast.Sub):
+        return _op(_diff(left), op, _diff(right))
+    if op is ast.Mult:
+        return _op(_op(_diff(left), ast.Mult, right), ast.Add, _op(left, ast.Mult, _diff(right)))
+    if op is ast.Div:
+        num = _op(_op(_diff(left), ast.Mult, right), ast.Sub, _op(left, ast.Mult, _diff(right)))
+        return _op(num, ast.Div, _op(right, ast.Mult, right))
+    c = right.value
+    power = _op(left, ast.Pow, ast.Constant(c - 1.0))
+    return _op(_op(ast.Constant(c), ast.Mult, power), ast.Mult, _diff(left))
+
+
+def _compiled(body):
+    """``lambda v: body``, compiled with no builtins."""
+    tree = ast.parse("lambda v: 0", mode="eval")
+    tree.body.body = body
+    return eval(compile(ast.fix_missing_locations(tree), "<flux>", "eval"), {"__builtins__": {}})
+
+
+def _defined_evaluator(f, label):
+    """``f``, raising ValueError at a v where the value is not a finite
+    real number: a division by zero, a negative base under a fractional
+    power (a Python or numpy complex), an overflow."""
 
     def evaluate(v):
         try:
-            value = _eval(node, v)
-            if value.__class__ is not complex and math.isfinite(value):
+            value = f(v)
+            if not isinstance(value, complex) and math.isfinite(value):
                 return value
         except ArithmeticError:
             pass
         raise ValueError("%s is undefined at v = %r" % (label, float(v)))
 
     return evaluate
-
-
-def _diff(node):
-    kind = node[0]
-    if kind in ("num",):
-        return ("num", 0.0)
-    if kind == "var":
-        return ("num", 1.0)
-    if kind == "add":
-        return ("add", _diff(node[1]), _diff(node[2]))
-    if kind == "sub":
-        return ("sub", _diff(node[1]), _diff(node[2]))
-    if kind == "mul":
-        return ("add", ("mul", _diff(node[1]), node[2]), ("mul", node[1], _diff(node[2])))
-    if kind == "div":
-        num = ("sub", ("mul", _diff(node[1]), node[2]), ("mul", node[1], _diff(node[2])))
-        return ("div", num, ("mul", node[2], node[2]))
-    if kind == "pow":
-        c = node[2][1]
-        inner = ("mul", ("num", c), ("pow", node[1], ("num", c - 1.0)))
-        return ("mul", inner, _diff(node[1]))
-    raise ValueError("bad node %r" % (node,))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +536,8 @@ def negative_branch_evidence(flux: FluxFunction, alpha, delta=0.1, samples=10000
     pts = rng.uniform(-delta, delta, size=(samples, 4))
     u1, v1 = a1 + pts[:, 0], a2 + pts[:, 1]
     u2, v2 = a1 + pts[:, 2], a2 + pts[:, 3]
-    av = np.array([flux.a(x) for x in v2]) - np.array([flux.a(x) for x in v1])
+    # at Python floats an undefined flux raises at once, with no numpy warning
+    av = np.array([flux.a(x) for x in v2.tolist()]) - np.array([flux.a(x) for x in v1.tolist()])
     vals = (u2 - u1) ** 2 - (v2 - v1) * av
     return {
         "min": float(vals.min()),

@@ -370,6 +370,7 @@ def test_grassmann_v0_chart():
     assert rep.span_dim == 3
     assert abs(rep.lambda_value) > 1e-12
     assert rep.beta is not None and rep.min_eigenvalue > 0
+    assert abs(rep.min_eigenvalue - 1) < 1e-6  # beta's form is the identity
     assert len(rep.beta) == 36  # one entry per order-2 minor of 4 x 4, C(4,2)^2
 
 
@@ -463,6 +464,7 @@ def test_grassmann_random_scan():
         rep = grassmann_genericity(2, 4, 4, (W0, W1), A)
         if abs(rep.lambda_value) > 1e-12 and rep.beta is not None and rep.min_eigenvalue > 0:
             hits += 1
+            assert abs(rep.min_eigenvalue - 1) < 1e-6
             # positive combination stays positive on sampled directions
             span = np.array(W0) + A.T @ np.array(W1)
             pairs = enumerate_minors(4, 4, 2)

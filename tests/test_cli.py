@@ -328,6 +328,11 @@ def test_malformed_input_exits_schema(tmp_path, capsys, command, payload, extra)
         pytest.param(("k1", "--eps", "abc"), id="k1-eps-text"),
         pytest.param(("k1", "--flux", "v/(v-v)"), id="k1-flux-zero-division"),
         pytest.param(("k1", "--flux", "v^0.5"), id="k1-flux-complex"),
+        # deeper than Python's parser or the recursion limit allow
+        pytest.param(("k1", "--flux", "(" * 400 + "v" + ")" * 400), id="k1-flux-400-parentheses"),
+        pytest.param(("k1", "--flux", "+".join(["v"] * 1500)), id="k1-flux-1500-term-sum"),
+        # (--flux= so that argparse does not take the value for an option)
+        pytest.param(("k1", "--flux=" + "-" * 3000 + "v"), id="k1-flux-3000-minus-signs"),
     ],
 )
 def test_malformed_argument_exits_schema(capsys, argv):
@@ -350,6 +355,7 @@ def test_malformed_argument_exits_schema(capsys, argv):
                      id="undefined-in-sign-evidence"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_k1_flux_undefined_near_base_state_exits_precondition(capsys, flux, alpha2, where):
     code, report = run_cli(capsys, "k1", "--flux", flux, "--alpha2", alpha2)
     assert code == 3

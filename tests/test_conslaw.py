@@ -1,6 +1,10 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
+import flux_parser_oracle as oracle
 from nullag.conslaw import (
     AtomConstructionError,
     FluxFunction,
@@ -14,6 +18,8 @@ from nullag.conslaw import (
     push_forward_to_K1,
     solve_linear_weights,
     support_radius,
+    _defined_evaluator,
+    _flux_functions,
 )
 from nullag.measures import DiscreteMeasure, is_null_lagrangian
 
@@ -49,6 +55,78 @@ def test_flux_expression_parser():
 def test_flux_primitive_consistency_enforced():
     with pytest.raises(ValueError):
         FluxFunction(lambda v: v, lambda v: v, lambda v: 1.0, check=True)
+
+
+# numbers as the flux grammar reads them: leading zeros, "2." and ".5"
+NUMBERS = ("0", "1", "2", "3", "0.5", "1.25", "007", "010.50", "2.", ".5", "0.", "00", "12")
+
+
+def random_flux_expression(rng, depth):
+    """A seeded expression over the flux grammar, with nested + - * / ^,
+    unary signs, parentheses and exponents that are not always constant."""
+    number = lambda: rng.choice(NUMBERS)
+    sub = lambda: random_flux_expression(rng, depth - 1)
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return rng.choice(("v", "v", number()))
+    if r < 0.32:
+        return rng.choice("+-") + rng.choice(("", " ")) + sub()
+    if r < 0.44:
+        return "(" + sub() + ")"
+    if r < 0.6:
+        base = rng.choice(("v", number(), "(%s)" % sub()))
+        exponent = rng.choice((number(), "(%s)" % number(), "+" + number(), "-" + number(),
+                               number() + "^" + number(), "v", "(%s)" % sub()))
+        return base + "^" + exponent
+    space = lambda: rng.choice(("", "", " "))
+    return sub() + space() + rng.choice("+-*/") + space() + sub()
+
+
+FLUX_LISTED = ("v**2", "1e3*v", "v^-1", "v^2^3", "v^(2)", "2v", "v//2", "()", "--v", " 15",
+               "v\r+1", "\u00b2", "\u0663*v")
+FLUX_ALPHABET = "0123456789.+-*/^()v \t\n"
+FLUX_POINTS = [0.0, 0.5, -0.5, 1.0, -2.0, 3.0, 0.1, np.float64(0.0), np.float64(-0.75)]
+
+
+def outcome(f, v):
+    """("raises",) or (value, type, sign of zero) of f at v."""
+    try:
+        value = f(v)
+    except ValueError:
+        return ("raises",)
+    return (value, type(value), math.copysign(1.0, value.real))
+
+
+def test_flux_expressions_agree_with_reference_parser():
+    """Python's parser with the whitelisted tree accepts and rejects what
+    the hand-written parser did, and a and a' agree in value, type and
+    sign of zero; unary minus stays 0.0 - x, so -v is +0.0 at v = 0."""
+    rng = random.Random(20)
+    corpus = list(FLUX_LISTED)
+    corpus += [random_flux_expression(rng, rng.randint(1, 5)) for _ in range(20000)]
+    corpus += ["".join(rng.choice(FLUX_ALPHABET) for _ in range(rng.randint(1, 10)))
+               for _ in range(20000)]
+    accepted = 0
+    with np.errstate(all="ignore"):
+        for text in corpus:
+            try:
+                node = oracle.parse_flux_expression(text)
+                reference = [_defined_evaluator(lambda v, n=n: oracle.evaluate(n, v), "reference")
+                             for n in (node, oracle.diff(node))]
+            except ValueError:
+                reference = None
+            try:
+                compiled = _flux_functions(text)
+            except ValueError:
+                compiled = None
+            assert (reference is None) == (compiled is None), text
+            if compiled is None:
+                continue
+            accepted += 1
+            for ref, new in zip(reference, compiled):
+                for v in FLUX_POINTS:
+                    assert outcome(ref, v) == outcome(new, v), (text, v)
+    assert 15000 < accepted < len(corpus) - 5000
 
 
 def test_k1_point_validation():
