@@ -115,13 +115,13 @@ def _flux_functions(text):
     Python source as a placeholder name; whitespace becomes a space and ^
     becomes **.  Only ``_checked``'s copy of the parsed tree is compiled.
     """
-    source, names = [], {"v": ast.Name("v", ast.Load())}
+    source, names = [], {"v": ast.Name("v", ast.Load(), lineno=1, col_offset=0)}
     kind = lambda ch: "number" if ch.isdigit() or ch == "." else "space" if ch.isspace() else ch
     for k, run in itertools.groupby(text, kind):
         run = "".join(run)
         if k == "number":
             name = "_%d" % len(names)
-            names[name], run = ast.Constant(float(run)), " %s " % name
+            names[name], run = _const(float(run)), " %s " % name
         elif k == "space":
             run = " "
         elif k not in "+-*/^()v":
@@ -147,7 +147,7 @@ def _checked(node, names, text):
         return names[node.id]
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         operand = _checked(node.operand, names, text)
-        return operand if isinstance(node.op, ast.UAdd) else _op(ast.Constant(0.0), ast.Sub, operand)
+        return operand if isinstance(node.op, ast.UAdd) else _op(_const(0.0), ast.Sub, operand)
     if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
         left, right = _checked(node.left, names, text), _checked(node.right, names, text)
         if isinstance(node.op, ast.Pow) and not isinstance(right, ast.Constant):
@@ -156,17 +156,23 @@ def _checked(node, names, text):
     raise ValueError("malformed flux expression %r" % text)
 
 
+def _const(c):
+    """Nodes get their location when built: the derivative shares subtrees,
+    which ``ast.fix_missing_locations`` would walk once per use."""
+    return ast.Constant(c, lineno=1, col_offset=0)
+
+
 def _op(left, op, right):
-    return ast.BinOp(left, op(), right)
+    return ast.BinOp(left, op(), right, lineno=1, col_offset=0)
 
 
 def _diff(node):
     """d/dv of a ``_checked`` tree by the sum, product, quotient and
     constant-power rules; subtrees are shared, not copied."""
     if isinstance(node, ast.Constant):
-        return ast.Constant(0.0)
+        return _const(0.0)
     if isinstance(node, ast.Name):
-        return ast.Constant(1.0)
+        return _const(1.0)
     left, op, right = node.left, type(node.op), node.right
     if op in (ast.Add, ast.Sub):
         return _op(_diff(left), op, _diff(right))
@@ -176,15 +182,15 @@ def _diff(node):
         num = _op(_op(_diff(left), ast.Mult, right), ast.Sub, _op(left, ast.Mult, _diff(right)))
         return _op(num, ast.Div, _op(right, ast.Mult, right))
     c = right.value
-    power = _op(left, ast.Pow, ast.Constant(c - 1.0))
-    return _op(_op(ast.Constant(c), ast.Mult, power), ast.Mult, _diff(left))
+    power = _op(left, ast.Pow, _const(c - 1.0))
+    return _op(_op(_const(c), ast.Mult, power), ast.Mult, _diff(left))
 
 
 def _compiled(body):
     """``lambda v: body``, compiled with no builtins."""
     tree = ast.parse("lambda v: 0", mode="eval")
     tree.body.body = body
-    return eval(compile(ast.fix_missing_locations(tree), "<flux>", "eval"), {"__builtins__": {}})
+    return eval(compile(tree, "<flux>", "eval"), {"__builtins__": {}})
 
 
 def _defined_evaluator(f, label):
@@ -219,27 +225,6 @@ def p1_alpha_matrix(flux: FluxFunction, alpha, u, v):
     da = flux.a(v) - flux.a(a2)
     dF = flux.primitive(v) - flux.primitive(a2) - flux.a(a2) * (v - a2)
     return np.array([[du, v - a2], [da, du], [du * da, 0.5 * du * du + dF]])
-
-
-class K1Point:
-    """The 3x2 matrix of a state (u, v), checked against the manifold."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, u, v, matrix, check_against=None, tol=1e-9):
-        self.matrix = np.asarray(matrix, dtype=float)
-        if self.matrix.shape != (3, 2):
-            raise ValueError("manifold points are 3x2 matrices")
-        if check_against is not None:
-            expect = check_against
-            scale = max(1.0, float(np.abs(expect).max()))
-            if float(np.abs(self.matrix - expect).max()) > tol * scale:
-                raise ValueError("matrix is off the manifold at (%g, %g)" % (u, v))
-
-    @staticmethod
-    def on_manifold(flux, u, v, tol=1e-9):
-        M = p1_matrix(flux, u, v)
-        return K1Point(u, v, M, check_against=M, tol=tol)
 
 
 def _minor(M, i, j):

@@ -8,26 +8,27 @@ constructed by convex-hull membership: collect candidate support points,
 stack the values of a spanning family of polynomials, and solve the
 resulting equality-form Farkas problem with an exact simplex.
 
-The simplex runs on one fraction-free integer tableau: each row is scaled
-to integers once, every entry is the rational tableau entry times the
-basis determinant D (and a positive row or column scale), and a pivot is
-the exact Bareiss step (p*x - f*r) // D.  The reduced costs are one more
-row of that tableau.  All scale factors are positive and cancel in each
-pivot decision, so Bland's rule takes the same pivots as on the rational
-tableau and returns the same solution or certificate (see
-``farkas_solve``).
+The simplex is a revised, fraction-free one: each column is scaled to
+integers by its own lcm, the solver keeps D * B^-1 (D the determinant of
+the basis B) and the right-hand side in integers, prices each column when
+it needs it, and a pivot is the Bareiss step (p*x - f*r) // D.  The
+scales cancel in each pivot decision, so Bland's rule takes the rational
+tableau's pivots.  A problem with columns appended resumes from the
+checkpoint of its last solve, the first basis where no old column could
+enter, on a cold solve's pivots (see ``farkas_solve``).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import (
     RationalMatrix,
+    _integer_row,
     enumerate_minors,
     independent_indices,
     minor,
@@ -223,22 +224,26 @@ class FarkasResult:
     ``x``            solution with Ax = b, x >= 0 (exact), or None.
     ``certificate``  y with y.A >= 0 componentwise and y.b < 0, or None.
     ``pivots``       simplex pivots taken.
+    ``checkpoint``   (problem, M, cost row, basis, D) at the first basis
+                     where no column of A could enter: the ``start`` of a
+                     solve with columns appended (``farkas_solve``).
     Exactly one of ``x`` and ``certificate`` is set.
     """
 
-    __slots__ = ("x", "certificate", "pivots")
+    __slots__ = ("x", "certificate", "pivots", "checkpoint")
 
-    def __init__(self, x=None, certificate=None, pivots=0):
+    def __init__(self, x=None, certificate=None, pivots=0, checkpoint=None):
         self.x = x
         self.certificate = certificate
         self.pivots = pivots
+        self.checkpoint = checkpoint
 
     @property
     def feasible(self):
         return self.x is not None
 
 
-def farkas_solve(problem: FarkasProblem) -> FarkasResult:
+def farkas_solve(problem: FarkasProblem, start=None) -> FarkasResult:
     """Exact phase-one simplex with Bland's rule (termination guaranteed).
 
     Minimizes the artificial mass of Ax + s = b', x, s >= 0, where row i
@@ -246,100 +251,106 @@ def farkas_solve(problem: FarkasProblem) -> FarkasResult:
     a positive optimum yields the separating vector from the simplex
     multipliers.  Both outcomes are re-verified exactly before returning.
 
-    The tableau is fraction-free (Edmonds 1967, Bareiss 1968).  Row i is
-    scaled once by L_i, the lcm of its denominators, and its artificial
-    variable by L_i too, so the start is an integer tableau on a unit
-    basis, and the artificial costs become D0/L_i with D0 = lcm(L_i).
-    The reduced costs are one more tableau row.  Each pivot on
-    p = M[l][e] keeps row l, maps every other row r to
-    (p*r - r[e]*M[l]) // D, an exact division, and sets D = p; D is the
-    determinant of the current basis and stays positive.
+    The simplex is revised and fraction-free (Edmonds 1967, Bareiss 1968).
+    Column j of A is scaled by c_j, the lcm of its own denominators, and b'
+    by c_b, to the integer columns a_j and b''.  With B the basis of
+    [a_1 ... a_n | I] and D > 0 its determinant, the solver keeps the
+    integers M = D * B^-1 [I | b''] and, as the cost row, D (1 - y'_k) for
+    artificial k and -D times the artificial mass.  Column j of the full
+    tableau is D B^-1 a_j, M's first m columns times a_j, and its reduced
+    cost times D is -sum_k (D - cost[k]) a_jk; both are computed when
+    needed.  A pivot on entry p of the entering column keeps row l, maps
+    every other row r to (p*r - f*M[l]) // D, exactly, with f the entering
+    column's entry in row r, and sets D = p.  On the same basis, the
+    rational tableau T of the unscaled problem has D * T[i][j] * c_j /
+    c_(basis i) in row i and column j (c = 1 off A), and column j's reduced
+    cost is c_j times T's: the entering column (the first with a negative
+    reduced cost) is the same, and the ratios of the ratio test are c_b /
+    c_e times T's, so they keep their order and their ties (a tie goes to
+    the smaller basic index).  The pivots, x and y are thus Bland's on T,
+    with x_j = c_j M[i][-1] / (c_b D) and y'_k = 1 - rc(n+k).
 
-    Let T be the rational tableau of the unscaled problem on the same
-    basis.  Then M = D*T, except that a row whose basic variable is
-    artificial i carries a factor L_i and artificial column i a factor
-    1/L_i; the cost row holds D*D0*rc, divided by L_i in column n+i.
-    All these factors are positive, so the entering column (the first
-    non-basic one with a negative reduced cost) is the same.  In the
-    ratio test, a row's factor cancels in its own ratio M[i][-1] / M[i][e],
-    and D and the factor of column e are shared by every row, so the
-    ratios keep their order and their ties (compared by cross-multiplying;
-    a tie goes to the smaller basic index).  The pivots, the final basis,
-    x and y are therefore those of Bland's rule on T, with
-    y'_i = 1 - rc(n+i) read off the cost row.
+    ``result.checkpoint`` is the state at the first basis where no column
+    of A has a negative reduced cost (artificial columns may enter after
+    it).  Append columns to A, rows and b unchanged: a cold solve of the
+    wider problem takes the same pivots up to that basis, as the first old
+    column with a negative reduced cost enters in both (new columns come
+    after it, artificial ones last) and the ratio test sees the same rows
+    and basic indices in the same order.  ``start=result.checkpoint``
+    resumes there, to the cold solve's later pivots, x or y; a ``start``
+    whose problem is not a column prefix of ``problem`` is ignored.
     """
     A, b = problem.A, problem.b
     m, n = A.rows, A.cols
-    ncols = n + m
     signs = [-1 if x < 0 else 1 for x in b]
-    M = []
-    scales = []
-    for i in range(m):
-        row = [signs[i] * v for v in A.entries[i]] + [signs[i] * b[i]]
-        L = math.lcm(*(v.denominator for v in row))
-        ints = [v.numerator * (L // v.denominator) for v in row]
-        M.append(ints[:n] + [int(k == i) for k in range(m)] + ints[n:])
-        scales.append(L)
-    D0 = math.lcm(*scales)
-    costs = [D0 // L for L in scales]
-    # reduced costs on the artificial basis: c_j - sum_i c_(n+i) M[i][j]
-    cost_row = [-sum(c * row[j] for c, row in zip(costs, M)) for j in range(n)] + [0] * m
-    cost_row.append(-sum(c * row[ncols] for c, row in zip(costs, M)))
-    basis = list(range(n, ncols))
-    basic = [False] * n + [True] * m
-    D = 1
-    pivots = 0
+    cols = [_integer_column(col, signs) for col in zip(*A.entries)]
+    if start is not None and start[0].b == b and all(
+            row[:len(r0)] == r0 for row, r0 in zip(A.entries, start[0].A.entries)):
+        old, M, cost_row, basis, D = start
+        basis = [j + n - old.A.cols if j >= old.A.cols else j for j in basis]
+    else:
+        top = _integer_column(b, signs)
+        M = [[int(k == i) for k in range(m)] + [top[i]] for i in range(m)]
+        cost_row, basis, D = [0] * m + [-sum(top)], [n + i for i in range(m)], 1
+    checkpoint, pivots = None, 0
     while True:
-        enter = next((j for j in range(ncols) if cost_row[j] < 0 and not basic[j]), None)
+        Dy = [D - c for c in cost_row[:m]]  # D * y'
+        # column j's reduced cost times D is -Dy . a_j
+        enter = next((j for j, a in enumerate(cols) if sum(map(operator.mul, Dy, a)) > 0), None)
         if enter is None:
-            break
-        leave = None
-        for i, row in enumerate(M):
-            a = row[enter]
-            if a > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                # row[-1] / a against M[leave][-1] / M[leave][enter]
-                lhs = row[ncols] * M[leave][enter]
-                rhs = M[leave][ncols] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
-        if leave is None:
+            if checkpoint is None:
+                checkpoint = (problem, M, cost_row, basis[:], D)
+            enter = next((n + k for k in range(m) if cost_row[k] < 0), None)
+            if enter is None:
+                break
+            column, f = [row[enter - n] for row in M], cost_row[enter - n]
+        else:  # D B^-1 a_e; map stops at the end of a_e, before M's rhs
+            column = [sum(map(operator.mul, row, cols[enter])) for row in M]
+            f = -sum(map(operator.mul, Dy, cols[enter]))
+        rows = [i for i in range(m) if column[i] > 0]
+        if not rows:
             raise RuntimeError("phase-one objective unbounded; this cannot happen")
-        prow = M[leave]
-        p = prow[enter]
-        for row in itertools.chain(M, (cost_row,)):
-            if row is prow:
-                continue
-            f = row[enter]
-            if f:
-                row[:] = [(p * x - f * r) // D for x, r in zip(row, prow)]
-            elif p != D:
-                row[:] = [p * x // D for x in row]
-        basic[basis[leave]] = False
-        basic[enter] = True
+        # the least ratio M[i][-1] / column[i], a tie to the smaller basic index
+        leave = min(rows, key=lambda i: (Fraction(M[i][m], column[i]), basis[i]))
+        prow, p = M[leave], column[leave]
+        # M is replaced, never changed in place, so the checkpoint keeps its own
+        M = [row if row is prow else _pivoted(row, prow, f_r, p, D) for row, f_r in zip(M, column)]
+        cost_row = _pivoted(cost_row, prow, f, p, D)
         basis[leave] = enter
         D = p
         pivots += 1
 
-    if cost_row[ncols] == 0:  # -D*D0 times the artificial mass
+    if cost_row[m] == 0:  # -D times the scaled artificial mass
         x = [Fraction(0)] * n
+        c_b = _integer_row(b)[0]
         for row, j in zip(M, basis):
             if j < n:
-                x[j] = Fraction(row[ncols], D)
+                x[j] = Fraction(row[m] * _integer_row(A.column(j))[0], D * c_b)
         x = tuple(x)
         if any(xi < 0 for xi in x) or A.matvec(x) != b:
             raise RuntimeError("simplex produced an invalid solution")
-        return FarkasResult(x=x, pivots=pivots)
-    # simplex multipliers off the artificial columns: y'_i = 1 - rc(n+i)
-    y = tuple(
-        -signs[i] * (1 - Fraction(cost_row[n + i] * scales[i], D * D0)) for i in range(m)
-    )
-    ys = [vec_dot(y, A.column(j)) for j in range(n)]
-    if any(v < 0 for v in ys) or vec_dot(y, b) >= 0:
+        return FarkasResult(x=x, pivots=pivots, checkpoint=checkpoint)
+    # simplex multipliers off the artificial columns: y'_i = 1 - rc(n+i);
+    # y = Y / D with D > 0, so y.A_j >= 0 iff Y . (c_j A_j) >= 0 in integers
+    Y = [-s * (D - c) for s, c in zip(signs, cost_row[:m])]
+    y = tuple(Fraction(v, D) for v in Y)
+    if vec_dot(y, b) >= 0 or any(
+            sum(map(operator.mul, Y, _integer_row(col)[1])) < 0 for col in zip(*A.entries)):
         raise RuntimeError("simplex produced an invalid infeasibility certificate")
-    return FarkasResult(certificate=y, pivots=pivots)
+    return FarkasResult(certificate=y, pivots=pivots, checkpoint=checkpoint)
+
+
+def _integer_column(col, signs):
+    """c * col in ints, c the lcm of its denominators, entry i times signs[i]."""
+    return [s * v for s, v in zip(signs, _integer_row(col)[1])]
+
+
+def _pivoted(row, prow, f, p, D):
+    """The Bareiss step of ``row``, whose entering-column entry is f, on the
+    pivot row ``prow`` with pivot p."""
+    if f:
+        return [(p * x - f * r) // D for x, r in zip(row, prow)]
+    return row if p == D else [p * x // D for x in row]
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +365,6 @@ class VectorMeasure:
     def __init__(self, points, weights):
         self.points = [tuple(rat(x) for x in p) for p in points]
         self.weights = tuple(rat(w) for w in weights)
-
-    def barycenter(self):
-        d = len(self.points[0])
-        return tuple(
-            sum((w * p[i] for w, p in zip(self.weights, self.points)), Fraction(0))
-            for i in range(d)
-        )
 
 
 def default_cone_sampler(d, seed=0):
@@ -412,6 +416,7 @@ def default_cone_sampler(d, seed=0):
 
 # points drawn per growth step of the sample
 _BATCH = 32
+_ZERO = Fraction(0)
 
 
 def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
@@ -431,24 +436,30 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
     ones row.  If y . a_c >= 0 on every new column c of the next step
     (with y = 0 on rows new at that step), y certifies the enlarged
     system too, since a certificate on a subset of the rows certifies the
-    whole system, and the step is settled without a solve.  Only
-    infeasible steps are skipped, so the final LP, its vertex and the
-    measure are those of solving at every step.
+    whole system, and the step is settled without a solve.  Otherwise,
+    if the row keys are those of the last solve, its LP is a column prefix
+    of the new one and the solve resumes from its checkpoint, taking the
+    pivots a cold solve takes after it (``farkas_solve``).  So the final
+    LP, its vertex and the measure are those of solving cold at every step.
 
     ``stats``, a dict if given, receives the Farkas counters:
     ``farkas_solves``, ``farkas_screened`` (steps settled by the last
-    certificate), ``farkas_pivots`` (summed over the solves) and
-    ``farkas_rows`` and ``farkas_cols`` of the last LP solved.
+    certificate), ``farkas_resumed`` (solves started from the last
+    checkpoint), ``farkas_pivots`` (the pivots taken, summed over the
+    solves, so not those a resumed solve skips) and ``farkas_rows`` and
+    ``farkas_cols`` of the last LP solved.
 
     Returns a VectorMeasure (atoms in R^d), or None.
     """
     if stats is None:
         stats = {}
-    stats.update(farkas_solves=0, farkas_screened=0, farkas_pivots=0, farkas_rows=0, farkas_cols=0)
+    stats.update(farkas_solves=0, farkas_screened=0, farkas_resumed=0, farkas_pivots=0,
+                 farkas_rows=0, farkas_cols=0)
     sampler = default_cone_sampler(d, seed=seed)
     points = []
     values = []
-    keys, y = (), None  # row keys and certificate of the last infeasible solve
+    # row keys, certificate and checkpoint of the last infeasible solve
+    keys, y, checkpoint = (), None, None
     while True:
         want = min(max(_BATCH, 2 * d) if not points else _BATCH, budget - len(points))
         start = len(points)
@@ -463,15 +474,14 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
         ):
             stats["farkas_screened"] += 1
         else:
-            keys = _independent_value_rows(values)
-            ncols = len(points)
+            rows = _independent_value_rows(values)
+            resumed, keys = rows == keys, rows
             Amat = RationalMatrix(
-                [[values[c].get(r, Fraction(0)) for c in range(ncols)] for r in keys]
-                + [[Fraction(1)] * ncols]
-            )
-            b = [Fraction(0)] * len(keys) + [Fraction(1)]
-            res = farkas_solve(FarkasProblem(Amat, b))
+                [[v.get(r, _ZERO) for v in values] for r in keys] + [[Fraction(1)] * len(points)])
+            b = [_ZERO] * len(keys) + [Fraction(1)]
+            res = farkas_solve(FarkasProblem(Amat, b), start=checkpoint if resumed else None)
             stats["farkas_solves"] += 1
+            stats["farkas_resumed"] += resumed
             stats["farkas_pivots"] += res.pivots
             stats["farkas_rows"], stats["farkas_cols"] = Amat.rows, Amat.cols
             if res.feasible:
@@ -479,7 +489,7 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
                 mu = VectorMeasure([p for _, p in support], [lam for lam, _ in support])
                 _verify_vector_measure(mu, values, res.x)
                 return mu
-            y = res.certificate
+            y, checkpoint = res.certificate, res.checkpoint
         if len(points) >= budget:
             return None
 
@@ -494,7 +504,7 @@ def _independent_value_rows(values):
     the solution set, so the Farkas instance only needs this basis.
     """
     live = sorted(set().union(*values)) if values else []
-    rows = ([v.get(r, Fraction(0)) for v in values] for r in live)
+    rows = ([v.get(r, _ZERO) for v in values] for r in live)
     return [live[i] for i in independent_indices(rows)]
 
 

@@ -4,7 +4,7 @@
 passes over the whole basis.  ``value_fn_reference`` evaluates every
 minor of P(z), so on a symmetric pencil it keeps both transposed twins.
 ``construct_nontrivial_reference`` solves the Farkas LP again at every
-growth step of the sample, with no certificate screening.  The library's
+growth step of the sample, cold, with no certificate screening.  The library's
 ``Subspace.evaluate``, ``subspace_value_fn`` and ``construct_nontrivial``
 must give the same matrices, the same independent rows and the same
 measure (or None) as these.
@@ -56,21 +56,22 @@ def value_fn_reference(K):
 
 
 def construct_nontrivial_reference(value_fn, d, budget=256, seed=0):
-    """One exact Farkas solve per growth step of the sample.
+    """One cold exact Farkas solve per growth step of the sample.
 
-    Returns ``(measure or None, solves, pivots of the last solve)``.
+    Returns ``(measure or None, solves)``, with ``solves`` mapping the
+    column count of each step's LP to its ``FarkasResult``.
     """
     sampler = default_cone_sampler(d, seed=seed)
     points = []
     values = []
-    solves = 0
+    solves = {}
     while True:
         want = min(max(_BATCH, 2 * d) if not points else _BATCH, budget - len(points))
         for p in itertools.islice(sampler, max(want, 0)):
             points.append(p)
             values.append(value_fn(p))
         if not points:
-            return None, solves, 0
+            return None, solves
         rows = _independent_value_rows(values)
         ncols = len(points)
         Amat = RationalMatrix(
@@ -78,12 +79,11 @@ def construct_nontrivial_reference(value_fn, d, budget=256, seed=0):
             + [[Fraction(1)] * ncols]
         )
         b = [Fraction(0)] * len(rows) + [Fraction(1)]
-        res = farkas_solve(FarkasProblem(Amat, b))
-        solves += 1
+        res = solves[ncols] = farkas_solve(FarkasProblem(Amat, b))
         if res.feasible:
             support = [(lam, p) for lam, p in zip(res.x, points) if lam != 0]
             mu = VectorMeasure([p for _, p in support], [lam for lam, _ in support])
             _verify_vector_measure(mu, values, res.x)
-            return mu, solves, res.pivots
+            return mu, solves
         if len(points) >= budget:
-            return None, solves, res.pivots
+            return None, solves

