@@ -443,6 +443,52 @@ def nonvanishing_minor_candidates(matrices, m, n, order="all"):
     return needed
 
 
+def minor_table(grid, top):
+    """{(rows, cols): det} for every non-zero minor of order 2..top of the
+    integer matrix ``grid`` (a list of rows of ints).
+
+    Laplace expansion along the last row: a minor on rows R + (r,) is the
+    signed sum of e[r][c] times the minors on its row prefix R that miss
+    column c, the sign being (-1) to the number of their columns after c.
+    The minors of one order are kept per row set, with the column set as a
+    bit mask, and only non-zero entries and non-zero minors are expanded,
+    so the work grows with the non-zero minors, not with C(m,p)*C(n,p).
+    """
+    support = [[(1 << j, v) for j, v in enumerate(row) if v] for row in grid]
+    # minors of the current order: {rows: {column mask: det}}
+    level = {(i,): dict(s) for i, s in enumerate(support) if s}
+    names = {}
+    out = {}
+    for _ in range(2, top + 1):
+        nxt = {}
+        for rows, dets in level.items():
+            for r in range(rows[-1] + 1, len(grid)):
+                entries = support[r]
+                if not entries:
+                    continue
+                acc = {}
+                for mask, det in dets.items():
+                    for bit, v in entries:
+                        if mask & bit:
+                            continue
+                        key = mask | bit
+                        # the sign counts the columns of mask after this one
+                        term = -v * det if (mask // bit).bit_count() & 1 else v * det
+                        acc[key] = acc.get(key, 0) + term
+                live = {key: x for key, x in acc.items() if x}
+                if live:
+                    new = rows + (r,)
+                    nxt[new] = live
+                    for key, x in live.items():
+                        cols = names.get(key)
+                        if cols is None:
+                            cols = names[key] = tuple(
+                                j for j in range(key.bit_length()) if key >> j & 1)
+                        out[(new, cols)] = x
+        level = nxt
+    return out
+
+
 def det_sum_expansion(A: RationalMatrix, X: RationalMatrix) -> Fraction:
     """det(A+X) computed through the mixed-minor expansion.
 

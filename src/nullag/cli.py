@@ -394,7 +394,16 @@ def cmd_verify(args):
         if "certificate" in obj:
             targets.append(("certificate", obj["certificate"]))
     elif "basis" in obj:
-        targets.append(("subspace", obj))
+        try:
+            Subspace.from_json(obj)
+        except (ValueError, KeyError) as exc:
+            report["error"] = str(exc)
+            _emit(report, args.json_out)
+            return EXIT_SCHEMA
+        report["verdicts"].append({"operation": "subspace-schema", "verdict": True})
+        report["conclusion"] = "subspace carries no re-verifiable artifact; schema accepted"
+        _emit(report, args.json_out)
+        return EXIT_VERIFIED
     if not targets:
         if "command" in obj and "verdicts" in obj:
             report["conclusion"] = "report carries no re-verifiable artifact; schema accepted"
@@ -411,13 +420,10 @@ def cmd_verify(args):
                 ok, entry = _verify_measure_obj(target)
                 report["verdicts"].append(entry)
                 all_ok = all_ok and ok
-            elif kind_i == "certificate":
+            else:
                 ok, entries = _verify_certificate_obj(target)
                 report["verdicts"].extend(entries)
                 all_ok = all_ok and ok
-            else:
-                Subspace.from_json(target)
-                report["verdicts"].append({"operation": "subspace-schema", "verdict": True})
     except (ValueError, KeyError) as exc:
         report["error"] = str(exc)
         _emit(report, args.json_out)

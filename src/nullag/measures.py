@@ -6,7 +6,11 @@ objects the rest of the library certifies against.  Verification is exact
 over the rationals.  Non-trivial measures with barycenter zero are
 constructed by convex-hull membership: collect candidate support points,
 stack the values of a spanning family of polynomials, and solve the
-resulting equality-form Farkas problem with an exact simplex.
+resulting equality-form Farkas problem with an exact simplex.  On a
+subspace the family is the minors of the pencil P(z) and the d
+projections; a point's minors are read off one integer grid, cL * P(z)
+with c the lcm of the basis denominators (once per pencil) and L that of
+the point's, by the Laplace minor table of ``algebra.minor_table``.
 
 The simplex is a revised, fraction-free one: each column is scaled to
 integers by its own lcm, the solver keeps D * B^-1 (D the determinant of
@@ -21,6 +25,7 @@ enter, on a cold solve's pivots (see ``farkas_solve``).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -33,6 +38,7 @@ from .algebra import (
     independent_indices,
     minor,
     minor_count,
+    minor_table,
     nonvanishing_minor_candidates,
     rat,
     rat_from_str,
@@ -532,26 +538,38 @@ def subspace_value_fn(K: Subspace):
 
     A minor is keyed ``(p, rows, cols)`` and the l-th projection
     ``(min(m, n) + 1, l)``, so the keys sort in ``enumerate_minors(m, n)``
-    order, followed by the projections.  Minor values are computed on the
-    evaluated matrix with structural-zero filtering, so sparse sample
-    points stay cheap even for big shapes.  When every basis matrix is
-    symmetric, P(z) is too and a minor equals its transpose; only the
-    twin with rows <= cols, the one that sorts first, is kept, so the
-    independent rows are the same.
+    order, followed by the projections.  The minors come from one integer
+    grid per point: the basis is cleared of denominators once per pencil,
+    by their lcm c, and the point z by the lcm L of its own, so that
+    E = cL * P(z) is an integer matrix; ``minor_table`` expands E's
+    non-zero minors by Laplace on row prefixes, and an order-p minor of
+    P(z) is that of E over (cL)**p.  When every basis matrix is symmetric,
+    P(z) is too and a minor equals its transpose; only the twin with
+    rows <= cols, the one that sorts first, is kept, so the independent
+    rows are the same.
     """
-    proj = min(K.m, K.n) + 1
+    d, top = K.d, min(K.m, K.n)
+    proj = top + 1
     symmetric = all(b == b.transpose() for b in K.basis)
+    entries = K.entry_grid()
+    c = math.lcm(*(x.denominator for row in entries for a in row for x in a))
+    # per entry (i, j), the pairs (l, c * B_l[i][j]) with a non-zero value
+    coeffs = [[[(l, x.numerator * (c // x.denominator)) for l, x in enumerate(a) if x]
+               for a in row] for row in entries]
 
     def value(p):
-        M = K.evaluate(p)
+        if len(p) != d:
+            raise ValueError("point dimension mismatch")
+        p = [rat(x) for x in p]
+        L, q = _integer_row(p)
+        grid = [[sum(q[l] * v for l, v in entry) for entry in row] for row in coeffs]
+        scale = [(c * L) ** k for k in range(top + 1)]
         vals = {}
-        for rows, cols in nonvanishing_minor_candidates([M], K.m, K.n):
+        for (rows, cols), det in minor_table(grid, top).items():
             if symmetric and rows > cols:
                 continue
-            v = minor(M, rows, cols)
-            if v != 0:
-                vals[(len(rows), rows, cols)] = v
-        for i in range(K.d):
+            vals[(len(rows), rows, cols)] = Fraction(det, scale[len(rows)])
+        for i in range(d):
             if p[i] != 0:
                 vals[(proj, i)] = p[i]
         return vals

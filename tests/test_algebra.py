@@ -12,6 +12,7 @@ from nullag.algebra import (
     enumerate_minors,
     independent_indices,
     minor,
+    minor_table,
     nonvanishing_minor_candidates,
     psd_analyze,
     rat_from_str,
@@ -402,6 +403,39 @@ def test_nonvanishing_candidates_filter():
     for rows, cols in enumerate_minors(4, 4, "all"):
         if (rows, cols) not in cand:
             assert minor(A, rows, cols) == 0
+
+
+def test_minor_table_is_the_nonzero_minors():
+    # the Laplace table against the enumerated Bareiss minors: every shape
+    # up to 6 x 6, sparse to dense, negative entries, all-zero rows and
+    # columns, and orders 2..top for every top up to min(m, n)
+    rng = random.Random(73)
+    zero_lines = orders = 0
+    for _ in range(6):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                density = rng.uniform(0.2, 1)
+                grid = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+                        for _ in range(m)]
+                if rng.random() < 0.3:
+                    grid[rng.randrange(m)] = [0] * n
+                if rng.random() < 0.3:
+                    j = rng.randrange(n)
+                    for row in grid:
+                        row[j] = 0
+                zero_lines += any(not any(row) for row in grid) or any(
+                    not any(col) for col in zip(*grid))
+                A = RationalMatrix(grid)
+                top = min(m, n) if rng.random() < 0.5 else rng.randint(1, min(m, n))
+                want = {}
+                for rows, cols in enumerate_minors(m, n):
+                    if len(rows) <= top and minor(A, rows, cols) != 0:
+                        want[(rows, cols)] = minor(A, rows, cols)
+                table = minor_table(grid, top)
+                assert table == want
+                assert all(type(v) is int for v in table.values())
+                orders = max(orders, max((len(rows) for rows, _ in table), default=0))
+    assert zero_lines > 20 and orders == 6
 
 
 def test_rational_string_roundtrip():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import subprocess
@@ -5,9 +6,11 @@ import sys
 
 import pytest
 
+from bench_inputs import sym3_open_pool
 from nullag.algebra import RationalMatrix, rat_from_str
 from nullag.cli import main
 from nullag.fixtures import quaternion_pencil
+from nullag.measures import default_cone_sampler, subspace_value_fn
 from nullag.subspace import Subspace
 
 
@@ -293,6 +296,52 @@ def test_verify_rejects_empty(tmp_path, capsys):
 
 
 ROTATION = {"m": 2, "n": 2, "d": 2, "basis": [[["1", "0"], ["0", "1"]], [["0", "1"], ["-1", "0"]]]}
+
+
+def test_verify_bare_subspace_accepts_only_the_schema(tmp_path, capsys):
+    # a subspace carries nothing to re-verify: the schema is checked and
+    # the conclusion says so, as for the other schema-only artifacts
+    code, report = run_cli(capsys, "verify", write_subspace(tmp_path, ROTATION))
+    assert code == 0
+    assert report["conclusion"] == "subspace carries no re-verifiable artifact; schema accepted"
+    assert report["verdicts"] == [{"operation": "subspace-schema", "verdict": True}]
+    dependent = dict(ROTATION, basis=[ROTATION["basis"][0]] * 2)
+    code, report = run_cli(capsys, "verify", write_subspace(tmp_path, dependent, "dep.json"))
+    assert code == 2 and "dependent" in report["error"] and report["verdicts"] == []
+
+
+def dense_pencil_9():
+    """Five dense non-symmetric 3 x 3 integer matrices drawn by Random(9)."""
+    rng = random.Random(9)
+    basis = [[[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)] for _ in range(5)]
+    return {"basis": [[[str(x) for x in row] for row in b] for b in basis]}
+
+
+def test_smoke_measures_verify_exactly(tmp_path, capsys):
+    # the exit-10 inputs of the console-script smoke step: each report's
+    # measure is re-checked by the exact Null Lagrangian test
+    inputs = {
+        "kr4": dump_fixture(capsys, "Kr(r=4)")["subspace"],
+        "sqrt2": {"basis": [[["1", "0"], ["0", "2"]], [["0", "1"], ["1", "0"]]]},
+        "sym3-1": {"basis": [[[str(x) for x in row] for row in b]
+                             for b in sym3_open_pool(2)[1]]},
+        "dense3": dense_pencil_9(),
+    }
+    for name, sub in inputs.items():
+        out = str(tmp_path / ("%s-report.json" % name))
+        code, report = run_cli(capsys, "analyze", write_subspace(tmp_path, sub), "--json-out", out)
+        verify_code, verified = run_cli(capsys, "verify", out)
+        assert (name, code, verify_code, verified["conclusion"]) == (name, 10, 0, "verified")
+        [check] = [v for v in verified["verdicts"] if v["operation"] == "is_null_lagrangian"]
+        assert check["exact"] and check["verdict"] is True and check["checked"] > 0, name
+    # the dense pencil: five solves, four resumed, 16 atoms, and an order-3
+    # minor in every LP column
+    lp = entry(report, "construct_nontrivial")
+    assert (lp["farkas_solves"], lp["farkas_resumed"], lp["atoms"]) == (5, 4, 16)
+    K = Subspace.from_json(inputs["dense3"])
+    points = itertools.islice(default_cone_sampler(K.d), lp["farkas_cols"])
+    value = subspace_value_fn(K)
+    assert all(any(len(key) == 3 and key[0] == 3 for key in value(p)) for p in points)
 
 
 @pytest.mark.parametrize(

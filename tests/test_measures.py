@@ -1,13 +1,13 @@
-import importlib.util
+import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from bench_inputs import sym3_open_pool
 from farkas_oracle import farkas_feasible_bruteforce, farkas_solve_reference
 from nullag import measures
 from nullag.algebra import RationalMatrix, enumerate_minors, minor, vec_dot
@@ -81,6 +81,25 @@ def test_measure_json_roundtrip():
     bad["shape"] = [3, 3]
     with pytest.raises(ValueError):
         DiscreteMeasure.from_json(bad)
+
+
+def test_measure_json_roundtrip_seeded():
+    # exact measures with rational atoms and weights (zero weights too)
+    # keep their atoms, weights and shape through the serialized text
+    rng = random.Random(83)
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        atoms, count = {}, rng.randint(1, 6)
+        while len(atoms) < count:
+            A = RationalMatrix([[rand_rat(rng, rng.choice((1, 5, 12))) for _ in range(n)]
+                                for _ in range(m)])
+            atoms[A.entries] = A
+        raw = [rng.randint(0, 9) for _ in atoms]
+        raw[0] += 1
+        mu = DiscreteMeasure(list(atoms.values()), [Fraction(w, sum(raw)) for w in raw])
+        mu2 = DiscreteMeasure.from_json(json.loads(json.dumps(mu.to_json())))
+        assert mu2.exact
+        assert (mu2.atoms, mu2.weights, mu2.shape) == (mu.atoms, mu.weights, (m, n))
 
 
 def test_translation_shift_keeps_commutation():
@@ -320,9 +339,25 @@ def test_construct_draws_the_whole_budget():
     assert (stats["farkas_rows"], stats["farkas_cols"]) == (3, 256)
 
 
+def assert_value_fn_follows_the_minor_enumeration(K, p):
+    """The sorted keys are the row order of the Farkas instance: non-zero
+    minors in enumerate_minors order, then the non-zero projections."""
+    m, n = K.m, K.n
+    M = K.evaluate(p)
+    vals = subspace_value_fn(K)(p)
+    minors = [(rows, cols) for rows, cols in enumerate_minors(m, n)
+              if minor(M, rows, cols) != 0]
+    proj = [l for l in range(K.d) if p[l] != 0]
+    assert sorted(vals) == ([(len(rows), rows, cols) for rows, cols in minors]
+                            + [(min(m, n) + 1, l) for l in proj])
+    for rows, cols in minors:
+        assert vals[(len(rows), rows, cols)] == minor(M, rows, cols)
+    for l in proj:
+        assert vals[(min(m, n) + 1, l)] == p[l]
+    return vals
+
+
 def test_value_fn_keys_follow_the_minor_enumeration():
-    # the sorted keys are the row order of the Farkas instance: non-zero
-    # minors in enumerate_minors order, then the non-zero projections
     rng = random.Random(29)
     for m in range(2, 6):
         for n in range(2, 6):
@@ -339,17 +374,21 @@ def test_value_fn_keys_follow_the_minor_enumeration():
                 p = tuple(rand_rat(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(d))
                 if not any(p):
                     continue
-                M = K.evaluate(p)
-                vals = subspace_value_fn(K)(p)
-                minors = [(rows, cols) for rows, cols in enumerate_minors(m, n)
-                          if minor(M, rows, cols) != 0]
-                proj = [l for l in range(d) if p[l] != 0]
-                assert sorted(vals) == ([(len(rows), rows, cols) for rows, cols in minors]
-                                        + [(min(m, n) + 1, l) for l in proj])
-                for rows, cols in minors:
-                    assert vals[(len(rows), rows, cols)] == minor(M, rows, cols)
-                for l in proj:
-                    assert vals[(min(m, n) + 1, l)] == p[l]
+                assert_value_fn_follows_the_minor_enumeration(K, p)
+    # dense 4x5 and 5x5 pencils with denominators up to 4 in the basis and
+    # in the points: minors up to order 5, taken off the integer grid
+    # cL * P(z) and divided by (cL)**p
+    top = set()
+    for m, n in ((4, 5), (5, 5)):
+        for d in (2, 3, 5):
+            K = Subspace([[[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                           for _ in range(m)] for _ in range(d)])
+            for _ in range(4):
+                p = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d))
+                if any(p):
+                    vals = assert_value_fn_follows_the_minor_enumeration(K, p)
+                    top.add(max(key[0] for key in vals if len(key) == 3))
+    assert top == {4, 5}
 
 
 def test_construct_blocked_by_certificate():
@@ -367,14 +406,6 @@ def test_construct_blocked_by_certificate():
 # ---------------------------------------------------------------------------
 # the sample path against the solve-every-step reference
 # ---------------------------------------------------------------------------
-
-def sym3_open_pool(count):
-    path = Path(__file__).resolve().parents[1] / "nullbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("nullbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.sym3_open_pool(count)
-
 
 @pytest.fixture
 def solve_results(monkeypatch):

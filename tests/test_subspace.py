@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -145,6 +146,18 @@ def test_subspace_json_roundtrip():
     assert K2 == K
     with pytest.raises(ValueError):
         Subspace.from_json({"basis": [[["1", "0"]]], "d": 7})
+
+
+def test_subspace_json_roundtrip_seeded():
+    # rational bases with negative and fractional entries, through the
+    # serialized text as well
+    rng = random.Random(79)
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        K = random_subspace(rng, m, n, rng.randint(1, min(m * n, 4)), span=rng.choice((1, 5, 12)))
+        obj = K.to_json()
+        assert Subspace.from_json(obj) == K
+        assert Subspace.from_json(json.loads(json.dumps(obj))) == K
 
 
 # ---------------------------------------------------------------------------
