@@ -30,11 +30,14 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s) -> Fraction:
-    if isinstance(s, bool):
+    """Parse an input rational; anything else, ``"1/0"`` included, is a
+    ValueError."""
+    if isinstance(s, bool) or not isinstance(s, (int, str, Fraction)):
         raise ValueError("not a rational: %r" % (s,))
-    if isinstance(s, (int, str, Fraction)):
+    try:
         return Fraction(s)
-    raise ValueError("not a rational: %r" % (s,))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator: %r" % (s,)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +100,6 @@ class RationalMatrix:
 
     def row(self, i):
         return self.entries[i]
-
-    def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
 
     def tolist(self):
         return [list(r) for r in self.entries]

@@ -12,14 +12,18 @@ projections; a point's minors are read off one integer grid, cL * P(z)
 with c the lcm of the basis denominators (once per pencil) and L that of
 the point's, by the Laplace minor table of ``algebra.minor_table``.
 
-The simplex is a revised, fraction-free one: each column is scaled to
-integers by its own lcm, the solver keeps D * B^-1 (D the determinant of
-the basis B) and the right-hand side in integers, prices each column when
-it needs it, and a pivot is the Bareiss step (p*x - f*r) // D.  The
-scales cancel in each pivot decision, so Bland's rule takes the rational
-tableau's pivots.  A problem with columns appended resumes from the
-checkpoint of its last solve, the first basis where no old column could
-enter, on a cold solve's pivots (see ``farkas_solve``).
+The simplex is a revised, fraction-free one.  Each column is held as a
+positive integer scale and an integer column, cleared of denominators
+once: by its own lcm for a problem given as a RationalMatrix, and when a
+sample point is drawn for the measure constructor, whose row basis and
+certificate screening read the same integer columns.  The solver keeps
+D * B^-1 (D the determinant of the basis B) and the right-hand side in
+integers, prices each column when it needs it, and a pivot is the Bareiss
+step (p*x - f*r) // D.  A positive column scale cancels in each pivot
+decision, so Bland's rule takes the rational tableau's pivots.  A problem
+with columns appended resumes from the checkpoint of its last solve, the
+first basis where no old column could enter, on a cold solve's pivots
+(see ``farkas_solve``).
 """
 
 from __future__ import annotations
@@ -212,16 +216,45 @@ def two_atom_measure(K: Subspace, witness) -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 class FarkasProblem:
-    """Feasibility instance: does Ax = b admit x >= 0?"""
+    """Feasibility instance: does Ax = b admit x >= 0?
 
-    __slots__ = ("A", "b")
+    Column j of A is held cleared of denominators: a positive integer
+    scale c_j (``scales[j]``) and the integer column c_j A_j
+    (``columns[j]``), which are all that ``farkas_solve`` reads of A.
+    ``FarkasProblem(A, b)`` clears the columns of a RationalMatrix once,
+    each by the lcm of its own denominators.  ``from_columns`` takes
+    columns cleared by the caller, with any positive scales, and builds
+    the RationalMatrix ``A`` only when it is read.
+    """
+
+    __slots__ = ("b", "scales", "columns", "_A")
 
     def __init__(self, A: RationalMatrix, b):
         b = tuple(rat(x) for x in b)
         if len(b) != A.rows:
             raise ValueError("right-hand side length mismatch")
-        self.A = A
-        self.b = b
+        self.b, self._A = b, A
+        self.scales, self.columns = zip(*(_integer_row(col) for col in zip(*A.entries)))
+
+    @classmethod
+    def from_columns(cls, scales, columns, b):
+        """The problem whose column j is ``columns[j] / scales[j]``: integer
+        columns, each of length len(b), and positive integer scales."""
+        if any(c <= 0 for c in scales):
+            raise ValueError("column scales must be positive")
+        problem = cls.__new__(cls)
+        problem.b, problem._A = tuple(rat(x) for x in b), None
+        problem.scales, problem.columns = tuple(scales), tuple(columns)
+        return problem
+
+    @property
+    def A(self):
+        """A as a RationalMatrix (built here on first read for a problem
+        made by ``from_columns``)."""
+        if self._A is None:
+            self._A = RationalMatrix([[Fraction(a[i], c) for a, c in zip(self.columns, self.scales)]
+                                      for i in range(len(self.b))])
+        return self._A
 
 
 class FarkasResult:
@@ -258,9 +291,10 @@ def farkas_solve(problem: FarkasProblem, start=None) -> FarkasResult:
     multipliers.  Both outcomes are re-verified exactly before returning.
 
     The simplex is revised and fraction-free (Edmonds 1967, Bareiss 1968).
-    Column j of A is scaled by c_j, the lcm of its own denominators, and b'
-    by c_b, to the integer columns a_j and b''.  With B the basis of
-    [a_1 ... a_n | I] and D > 0 its determinant, the solver keeps the
+    It reads A only as the problem's integer columns a_j = c_j A_j, c_j > 0
+    (``FarkasProblem``), with row i times the sign of b_i, and b' scaled by
+    c_b, the lcm of its denominators, to the integers b''.  With B the basis
+    of [a_1 ... a_n | I] and D > 0 its determinant, the solver keeps the
     integers M = D * B^-1 [I | b''] and, as the cost row, D (1 - y'_k) for
     artificial k and -D times the artificial mass.  Column j of the full
     tableau is D B^-1 a_j, M's first m columns times a_j, and its reduced
@@ -273,8 +307,9 @@ def farkas_solve(problem: FarkasProblem, start=None) -> FarkasResult:
     cost is c_j times T's: the entering column (the first with a negative
     reduced cost) is the same, and the ratios of the ratio test are c_b /
     c_e times T's, so they keep their order and their ties (a tie goes to
-    the smaller basic index).  The pivots, x and y are thus Bland's on T,
-    with x_j = c_j M[i][-1] / (c_b D) and y'_k = 1 - rc(n+k).
+    the smaller basic index).  Only the signs of the c_j enter this, not
+    their values: the pivots, x and y are Bland's on T for any positive
+    column scales, with x_j = c_j M[i][-1] / (c_b D) and y'_k = 1 - rc(n+k).
 
     ``result.checkpoint`` is the state at the first basis where no column
     of A has a negative reduced cost (artificial columns may enter after
@@ -283,19 +318,23 @@ def farkas_solve(problem: FarkasProblem, start=None) -> FarkasResult:
     column with a negative reduced cost enters in both (new columns come
     after it, artificial ones last) and the ratio test sees the same rows
     and basic indices in the same order.  ``start=result.checkpoint``
-    resumes there, to the cold solve's later pivots, x or y; a ``start``
-    whose problem is not a column prefix of ``problem`` is ignored.
+    resumes there, to the cold solve's later pivots, x or y.  The old
+    columns are not cleared again; a ``start`` is ignored unless its
+    problem has the same b and its scales and integer columns are a prefix
+    of ``problem``'s, as the checkpoint's integers hold in those scales.
     """
-    A, b = problem.A, problem.b
-    m, n = A.rows, A.cols
+    b, scales, columns = problem.b, problem.scales, problem.columns
+    m, n = len(b), len(columns)
     signs = [-1 if x < 0 else 1 for x in b]
-    cols = [_integer_column(col, signs) for col in zip(*A.entries)]
-    if start is not None and start[0].b == b and all(
-            row[:len(r0)] == r0 for row, r0 in zip(A.entries, start[0].A.entries)):
-        old, M, cost_row, basis, D = start
-        basis = [j + n - old.A.cols if j >= old.A.cols else j for j in basis]
+    cols = [list(map(operator.mul, signs, a)) for a in columns] if -1 in signs else columns
+    c_b, top = _integer_row(b)
+    old = start[0] if start else None
+    n_old = len(old.columns) if old else 0
+    if old and old.b == b and old.scales == scales[:n_old] and old.columns == columns[:n_old]:
+        _, M, cost_row, basis, D = start
+        basis = [j + n - n_old if j >= n_old else j for j in basis]
     else:
-        top = _integer_column(b, signs)
+        top = list(map(operator.mul, signs, top))
         M = [[int(k == i) for k in range(m)] + [top[i]] for i in range(m)]
         cost_row, basis, D = [0] * m + [-sum(top)], [n + i for i in range(m)], 1
     checkpoint, pivots = None, 0
@@ -328,27 +367,24 @@ def farkas_solve(problem: FarkasProblem, start=None) -> FarkasResult:
 
     if cost_row[m] == 0:  # -D times the scaled artificial mass
         x = [Fraction(0)] * n
-        c_b = _integer_row(b)[0]
         for row, j in zip(M, basis):
             if j < n:
-                x[j] = Fraction(row[m] * _integer_row(A.column(j))[0], D * c_b)
+                x[j] = Fraction(row[m] * scales[j], D * c_b)
         x = tuple(x)
-        if any(xi < 0 for xi in x) or A.matvec(x) != b:
+        # A x = b, with A_j = a_j / c_j, summed over the non-zero x_j
+        support = [j for j in range(n) if x[j]]
+        if any(xj < 0 for xj in x) or any(
+                sum((x[j] * columns[j][i] / scales[j] for j in support), Fraction(0)) != b[i]
+                for i in range(m)):
             raise RuntimeError("simplex produced an invalid solution")
         return FarkasResult(x=x, pivots=pivots, checkpoint=checkpoint)
     # simplex multipliers off the artificial columns: y'_i = 1 - rc(n+i);
-    # y = Y / D with D > 0, so y.A_j >= 0 iff Y . (c_j A_j) >= 0 in integers
+    # y = Y / D with D > 0 and c_j > 0, so y.A_j >= 0 iff Y . (c_j A_j) >= 0 in integers
     Y = [-s * (D - c) for s, c in zip(signs, cost_row[:m])]
     y = tuple(Fraction(v, D) for v in Y)
-    if vec_dot(y, b) >= 0 or any(
-            sum(map(operator.mul, Y, _integer_row(col)[1])) < 0 for col in zip(*A.entries)):
+    if vec_dot(y, b) >= 0 or any(sum(map(operator.mul, Y, a)) < 0 for a in columns):
         raise RuntimeError("simplex produced an invalid infeasibility certificate")
     return FarkasResult(certificate=y, pivots=pivots, checkpoint=checkpoint)
-
-
-def _integer_column(col, signs):
-    """c * col in ints, c the lcm of its denominators, entry i times signs[i]."""
-    return [s * v for s, v in zip(signs, _integer_row(col)[1])]
 
 
 def _pivoted(row, prow, f, p, D):
@@ -438,15 +474,25 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
     max(32, 2d) points and then by 32, until the Farkas solve succeeds or
     ``budget`` points are drawn.
 
+    Each point's value column is cleared of denominators once, when the
+    point is drawn: a positive scale L, the lcm of its values'
+    denominators, and the values times L in integers, with L in the ones
+    row.  The row basis, the certificate screening and the LP read only
+    these integer columns.  A positive column scale changes no row
+    independence, no sign of y . a_c and no pivot (``farkas_solve``), so
+    the rows, pivots, certificates and measure are those of the rational
+    columns.
+
     An infeasible solve leaves its certificate y on its row keys and the
     ones row.  If y . a_c >= 0 on every new column c of the next step
     (with y = 0 on rows new at that step), y certifies the enlarged
     system too, since a certificate on a subset of the rows certifies the
     whole system, and the step is settled without a solve.  Otherwise,
     if the row keys are those of the last solve, its LP is a column prefix
-    of the new one and the solve resumes from its checkpoint, taking the
-    pivots a cold solve takes after it (``farkas_solve``).  So the final
-    LP, its vertex and the measure are those of solving cold at every step.
+    of the new one: the old columns are kept, the new points' appended,
+    and the solve resumes from its checkpoint, taking the pivots a cold
+    solve takes after it (``farkas_solve``).  So the final LP, its vertex
+    and the measure are those of solving cold at every step.
 
     ``stats``, a dict if given, receives the Farkas counters:
     ``farkas_solves``, ``farkas_screened`` (steps settled by the last
@@ -464,38 +510,49 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
     sampler = default_cone_sampler(d, seed=seed)
     points = []
     values = []
-    # row keys, certificate and checkpoint of the last infeasible solve
-    keys, y, checkpoint = (), None, None
+    # per point, the scale L and the integer values {key: L * value}
+    scales = []
+    cleared = []
+    # row keys, certificate (cleared of denominators) and checkpoint of the
+    # last infeasible solve, and the LP columns on those keys
+    keys, Y, checkpoint, columns = (), None, None, []
     while True:
         want = min(max(_BATCH, 2 * d) if not points else _BATCH, budget - len(points))
         start = len(points)
         for p in itertools.islice(sampler, max(want, 0)):
+            v = value_fn(p)
+            L, ints = _integer_row(v.values())
             points.append(p)
-            values.append(value_fn(p))
+            values.append(v)
+            scales.append(L)
+            cleared.append(dict(zip(v, ints)))
         if not points:
             return None
-        if y is not None and all(
-            sum((yr * v[k] for k, yr in zip(keys, y) if k in v), y[-1]) >= 0
-            for v in values[start:]
+        if Y is not None and all(
+            sum((yr * c[k] for k, yr in zip(keys, Y) if k in c), Y[-1] * L) >= 0
+            for L, c in zip(scales[start:], cleared[start:])
         ):
             stats["farkas_screened"] += 1
         else:
-            rows = _independent_value_rows(values)
+            rows = _independent_value_rows(cleared)
             resumed, keys = rows == keys, rows
-            Amat = RationalMatrix(
-                [[v.get(r, _ZERO) for v in values] for r in keys] + [[Fraction(1)] * len(points)])
+            if not resumed:
+                columns = []
+            for L, c in zip(scales[len(columns):], cleared[len(columns):]):
+                columns.append([c.get(r, 0) for r in keys] + [L])
             b = [_ZERO] * len(keys) + [Fraction(1)]
-            res = farkas_solve(FarkasProblem(Amat, b), start=checkpoint if resumed else None)
+            res = farkas_solve(FarkasProblem.from_columns(scales, columns, b),
+                               start=checkpoint if resumed else None)
             stats["farkas_solves"] += 1
             stats["farkas_resumed"] += resumed
             stats["farkas_pivots"] += res.pivots
-            stats["farkas_rows"], stats["farkas_cols"] = Amat.rows, Amat.cols
+            stats["farkas_rows"], stats["farkas_cols"] = len(b), len(columns)
             if res.feasible:
                 support = [(lam, p) for lam, p in zip(res.x, points) if lam != 0]
                 mu = VectorMeasure([p for _, p in support], [lam for lam, _ in support])
                 _verify_vector_measure(mu, values, res.x)
                 return mu
-            y, checkpoint = res.certificate, res.checkpoint
+            Y, checkpoint = _integer_row(res.certificate)[1], res.checkpoint
         if len(points) >= budget:
             return None
 
@@ -504,13 +561,15 @@ def _independent_value_rows(values):
     """Keys of a row basis of the (functions x points) value matrix.
 
     Values are sparse per-point maps {key: value}; rows that vanish on
-    every point never appear.  The rows are taken in sorted key order and
+    every point never appear.  A point's map times a positive scale (its
+    values cleared of denominators) keeps the row basis, as it scales a
+    column of the matrix.  The rows are taken in sorted key order and
     a row is kept when ``independent_indices`` finds it independent of the
     rows before it: dependent rows, repeated ones included, do not change
     the solution set, so the Farkas instance only needs this basis.
     """
     live = sorted(set().union(*values)) if values else []
-    rows = ([v.get(r, _ZERO) for v in values] for r in live)
+    rows = ([v.get(r, 0) for v in values] for r in live)
     return [live[i] for i in independent_indices(rows)]
 
 

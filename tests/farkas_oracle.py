@@ -26,12 +26,13 @@ def farkas_feasible_bruteforce(problem) -> bool:
     """
     A, b = problem.A, problem.b
     n = A.cols
+    columns = list(zip(*A.entries))
     if all(x == 0 for x in b):
         return True
     for size in range(1, min(A.rows, n) + 1):
         basic = tuple(range(size))
         for subset in itertools.combinations(range(n), size):
-            red, pivots = RationalMatrix.from_columns([A.column(j) for j in subset] + [b]).rref()
+            red, pivots = RationalMatrix.from_columns([columns[j] for j in subset] + [b]).rref()
             if pivots == basic and all(red.entries[r][size] >= 0 for r in range(size)):
                 return True
     return False
@@ -111,7 +112,7 @@ def farkas_solve_reference(problem) -> FarkasResult:
     for i in range(m):
         yprime.append(sum((T[r][n + i] for r in range(m) if basis[r] >= n), Fraction(0)))
     y = tuple(-signs[i] * yprime[i] for i in range(m))
-    ys = [vec_dot(y, A.column(j)) for j in range(n)]
+    ys = [vec_dot(y, col) for col in zip(*A.entries)]
     if any(v < 0 for v in ys) or vec_dot(y, b) >= 0:
         raise RuntimeError("simplex produced an invalid infeasibility certificate")
     return FarkasResult(certificate=y, pivots=pivots)

@@ -319,7 +319,7 @@ def test_criterion_5_farkas_oracle():
             assert A.matvec(res.x) == tuple(b) and all(x >= 0 for x in res.x)
         else:
             y = res.certificate
-            assert all(vec_dot(y, A.column(j)) >= 0 for j in range(n))
+            assert all(vec_dot(y, col) >= 0 for col in zip(*A.entries))
             assert vec_dot(y, prob.b) < 0
     record_acceptance("ACCEPTANCE 5: PASS - 500 Farkas systems match the brute-force oracle with exact certificates")
 

@@ -354,7 +354,16 @@ def test_smoke_measures_verify_exactly(tmp_path, capsys):
                                 "subspace": ROTATION, "chain": [5]}, (), id="verify-chain-entry"),
         pytest.param("verify", {"kind": "measure", "shape": 5, "atoms": [[["1", "0"], ["0", "0"]]],
                                 "weights": ["1"]}, (), id="verify-measure-shape"),
+        pytest.param("verify", {"kind": "measure", "shape": [2, 2], "atoms": [[["1/0", "0"], ["0", "0"]]],
+                                "weights": ["1"]}, (), id="verify-atom-zero-denominator"),
+        pytest.param("verify", {"kind": "measure", "shape": [2, 2], "atoms": [[["1", "0"], ["0", "0"]]],
+                                "weights": ["1/0"]}, (), id="verify-weight-zero-denominator"),
+        pytest.param("verify", {"kind": "triviality-certificate", "terminal": True, "subspace": ROTATION,
+                                "chain": [{"beta": ["1/0"], "cone_basis": []}]}, (),
+                     id="verify-beta-zero-denominator"),
         pytest.param("analyze", dict(ROTATION, d=None), (), id="analyze-null-dimension"),
+        pytest.param("analyze", dict(ROTATION, basis=[[["1/0", "0"], ["0", "1"]]], d=1), (),
+                     id="analyze-basis-zero-denominator"),
         pytest.param("analyze", "Kr(r=0)", ("--budget", "-5"), id="budget-negative"),
     ],
 )

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 from bench_inputs import sym3_open_pool
 from farkas_oracle import farkas_feasible_bruteforce, farkas_solve_reference
 from nullag import measures
-from nullag.algebra import RationalMatrix, enumerate_minors, minor, vec_dot
+from nullag.algebra import RationalMatrix, _integer_row, enumerate_minors, minor, vec_dot
 from nullag.measures import (
     _independent_value_rows,
     DiscreteMeasure,
@@ -128,8 +128,8 @@ def test_farkas_identity_infeasible():
     res = farkas_solve(prob)
     assert not res.feasible
     y = res.certificate
-    for j in range(2):
-        assert vec_dot(y, prob.A.column(j)) >= 0
+    for col in zip(*prob.A.entries):
+        assert vec_dot(y, col) >= 0
     assert vec_dot(y, prob.b) < 0
 
 
@@ -167,7 +167,7 @@ def test_farkas_fuzz_against_bruteforce():
             assert all(x >= 0 for x in res.x)
         else:
             y = res.certificate
-            assert all(vec_dot(y, A.column(j)) >= 0 for j in range(n))
+            assert all(vec_dot(y, col) >= 0 for col in zip(*A.entries))
             assert vec_dot(y, prob.b) < 0
 
 
@@ -260,6 +260,77 @@ def test_farkas_resume_matches_cold_reference():
             assert (cold.x, cold.certificate, cold.pivots) == (ref.x, ref.certificate, ref.pivots)
             stale += cold.pivots > 0
     assert reentered > 0 and stale > 0 and outcomes == {True, False}
+
+
+def scaled_problem(cols, b, ratios, factors):
+    """A diag(ratios) for A with the given columns, as a RationalMatrix and
+    as integer columns cleared with factors[j] times the lcm of column j's
+    denominators (any positive scale, not the least one)."""
+    A = RationalMatrix.from_columns([[r * x for x in col] for r, col in zip(ratios, cols)])
+    cleared = [_integer_row(col) for col in zip(*A.entries)]
+    scales = [t * c for t, (c, _) in zip(factors, cleared)]
+    columns = [[t * v for v in a] for t, (_, a) in zip(factors, cleared)]
+    return A, FarkasProblem.from_columns(scales, columns, b)
+
+
+def test_farkas_column_scale_invariance():
+    # a positive column scale moves no pivot: A diag(r) takes A's pivots
+    # and certificate, with x_j / r_j, whatever positive scales clear its
+    # columns; on nested families, each step resumed from the last
+    rng = random.Random(37)
+    reentered = 0
+    outcomes = set()
+    for k in range(150):
+        m = rng.randint(1, 6)
+        b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)]
+        if k % 2 == 0:  # the shape construct_nontrivial solves
+            b = [Fraction(0)] * (m - 1) + [Fraction(1)]
+        cols, ratios, factors = [], [], []
+        res = res_s = None
+        for _ in range(rng.randint(2, 4)):
+            for _ in range(rng.randint(1, 4)):
+                col = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7
+                       else Fraction(0) for _ in range(m)]
+                cols.append(col[:-1] + [Fraction(1)] if k % 2 == 0 else col)
+                ratios.append(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                factors.append(rng.randint(1, 6))
+            prob = FarkasProblem(RationalMatrix.from_columns(cols), b)
+            A_s, scaled = scaled_problem(cols, b, ratios, factors)
+            res = farkas_solve(prob, start=res.checkpoint if res else None)
+            res_s = farkas_solve(scaled, start=res_s.checkpoint if res_s else None)
+            cold, cold_s = farkas_solve(prob), farkas_solve(scaled)
+            ref = farkas_solve_reference(FarkasProblem(A_s, b))
+            for got, want in ((res_s, res), (cold_s, cold)):
+                assert (got.certificate, got.pivots) == (want.certificate, want.pivots)
+                assert got.feasible == want.feasible
+                if got.feasible:
+                    assert [r * x for r, x in zip(ratios, got.x)] == list(want.x)
+            assert (cold_s.x, cold_s.certificate, cold_s.pivots) == (ref.x, ref.certificate, ref.pivots)
+            assert (res_s.x, res_s.certificate) == (ref.x, ref.certificate)
+            assert scaled.A == A_s
+            outcomes.add(res.feasible)
+        # past the checkpoint an artificial column enters, in both scales
+        again, again_s = farkas_solve(prob, start=res.checkpoint), farkas_solve(scaled, start=res_s.checkpoint)
+        assert (again_s.certificate, again_s.pivots) == (again.certificate, again.pivots)
+        reentered += again.pivots > 0
+    assert reentered > 0 and outcomes == {True, False}
+    # the row basis of a value table: each point's values times a positive
+    # rational, or cleared of denominators, keep the same keys
+    for _ in range(40):
+        npoints, base = rng.randint(1, 12), rng.randint(1, 5)
+        rows = [[rand_rat(rng) if rng.random() < 0.6 else Fraction(0) for _ in range(npoints)]
+                for _ in range(base)]
+        for _ in range(rng.randint(0, 6)):  # dependent rows: combinations of earlier ones
+            f = [rand_rat(rng) for _ in rows]
+            rows.insert(rng.randint(0, len(rows)), [sum(c * row[j] for c, row in zip(f, rows))
+                                                    for j in range(npoints)])
+        keys = rng.sample(range(100), len(rows))
+        values = [{key: row[j] for key, row in zip(keys, rows) if row[j]} for j in range(npoints)]
+        ratios = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in values]
+        scaled = [{key: r * v for key, v in vals.items()} for r, vals in zip(ratios, values)]
+        cleared = [dict(zip(vals, _integer_row(vals.values())[1])) for vals in values]
+        assert _independent_value_rows(scaled) == _independent_value_rows(values)
+        assert _independent_value_rows(cleared) == _independent_value_rows(values)
 
 
 def test_farkas_feasibility_matches_highs():
@@ -446,22 +517,24 @@ def assert_matches_reference(value_fn, reference_fn, d, results, budget=256, see
 def test_screening_matches_solving_every_step_on_pencils(solve_results):
     # the open symmetric 3x3 pool (three draws exhaust the budget) and the
     # Kr ladder: same measure or None, same LPs as one cold solve per step
-    screened, resumed = [], []
+    counters = []
     for basis in sym3_open_pool(8):
         K = Subspace(basis)
         _, stats = assert_matches_reference(
             subspace_value_fn(K), value_fn_reference(K), K.d, solve_results)
-        screened.append(stats["farkas_screened"])
-        resumed.append(stats["farkas_resumed"])
+        counters.append(tuple(stats["farkas_" + key] for key in
+                              ("solves", "screened", "resumed", "pivots", "rows", "cols")))
     for r in range(5):
         K = kr_family(r)
         vm, stats = assert_matches_reference(
             subspace_value_fn(K), value_fn_reference(K), K.d, solve_results)
         assert vm is not None and stats["farkas_screened"] == 0
-    # the three draws that exhaust the budget: 8 growth steps each; the
+    # (solves, screened, resumed, pivots, rows, cols) of each draw; the
+    # three that exhaust the budget take 8 growth steps each, and their
     # row keys never change, so every solve after the first resumes
-    assert screened == [3, 0, 2, 0, 4, 0, 0, 0]
-    assert resumed == [4, 5, 5, 1, 3, 5, 3, 2]
+    assert counters == [(5, 3, 4, 15, 12, 256), (6, 0, 5, 76, 13, 192), (6, 2, 5, 53, 12, 224),
+                        (2, 0, 1, 42, 13, 64), (4, 4, 3, 32, 12, 192), (6, 0, 5, 188, 13, 192),
+                        (4, 0, 3, 90, 12, 128), (3, 0, 2, 55, 13, 96)]
 
 
 def test_screening_matches_solving_every_step_on_polynomial_families(solve_results):
