@@ -153,7 +153,7 @@ class GenericityReport:
 
     __slots__ = ("lambda_value", "span_dim", "beta", "min_eigenvalue", "exact_span_dim")
 
-    def __init__(self, lambda_value, span_dim, beta, min_eigenvalue, exact_span_dim=None):
+    def __init__(self, lambda_value, span_dim, beta=None, min_eigenvalue=None, exact_span_dim=None):
         self.lambda_value = lambda_value
         self.span_dim = span_dim
         self.beta = beta
@@ -592,68 +592,118 @@ def reduce_chain(K: Subspace):
 
 # |Lambda| at or below this counts as zero
 LAMBDA_TOL = 1e-12
+# float entries that one block of charts may hold in the genericity kernel
+# (a block holds as many charts as fit, and at least one)
+BLOCK_ENTRIES = 1 << 17
+# a chart that alone needs more float entries than this is refused
+CHART_ENTRIES = 1 << 24
 
 
-def grassmann_genericity(k, m, n, chart, A) -> GenericityReport:
-    """Probe one chart point of the space of k-dimensional subspaces.
+def genericity_block(k, m, n):
+    """Charts per kernel block of shape (k, m, n) within ``BLOCK_ENTRIES``.
 
-    ``chart`` is a pair (W0 basis, W1 basis) of transversal subspaces of
-    R^(mn); ``A`` is the (mn-k) x k matrix of the linear map whose graph
-    over W0 picks the subspace.  The 2x2 minors restricted to that
-    subspace give quadratic forms on R^k; the report carries the volume
-    Lambda = det(Pi Pi^T) of their vectorization, the span dimension, and,
-    when the span is full (|Lambda| above ``LAMBDA_TOL``), the combination
-    beta whose form is the identity by least squares, and the form's least
-    eigenvalue.
-
-    The float forms are one q0 x k x k tensor gathered through the flat
-    minor index map of the numeric rank-one search; column j of Pi lists
-    the upper triangle of form j, row-major (``np.triu_indices(k)``
-    order).  On a rational chart the exact span dimension is the rank of
-    ``Subspace.minor_forms()`` of the chart subspace.
+    A chart holds, at once, its mn x mn rows, the gathered pencil
+    coefficients, the forms tensor with its product buffer, and Pi gathered
+    and made contiguous.  A ValueError when one chart alone needs more than
+    ``CHART_ENTRIES`` float entries.
     """
-    if k > m * n:
+    q0 = (m * (m - 1) // 2) * (n * (n - 1) // 2)
+    entries = (m * n) ** 2 + 2 * q0 * (2 * k + k * k + k * (k + 1) // 2)
+    if entries > CHART_ENTRIES:
+        raise ValueError(
+            "a chart of %d-dimensional subspaces of %dx%d matrices needs %d float entries,"
+            " over the limit of %d" % (k, m, n, entries, CHART_ENTRIES)
+        )
+    return max(1, BLOCK_ENTRIES // entries)
+
+
+def grassmann_genericity(k, m, n, charts, A) -> list:
+    """Probe a block of chart points of the space of k-dimensional subspaces.
+
+    ``charts[s]`` holds the mn rows of chart s: a basis of W0 (k rows) over
+    a basis of W1 (mn-k rows), transversal subspaces of R^(mn).  ``A[s]`` is
+    the (mn-k) x k matrix of the linear map whose graph over W0 picks the
+    subspace.  So a block of S charts is an (S, mn, mn) array of rows and an
+    (S, mn-k, k) array of A, given as arrays or nested lists; one chart is
+    a block of one.  The 2x2 minors restricted to a chart's subspace give
+    quadratic forms on R^k.  The S reports, in block order, carry the
+    volume Lambda = det(Pi Pi^T) of their vectorization, the span
+    dimension, and, when the span is full (|Lambda| above ``LAMBDA_TOL``),
+    the combination beta whose form is the identity by least squares, and
+    the form's least eigenvalue.
+
+    The forms are one S x q0 x k x k tensor X, built from the pencil
+    coefficients gathered through the flat minor index map of the numeric
+    rank-one search; column j of a chart's Pi lists the upper triangle of
+    form j, row-major (``np.triu_indices(k)`` order).  X and Pi are built
+    over the whole block, and the transversality rank, det(Pi Pi^T), the
+    span rank and the eigenvalues are one stacked LAPACK call each; only
+    ``lstsq`` and ``tensordot`` run per chart, and only on charts with a
+    full span.  Every number equals the one the chart gives as a block of
+    one, bit for bit: a stacked LAPACK or BLAS call runs the same routine
+    on each matrix as a call on that matrix alone, given the same memory
+    layout (so X and Pi are C-contiguous per chart, and Pi Pi^T takes the
+    same BLAS path), and the elementwise products keep the operand order
+    of the per-chart formula.
+
+    A caller with many charts feeds them in blocks of
+    ``genericity_block(k, m, n)`` charts, which hold at most
+    ``BLOCK_ENTRIES`` float entries in the kernel, so memory stays bounded
+    whatever the number of charts.  On a rational chart the exact span
+    dimension is the rank of ``Subspace.minor_forms()`` of the chart
+    subspace.
+    """
+    p = m * n
+    if k > p:
         raise ValueError("k exceeds the matrix dimension")
-    W0, W1 = chart
-    W0 = [list(v) for v in W0]
-    W1 = [list(v) for v in W1]
-    if len(W0) != k or len(W1) != m * n - k or any(len(v) != m * n for v in W0 + W1):
+    if len(charts) == 0:
+        return []
+    rows = np.asarray(charts, dtype=float)
+    if rows.ndim != 3 or rows.shape[1:] != (p, p):
         raise ValueError("chart bases have wrong sizes")
-    A_raw = [list(row) for row in A]
-    A = np.asarray([[float(x) for x in row] for row in A_raw], dtype=float)
-    if A.shape != (m * n - k, k):
+    T = np.asarray(A, dtype=float)
+    if T.shape != (len(rows), p - k, k):
         raise ValueError("chart matrix must be (mn-k) x k")
-    stack = np.array([[float(x) for x in v] for v in W0 + W1])
-    if np.linalg.matrix_rank(stack) < m * n:
+    if (np.linalg.matrix_rank(rows) < p).any():
         raise ValueError("chart subspaces are not transversal")
 
-    span_vecs = stack[:k] + A.T @ stack[k:]  # rows: a_l + T(a_l)
-    # pencil coefficient vectors h_st in R^k, one row per flat entry s * n + t
-    H = span_vecs.T
-    h11, h22, h12, h21 = (H[idx] for idx in _minor_index_arrays(m, n))
-    outer = lambda u, v: u[:, :, None] * v[:, None, :]
-    X_all = 0.5 * (((outer(h11, h22) + outer(h22, h11)) - outer(h12, h21)) - outer(h21, h12))
+    span_vecs = rows[:, :k] + T.transpose(0, 2, 1) @ rows[:, k:]  # rows: a_l + T(a_l)
+    # h[c][s, t]: the coefficient vector in R^k of corner c (11, 22, 12, 21)
+    # of minor t on chart s
+    h = span_vecs[:, :, np.array(_minor_index_arrays(m, n))].transpose(2, 0, 3, 1)
+    outer = lambda u, v, out=None: np.multiply(u[..., :, None], v[..., None, :], out=out, order="C")
+    X = outer(h[0], h[1])
+    term = np.empty_like(X)
+    X += outer(h[1], h[0], term)
+    X -= outer(h[2], h[3], term)
+    X -= outer(h[3], h[2], term)
+    X *= 0.5
     upper = np.triu_indices(k)
-    Pi = np.ascontiguousarray(X_all[:, upper[0], upper[1]].T)
-    lam = float(np.linalg.det(Pi @ Pi.T))
-    span_dim = int(np.linalg.matrix_rank(Pi, tol=1e-10 * max(1.0, float(np.abs(Pi).max()))))
-    exact_span_dim = None
-    if _chart_is_rational(chart, A_raw):
-        exact_span_dim = _chart_subspace(m, n, W0, W1, A_raw).minor_forms().span_dim()
-    beta = min_eig = None
-    if abs(lam) > LAMBDA_TOL and span_dim == len(Pi):
-        beta, *_ = np.linalg.lstsq(Pi, np.eye(k)[upper], rcond=None)
-        min_eig = float(np.linalg.eigvalsh(np.tensordot(beta, X_all, axes=1)).min())
-    return GenericityReport(lam, span_dim, beta, min_eig, exact_span_dim)
+    Pi = np.ascontiguousarray(X[:, :, upper[0], upper[1]].transpose(0, 2, 1))
+    lam = np.linalg.det(Pi @ Pi.transpose(0, 2, 1))
+    span_dim = np.linalg.matrix_rank(Pi, tol=1e-10 * np.maximum(1.0, np.abs(Pi).max(axis=(1, 2))))
+    reports = [GenericityReport(float(v), int(r)) for v, r in zip(lam, span_dim)]
+    if not (isinstance(charts, np.ndarray) and charts.dtype.kind == "f"):
+        for rep, chart, chart_A in zip(reports, charts, A):
+            if _chart_is_rational(chart, chart_A):
+                sub = _chart_subspace(m, n, chart[:k], chart[k:], chart_A)
+                rep.exact_span_dim = sub.minor_forms().span_dim()
+
+    full = np.flatnonzero((np.abs(lam) > LAMBDA_TOL) & (span_dim == len(upper[0])))
+    if len(full):
+        forms = np.empty((len(full), k, k))
+        for s, form in zip(full, forms):
+            beta, *_ = np.linalg.lstsq(Pi[s], np.eye(k)[upper], rcond=None)
+            form[...] = np.tensordot(beta, X[s], axes=1)
+            reports[s].beta = beta
+        for s, e in zip(full, np.linalg.eigvalsh(forms).min(axis=1)):
+            reports[s].min_eigenvalue = float(e)
+    return reports
 
 
-def _chart_is_rational(chart, A):
-    W0, W1 = chart
+def _chart_is_rational(rows, A):
     try:
-        for v in list(W0) + list(W1):
-            for x in v:
-                rat(x)
-        for row in A:
+        for row in list(rows) + list(A):
             for x in row:
                 rat(x)
     except (TypeError, ValueError):

@@ -29,6 +29,7 @@ from .certify import (
     MinorCombination,
     TrivialityCertificate,
     _lift,
+    genericity_block,
     grassmann_genericity,
     reduce_chain,
     verify_combination,
@@ -97,6 +98,8 @@ def cmd_analyze(args):
         K = Subspace.from_json(obj)
         if args.budget < 0:
             raise ValueError("--budget must be non-negative")
+        if args.seed < 0:
+            raise ValueError("--seed must be non-negative")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         _emit({"command": "analyze", "error": str(exc)}, args.json_out)
         return EXIT_SCHEMA
@@ -437,35 +440,62 @@ def cmd_verify(args):
 # grassmann scan
 # ---------------------------------------------------------------------------
 
-def _scan_one(k, m, n, seed):
-    rng = np.random.default_rng(seed)
-    p = m * n
-    basis = rng.standard_normal((p, p))
-    while abs(np.linalg.det(basis)) < 1e-8:
-        basis = rng.standard_normal((p, p))
-    W0 = [list(v) for v in basis[:k]]
-    W1 = [list(v) for v in basis[k:]]
-    A = rng.standard_normal((p - k, k))
-    rep = grassmann_genericity(k, m, n, (W0, W1), A)
-    return {
-        "seed": seed,
-        "lambda": rep.lambda_value,
-        "span_dim": rep.span_dim,
-        "pd_found": bool(rep.beta is not None and rep.min_eigenvalue is not None and rep.min_eigenvalue > 0),
-        "min_eigenvalue": rep.min_eigenvalue,
-    }
+# a drawn chart whose W0/W1 rows have |det| below this is drawn again
+_DET_FLOOR = 1e-8
+
+
+def _draw_charts(k, p, seeds):
+    """The scan's charts at ``seeds``, as a kernel block.
+
+    Chart i is drawn from its own ``default_rng(seeds[i])``: its p x p
+    W0/W1 rows, drawn again while their |det| is below ``_DET_FLOOR``,
+    then its (p - k) x k matrix A.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rows = np.empty((len(rngs), p, p))
+    A = np.empty((len(rngs), p - k, k))
+    for rng, chart in zip(rngs, rows):
+        rng.standard_normal(out=chart)
+    for i in np.flatnonzero(np.abs(np.linalg.det(rows)) < _DET_FLOOR):
+        while abs(np.linalg.det(rows[i])) < _DET_FLOOR:
+            rngs[i].standard_normal(out=rows[i])
+    for rng, chart_A in zip(rngs, A):
+        rng.standard_normal(out=chart_A)
+    return rows, A
 
 
 def cmd_grassmann_scan(args):
     k, m, n = args.k, args.m, args.n
     inputs = {"k": k, "m": m, "n": n, "samples": args.samples, "seed": args.seed}
     report = _report("grassmann-scan", inputs, seed=args.seed)
-    if k > m * n or k < 1 or m < 2 or n < 2 or args.samples < 0:
-        report["error"] = "bad dimensions" if args.samples >= 0 else "--samples must be non-negative"
+    if args.samples < 0:
+        report["error"] = "--samples must be non-negative"
+    elif k > m * n or k < 1 or m < 2 or n < 2:
+        report["error"] = "bad dimensions"
+    elif args.seed < 0:
+        report["error"] = "--seed must be non-negative"
+    if "error" in report:
         _emit(report, args.json_out)
         return EXIT_SCHEMA
+    try:
+        block = genericity_block(k, m, n)
+    except ValueError as exc:
+        report["error"] = str(exc)
+        _emit(report, args.json_out)
+        return EXIT_PRECONDITION
     t0 = time.perf_counter()
-    results = [_scan_one(k, m, n, args.seed + i) for i in range(args.samples)]
+    results = []
+    for start in range(args.seed, args.seed + args.samples, block):
+        seeds = range(start, min(start + block, args.seed + args.samples))
+        for seed, rep in zip(seeds, grassmann_genericity(k, m, n, *_draw_charts(k, m * n, seeds))):
+            results.append({
+                "seed": seed,
+                "lambda": rep.lambda_value,
+                "span_dim": rep.span_dim,
+                "pd_found": bool(rep.beta is not None and rep.min_eigenvalue is not None
+                                 and rep.min_eigenvalue > 0),
+                "min_eigenvalue": rep.min_eigenvalue,
+            })
     nonzero = sum(1 for r in results if abs(r["lambda"]) > LAMBDA_TOL)
     pd_found = sum(1 for r in results if r["pd_found"])
     report["kind"] = "grassmann-scan"
@@ -480,8 +510,8 @@ def cmd_grassmann_scan(args):
     if 2 * k <= min(m, n):
         from .fixtures import v0_chart
 
-        chart, A0 = v0_chart(k, m, n)
-        rep = grassmann_genericity(k, m, n, chart, A0)
+        (W0, W1), A0 = v0_chart(k, m, n)
+        [rep] = grassmann_genericity(k, m, n, [W0 + W1], [A0])
         report["v0_probe"] = {
             "lambda": rep.lambda_value,
             "lambda_nonzero": abs(rep.lambda_value) > LAMBDA_TOL,

@@ -340,12 +340,12 @@ def test_criterion_6_grassmann_genericity():
         W0 = [list(v) for v in basis[:2]]
         W1 = [list(v) for v in basis[2:]]
         A = rng.standard_normal((14, 2))
-        rep = grassmann_genericity(2, 4, 4, (W0, W1), A)
+        [rep] = grassmann_genericity(2, 4, 4, [W0 + W1], [A])
         if abs(rep.lambda_value) > 1e-12 and rep.beta is not None and rep.min_eigenvalue > 0:
             good += 1
     fraction = good / total
     chart, A0 = v0_chart(2, 4, 4)
-    rep0 = grassmann_genericity(2, 4, 4, chart, A0)
+    [rep0] = grassmann_genericity(2, 4, 4, [chart[0] + chart[1]], [A0])
     elapsed = time.monotonic() - t0
     assert fraction == 1.0, "fraction %.3f != 1.000" % fraction
     assert rep0.exact_span_dim == 3

@@ -36,6 +36,7 @@ from nullag.fixtures import (
     v0_subspace,
 )
 from nullag.subspace import Subspace, apply_ops, minor_polys, random_pencil_ops
+from genericity_oracle import genericity_reference
 from rank_one_oracle import find_rank_one_exact
 
 
@@ -365,7 +366,7 @@ def test_chain_agrees_with_exact_rank_one_oracle():
 
 def test_grassmann_v0_chart():
     chart, A = v0_chart(2, 4, 4)
-    rep = grassmann_genericity(2, 4, 4, chart, A)
+    [rep] = grassmann_genericity(2, 4, 4, [chart[0] + chart[1]], [A])
     assert rep.exact_span_dim == 3  # k(k+1)/2
     assert rep.span_dim == 3
     assert abs(rep.lambda_value) > 1e-12
@@ -389,7 +390,7 @@ def test_grassmann_degenerate_dyad_chart():
             v[t] = Fraction(1)
             W1.append(v)
     A = [[0, 0]] * (p - 2)
-    rep = grassmann_genericity(2, 4, 4, ([e11, e12], W1), A)
+    [rep] = grassmann_genericity(2, 4, 4, [[e11, e12] + W1], [A])
     assert rep.span_dim < 3
     assert abs(rep.lambda_value) <= 1e-12
     assert rep.exact_span_dim == 0
@@ -442,7 +443,7 @@ def test_grassmann_exact_span_matches_float_on_rational_charts():
         if family == "one-row" and n < k:
             family = "dense"
         W0, W1, A = _rational_chart(rng, k, m, n, family)
-        rep = grassmann_genericity(k, m, n, (W0, W1), A)
+        [rep] = grassmann_genericity(k, m, n, [W0 + W1], [A])
         assert rep.exact_span_dim == rep.span_dim, (case, k, m, n, family)
         if family == "one-row":
             assert rep.exact_span_dim == 0
@@ -461,7 +462,7 @@ def test_grassmann_random_scan():
         W0 = [list(v) for v in basis[:2]]
         W1 = [list(v) for v in basis[2:]]
         A = rng.standard_normal((14, 2))
-        rep = grassmann_genericity(2, 4, 4, (W0, W1), A)
+        [rep] = grassmann_genericity(2, 4, 4, [W0 + W1], [A])
         if abs(rep.lambda_value) > 1e-12 and rep.beta is not None and rep.min_eigenvalue > 0:
             hits += 1
             assert abs(rep.min_eigenvalue - 1) < 1e-6
@@ -481,7 +482,68 @@ def test_grassmann_random_scan():
 def test_grassmann_rejects_bad_chart():
     chart, A = v0_chart(2, 4, 4)
     with pytest.raises(ValueError):
-        grassmann_genericity(2, 4, 4, (chart[0], chart[0]), [[0, 0]] * 2)
+        grassmann_genericity(2, 4, 4, [chart[0] + chart[0]], [[[0, 0]] * 2])
+
+
+def _same_report(a, b):
+    """Two genericity reports agree bit for bit."""
+    return (
+        (a.lambda_value, a.span_dim, a.min_eigenvalue, a.exact_span_dim)
+        == (b.lambda_value, b.span_dim, b.min_eigenvalue, b.exact_span_dim)
+        and (a.beta is None) == (b.beta is None)
+        and (a.beta is None or a.beta.tobytes() == b.beta.tobytes())
+    )
+
+
+def test_grassmann_block_matches_per_chart_oracle():
+    # every chart of a stacked block reports what the per-chart builder
+    # reports, bit for bit, for k = 1..3 on every shape from 2 x 2 to 6 x 6
+    rng = np.random.default_rng(24)
+    for k in (1, 2, 3):
+        for m in range(2, 7):
+            for n in range(2, 7):
+                p = m * n
+                rows = rng.standard_normal((5, p, p))
+                A = rng.standard_normal((5, p - k, k))
+                reports = grassmann_genericity(k, m, n, rows, A)
+                assert len(reports) == 5
+                for chart, chart_A, rep in zip(rows, A, reports):
+                    ref = genericity_reference(k, m, n, (chart[:k], chart[k:]), chart_A)
+                    assert _same_report(rep, ref), (k, m, n)
+                    # fewer minors than form entries (k = 3 on 2 x 2: one
+                    # minor, six entries) leave the span short and no beta
+                    q0 = m * (m - 1) * n * (n - 1) // 4
+                    assert (rep.beta is None) == (q0 < k * (k + 1) // 2), (k, m, n)
+
+
+def test_grassmann_block_mixes_rational_charts():
+    # the block-scalar chart (span 3) and the dyad chart (span 0) in one
+    # block, with a float chart between them: the exact span dimension is
+    # taken on the rational charts only
+    (W0, W1), A = v0_chart(2, 4, 4)
+    e = lambda t: [Fraction(int(s == t)) for s in range(16)]
+    dyad = [e(t) for t in range(16)]
+    floats = np.random.default_rng(5).standard_normal((16, 16))
+    charts = [W0 + W1, list(floats), dyad]
+    As = [A, np.ones((14, 2)), [[0, 0]] * 14]
+    reports = grassmann_genericity(2, 4, 4, charts, As)
+    assert [rep.exact_span_dim for rep in reports] == [3, None, 0]
+    for chart, chart_A, rep in zip(charts, As, reports):
+        assert _same_report(rep, genericity_reference(2, 4, 4, (chart[:2], chart[2:]), chart_A))
+
+
+def test_grassmann_block_rejects_non_transversal_chart():
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((3, 16, 16))
+    rows[1, 5] = rows[1, 0]  # chart 1: a W1 row repeats a W0 row
+    A = rng.standard_normal((3, 14, 2))
+    with pytest.raises(ValueError, match="transversal"):
+        genericity_reference(2, 4, 4, (rows[1, :2], rows[1, 2:]), A[1])
+    with pytest.raises(ValueError, match="transversal"):
+        grassmann_genericity(2, 4, 4, rows[1:2], A[1:2])
+    with pytest.raises(ValueError, match="transversal"):
+        grassmann_genericity(2, 4, 4, rows, A)
+    assert grassmann_genericity(2, 4, 4, rows[:0], A[:0]) == []
 
 
 def test_solve_beta_consistency():

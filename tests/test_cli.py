@@ -4,9 +4,13 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import nullag.certify
+import nullag.cli
 from bench_inputs import sym3_open_pool
+from genericity_oracle import scan_samples_reference
 from nullag.algebra import RationalMatrix, rat_from_str
 from nullag.cli import main
 from nullag.fixtures import quaternion_pencil
@@ -365,13 +369,19 @@ def test_smoke_measures_verify_exactly(tmp_path, capsys):
         pytest.param("analyze", dict(ROTATION, basis=[[["1/0", "0"], ["0", "1"]]], d=1), (),
                      id="analyze-basis-zero-denominator"),
         pytest.param("analyze", "Kr(r=0)", ("--budget", "-5"), id="budget-negative"),
+        pytest.param("analyze", "Kr(r=2)", ("--seed", "-3"), id="analyze-seed-negative"),
+        # grassmann-scan reads no file: the payload is its positional arguments
+        pytest.param("grassmann-scan", ("2", "4", "4"), ("--samples", "3", "--seed", "-5"),
+                     id="grassmann-scan-seed-negative"),
     ],
 )
 def test_malformed_input_exits_schema(tmp_path, capsys, command, payload, extra):
-    if payload == "Kr(r=0)":
-        payload = dump_fixture(capsys, payload)["subspace"]
-    path = write_subspace(tmp_path, payload)
-    code, report = run_cli(capsys, command, path, *extra)
+    if command == "grassmann-scan":
+        code, report = run_cli(capsys, command, *payload, *extra)
+    else:
+        if payload in ("Kr(r=0)", "Kr(r=2)"):
+            payload = dump_fixture(capsys, payload)["subspace"]
+        code, report = run_cli(capsys, command, write_subspace(tmp_path, payload), *extra)
     assert code == 2
     assert report["error"]
     assert "verdicts" not in report or report["verdicts"] == []
@@ -532,6 +542,59 @@ def test_grassmann_scan_negative_samples(capsys):
     code, report = run_cli(capsys, "grassmann-scan", "2", "4", "4", "--samples", "-3")
     assert code == 2
     assert "samples" in report["error"]
+
+
+SCAN_SHAPES = [(k, m, n) for k in (1, 2, 3) for m in range(2, 7) for n in range(2, 7)]
+
+
+def scan_samples(capsys, k, m, n, samples, seed):
+    code, report = run_cli(capsys, "grassmann-scan", str(k), str(m), str(n),
+                           "--samples", str(samples), "--seed", str(seed))
+    assert code == 0
+    return json.dumps(report["samples"], sort_keys=True)
+
+
+@pytest.mark.parametrize("k, m, n", SCAN_SHAPES)
+def test_grassmann_scan_blocks_match_oracle(capsys, monkeypatch, k, m, n):
+    # blocks of five charts, so that the sample counts 0, 1, block - 1,
+    # block and block + 1 fall on and around a block boundary; every entry
+    # equals the one the per-chart oracle draws and builds, bit for bit
+    monkeypatch.setattr(nullag.cli, "genericity_block", lambda k, m, n: 5)
+    seed = 100 * k + 10 * m + n
+    for samples in (0, 1, 4, 5, 6):
+        expected = json.dumps(scan_samples_reference(k, m, n, samples, seed), sort_keys=True)
+        assert scan_samples(capsys, k, m, n, samples, seed) == expected, samples
+
+
+@pytest.mark.parametrize("k, m, n", [(2, 4, 4), (3, 6, 6)])
+def test_grassmann_scan_default_blocks_match_oracle(capsys, k, m, n):
+    # the benchmark's shapes at the module's own block size
+    block = nullag.certify.genericity_block(k, m, n)
+    assert block > 1
+    for samples in (block - 1, block, block + 1):
+        expected = json.dumps(scan_samples_reference(k, m, n, samples, 11), sort_keys=True)
+        assert scan_samples(capsys, k, m, n, samples, 11) == expected, samples
+
+
+def test_grassmann_scan_redraws_like_the_oracle(capsys, monkeypatch):
+    # a determinant floor that many 4 x 4 Gaussian draws miss: the redrawn
+    # charts come from the same generator state as the oracle's
+    monkeypatch.setattr(nullag.cli, "_DET_FLOOR", 0.5)
+    expected = scan_samples_reference(1, 2, 2, 30, 3, det_floor=0.5)
+    assert scan_samples(capsys, 1, 2, 2, 30, 3) == json.dumps(expected, sort_keys=True)
+    assert expected != scan_samples_reference(1, 2, 2, 30, 3)
+
+
+def test_grassmann_scan_oversized_shape_exits_precondition(capsys, monkeypatch):
+    # one 40,000 x 40,000 chart would take 12.8 GB: refused before a draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a chart was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    code, report = run_cli(capsys, "grassmann-scan", "1", "200", "200", "--samples", "1")
+    assert code == 3
+    assert "limit" in report["error"] and report["verdicts"] == []
+    assert "samples" not in report
 
 
 def test_verify_grassmann_scan_report(tmp_path, capsys):
