@@ -45,11 +45,25 @@ integers and divided once.  The d <= 3 reduction builds its targets, a
 square (v.z)^2 or a pencil determinant, with the same outer-product
 builder as S_k and halves once, so each target is an exact symmetric
 matrix that ``MinorForms.solve`` pulls back to a beta.
+
+Deciding a pencil.  ``decide`` runs the stages in this order and stops at
+the first that decides.  The exact chain decides first.  For d <= 2 it is
+complete: an obstruction without a witness means the rank-one directions
+are irrational (the note gives the discriminant), so only a pencil with
+d >= 3 gets the numeric rank-one sweep.  An exact rank-one direction
+gives the two-atom measure and anything else goes to the exact LP, so
+every non-trivial verdict carries a measure with rational atoms.
+``check`` re-checks what ``decide`` emits: a certificate by walking its
+chain with the step ``reduce_chain`` takes, a measure by the exact test
+of ``measures.check_measure``.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +76,8 @@ from .algebra import (
     rat_to_str,
     vec_is_zero,
 )
-from .subspace import Subspace, _add_sym_outer, _minor_index_arrays, _rational_sqrt
+from .measures import check_measure, construct_nontrivial_for_subspace, is_null_lagrangian, two_atom_measure
+from .subspace import Subspace, _add_sym_outer, _minor_index_arrays, _rational_sqrt, find_rank_one
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +107,21 @@ class TrivialityCertificate:
     """Chain of combinations with strictly descending cones.
 
     ``cones[i]`` is the basis of the cone on which ``chain[i]`` is PSD and
-    non-zero; ``cones[i+1]`` spans its kernel there.  ``terminal`` marks
-    that the final kernel is the origin.
+    non-zero; ``cones[i+1]`` spans its kernel there, and the last kernel
+    is the origin (the JSON marks this ``"terminal": true``).
     """
 
-    __slots__ = ("chain", "cones", "terminal")
+    __slots__ = ("chain", "cones")
 
-    def __init__(self, chain, cones, terminal):
+    def __init__(self, chain, cones):
         self.chain = list(chain)
         self.cones = [list(c) for c in cones]
-        self.terminal = bool(terminal)
 
-    def to_json(self, K: Subspace = None):
-        obj = {
+    def to_json(self, K: Subspace):
+        """The certificate's JSON, with K, the pencil it certifies."""
+        return {
             "kind": "triviality-certificate",
-            "terminal": self.terminal,
+            "terminal": True,
             "chain": [
                 {
                     "beta": [rat_to_str(b) for b in comb.beta],
@@ -114,10 +129,8 @@ class TrivialityCertificate:
                 }
                 for comb, cone in zip(self.chain, self.cones)
             ],
+            "subspace": K.to_json(),
         }
-        if K is not None:
-            obj["subspace"] = K.to_json()
-        return obj
 
     @staticmethod
     def chain_from_json(obj):
@@ -390,8 +403,7 @@ def _case_span_three(E, d, i0):
             ]
         )
     E = newE
-    basis = [tuple(Fraction(int(i == k)) for i in range(3)) for k in range(3)]
-    if _vector_rank([basis[0], E[0][1], E[0][2]]) < 3:
+    if _vector_rank([_unit_basis(3)[0], E[0][1], E[0][2]]) < 3:
         return ("continue", E)
     # remove the e1 component of the row-0 entries in columns 1, 2
     for j in (1, 2):
@@ -504,6 +516,10 @@ def _lift(w, basis):
     return tuple(sum(c * v[i] for c, v in zip(w, basis)) for i in range(len(basis[0])))
 
 
+def _unit_basis(d):
+    return [tuple(Fraction(int(i == k)) for i in range(d)) for k in range(d)]
+
+
 class VerifyReport:
     """Exact verdict for one combination on one subspace."""
 
@@ -543,20 +559,35 @@ def verify_combination(K: Subspace, comb: MinorCombination) -> VerifyReport:
 # descending chain
 # ---------------------------------------------------------------------------
 
+def _chain_step(K: Subspace, sub: Subspace, cone, comb: MinorCombination):
+    """One chain step, as ``reduce_chain`` takes it and ``check_certificate``
+    re-takes it.
+
+    ``sub`` is the pencil of the cone with basis ``cone``: K itself on the
+    whole space, ``K.restricted(cone)`` below it.  The combination is
+    verified exactly on ``sub``.  Returns the report and, when it passes,
+    the next cone (the kernel lifted through ``cone``) with its pencil,
+    None at the origin.
+    """
+    report = verify_combination(sub, comb)
+    if not report.ok:
+        return report, None, None
+    kernel = [_lift(w, cone) for w in report.kernel]
+    return report, kernel, K.restricted(kernel) if kernel else None
+
+
 def reduce_chain(K: Subspace):
     """Descending-cone reduction; terminal certificate or obstruction.
 
     Every cone appearing here is a subspace: each certificate form is PSD,
     so its zero set within the current cone is the kernel of the
-    restricted form.  Each step is decided and verified on one pencil,
-    K itself on the whole space and ``K.restricted(cone)`` below it, and
-    the kernel and any witness are lifted through the cone.  With d <= 3
-    the per-step search is the guaranteed constructive one.  A larger cone
-    takes one exact step: the beta whose form is the identity, when the
-    identity lies in the span of the minor forms; otherwise the chain
-    stops there without a witness.
+    restricted form.  Each step is found on the cone's pencil and taken by
+    ``_chain_step``.  With d <= 3 the per-step search is the guaranteed
+    constructive one.  A larger cone takes one exact step: the beta whose
+    form is the identity, when the identity lies in the span of the minor
+    forms; otherwise the chain stops there without a witness.
     """
-    cone = [tuple(Fraction(int(i == k)) for i in range(K.d)) for k in range(K.d)]
+    cone = _unit_basis(K.d)
     if min(K.m, K.n) < 2:
         # P(e_1) = B_1 is non-zero, and a non-zero single-line matrix has rank one
         return Obstruction(cone, cone[0], "single-line matrices are all of rank at most one")
@@ -564,26 +595,177 @@ def reduce_chain(K: Subspace):
     cones = []
     sub = K
     while True:
-        if sub.d <= 3:
-            outcome = find_certificate_d_le_3(sub)
-        else:
-            outcome = _identity_combination(sub)
+        outcome = find_certificate_d_le_3(sub) if sub.d <= 3 else _identity_combination(sub)
         if not outcome.found:
             witness = outcome.rank_one_witness
-            lifted = None if witness is None else _lift(witness, cone)
-            return Obstruction(cone, lifted, outcome.note)
-        comb = outcome.combination
-        report = verify_combination(sub, comb)
+            return Obstruction(cone, None if witness is None else _lift(witness, cone), outcome.note)
+        report, kernel, sub = _chain_step(K, sub, cone, outcome.combination)
         if not report.ok:
             raise RuntimeError("chain step failed exact verification: %s" % report.verdict)
-        chain.append(comb)
-        cones.append(cone)
-        if len(report.kernel) >= len(cone):
+        if len(kernel) >= len(cone):
             raise RuntimeError("chain cone failed to shrink")
-        if not report.kernel:
-            return TrivialityCertificate(chain, cones, terminal=True)
-        cone = [_lift(w, cone) for w in report.kernel]
-        sub = K.restricted(cone)
+        chain.append(outcome.combination)
+        cones.append(cone)
+        if not kernel:
+            return TrivialityCertificate(chain, cones)
+        cone = kernel
+
+
+# ---------------------------------------------------------------------------
+# deciding a pencil and checking what it emits
+# ---------------------------------------------------------------------------
+
+class Decision(NamedTuple):
+    """What ``decide`` found: the verdict ("trivial", "nontrivial" or
+    "inconclusive"), its artifact (a TrivialityCertificate, a DiscreteMeasure
+    or None), the report's verdict entries, the seconds of each stage run
+    and the report's conclusion."""
+
+    verdict: str
+    artifact: object
+    verdicts: list
+    timings: dict
+    conclusion: str
+
+
+def decide(K: Subspace, budget=256, seed=0) -> Decision:
+    """Run the stages of the module docstring on K, in order, until one
+    decides; ``seed`` seeds the sweep and the LP's sampler of ``budget`` points."""
+    timings = {}
+    t0 = time.perf_counter()
+    chain = reduce_chain(K)
+    timings["reduce_chain"] = time.perf_counter() - t0
+    if isinstance(chain, TrivialityCertificate):
+        entry = {"operation": "reduce_chain", "terminal": True, "chain_length": len(chain.chain)}
+        return Decision("trivial", chain, [entry], timings, "trivial: terminal certificate chain")
+    verdicts = [{"operation": "reduce_chain", "terminal": False, "stuck_cone_dim": len(chain.cone),
+                 "note": chain.note}]
+    witness = chain.rank_one_witness
+    if witness is None and K.d >= 3:
+        t1 = time.perf_counter()
+        res = find_rank_one(K, seed=seed)
+        timings["find_rank_one"] = time.perf_counter() - t1
+        witness = res.witness
+        rank_entry = {
+            "operation": "find_rank_one",
+            "mode": res.mode,
+            "found": res.found,
+            "is_proof": witness is not None,
+            "residual": res.residual,
+            "lower_bound": None if res.found else res.residual,
+            "minors_evaluated": res.minors,
+            "minors_total": math.comb(K.m, 2) * math.comb(K.n, 2),
+            "gauss_newton_steps": res.gauss_newton_steps,
+        }
+        if res.witness_float is not None:
+            rank_entry["witness_float"] = [float(x) for x in res.witness_float]
+        if witness is not None:
+            rank_entry["witness"] = [rat_to_str(x) for x in witness]
+        verdicts.append(rank_entry)
+    if witness is not None:
+        mu = two_atom_measure(K, witness)
+        nl = is_null_lagrangian(mu)
+        verdicts.append({"operation": "is_null_lagrangian", "exact": True, "verdict": nl.verdict})
+        if nl.verdict:
+            return Decision("nontrivial", mu, verdicts, timings,
+                            "non-trivial measure from a rank-one direction")
+
+    t2 = time.perf_counter()
+    lp = {}
+    mu = construct_nontrivial_for_subspace(K, budget=budget, seed=seed, stats=lp)
+    timings["construct_nontrivial"] = time.perf_counter() - t2
+    if mu is not None:
+        verdicts.append({"operation": "construct_nontrivial", "found": True, "atoms": len(mu.atoms),
+                         "exact": True, **lp})
+        return Decision("nontrivial", mu, verdicts, timings, "non-trivial measure with barycenter zero")
+    verdicts.append({"operation": "construct_nontrivial", "found": False, **lp})
+    return Decision("inconclusive", None, verdicts, timings,
+                    "inconclusive: no certificate chain and no measure within budget")
+
+
+def check_certificate(obj):
+    """Re-check a certificate's JSON exactly; (ok, verdict entries).
+
+    The chain is walked by ``_chain_step`` from the whole space: each
+    stored cone must span the cone the walk has reached, and the walk must
+    end at the origin of a certificate marked terminal.  A ValueError or
+    KeyError when the JSON is malformed.
+    """
+    chain, terminal = TrivialityCertificate.chain_from_json(obj)
+    K = Subspace.from_json(obj["subspace"])
+    if not terminal:
+        return False, [{"operation": "verify-cert", "error": "certificate is not marked terminal"}]
+    entries = []
+    cone, sub = _unit_basis(K.d), K
+    for step, (beta, stored_cone) in enumerate(chain):
+        if not _same_span(cone, stored_cone):
+            entries.append({"operation": "verify-cert", "step": step, "error": "cone mismatch"})
+            return False, entries
+        if not cone:
+            entries.append({"operation": "verify-cert", "step": step,
+                            "error": "chain continues past the origin"})
+            return False, entries
+        report, kernel, next_sub = _chain_step(K, sub, cone, MinorCombination(beta))
+        entry = {"operation": "verify_combination", "step": step, "verdict": report.verdict}
+        entries.append(entry)
+        if not report.ok:
+            if report.neg_witness is not None:
+                entry["witness_point"] = [rat_to_str(x) for x in _lift(report.neg_witness, cone)]
+            return False, entries
+        cone, sub = kernel, next_sub
+    if cone:
+        entries.append({"operation": "verify-cert", "error": "chain does not terminate at the origin"})
+    return not cone, entries
+
+
+def _same_span(c1, c2):
+    if not c1 or not c2:
+        return not c1 and not c2
+    m1, m2, both = (RationalMatrix([list(v) for v in c]) for c in (c1, c2, list(c1) + list(c2)))
+    return m1.rank() == m2.rank() == both.rank()
+
+
+# the artifacts a report may embed, in the order they are re-checked
+_EMBEDDED = (("measure", check_measure), ("measure_stripped", check_measure),
+             ("certificate", check_certificate))
+
+
+def check(obj):
+    """Re-check an emitted artifact; (ok, verdict entries, conclusion).
+
+    A measure or a certificate, and each one a report embeds, is
+    re-checked exactly.  A grassmann-scan report, a bare subspace and a
+    report with no artifact carry nothing exact: only their schema is
+    checked.  A ValueError or KeyError when the JSON is malformed.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("artifact JSON must be an object")
+    kind = obj.get("kind")
+    if kind == "grassmann-scan":
+        _check_scan_report(obj)
+        return (True, [{"operation": "scan-schema", "verdict": True}],
+                "report carries float probes and no exact artifact; schema accepted")
+    if kind == "measure":
+        targets = [(check_measure, obj)]
+    elif kind == "triviality-certificate":
+        targets = [(check_certificate, obj)]
+    else:
+        targets = [(checker, obj[key]) for key, checker in _EMBEDDED if key in obj]
+    if not targets:
+        if "basis" in obj:
+            Subspace.from_json(obj)
+            return (True, [{"operation": "subspace-schema", "verdict": True}],
+                    "subspace carries no re-verifiable artifact; schema accepted")
+        if "command" in obj and "verdicts" in obj:
+            return (True, [{"operation": "report-schema", "verdict": True}],
+                    "report carries no re-verifiable artifact; schema accepted")
+        raise ValueError("artifact carries nothing verifiable")
+    ok, entries = True, []
+    for checker, target in targets:
+        target_ok, target_entries = checker(target)
+        ok = ok and target_ok
+        entries += target_entries
+    return ok, entries, "verified" if ok else "verification failed"
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +779,8 @@ LAMBDA_TOL = 1e-12
 BLOCK_ENTRIES = 1 << 17
 # a chart that alone needs more float entries than this is refused
 CHART_ENTRIES = 1 << 24
+# a scan report keeps every sample, about 1.4 KB each: a scan of more is refused
+SCAN_SAMPLES = 100_000
 
 
 def genericity_block(k, m, n):
@@ -722,3 +906,21 @@ def _chart_subspace(m, n, W0, W1, A) -> Subspace:
                 v = [x + c * rat(y) for x, y in zip(v, u)]
         basis.append([v[i * n : (i + 1) * n] for i in range(m)])
     return Subspace(basis)
+
+
+def _check_scan_report(obj):
+    """Schema of a grassmann-scan report; raises ValueError when it is off."""
+    inputs, samples, summary = obj.get("inputs"), obj.get("samples"), obj.get("summary")
+    if not isinstance(inputs, dict) or not all(
+        isinstance(inputs.get(key), int) for key in ("k", "m", "n", "samples", "seed")
+    ):
+        raise ValueError("bad grassmann-scan JSON: 'inputs'")
+    if not isinstance(samples, list) or len(samples) != inputs["samples"] or not all(
+        isinstance(s, dict) and all(key in s for key in ("seed", "lambda", "span_dim", "pd_found"))
+        for s in samples
+    ):
+        raise ValueError("bad grassmann-scan JSON: 'samples'")
+    if not isinstance(summary, dict) or not all(
+        key in summary for key in ("lambda_nonzero_fraction", "pd_fraction", "target_span_dim")
+    ):
+        raise ValueError("bad grassmann-scan JSON: 'summary'")

@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: analyze, k1, verify, grassmann-scan, fixtures.  Every command
-prints one machine-readable JSON report to stdout (and optionally to
---json-out); timing lives in a dedicated "timings" field so reports are
-byte-identical across runs with the same seed once that field is dropped.
+Subcommands: analyze, k1, verify, grassmann-scan, fixtures.  A command
+only parses its arguments, loads its input, calls the library and emits:
+``analyze`` is one ``certify.decide`` and ``verify`` one ``certify.check``.
+Every command prints one machine-readable JSON report to stdout (and
+optionally to --json-out); timing lives in a dedicated "timings" field so
+reports are byte-identical across runs with the same seed once that field
+is dropped.
 
 Exit codes: 0 trivial certified (or artifact verified), 10 non-trivial
 measure found, 20 inconclusive, 2 input/schema violation, 3 construction
@@ -15,25 +18,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .algebra import RationalMatrix, rat_to_str
-from .certify import (
-    LAMBDA_TOL,
-    MinorCombination,
-    TrivialityCertificate,
-    _lift,
-    genericity_block,
-    grassmann_genericity,
-    reduce_chain,
-    verify_combination,
-)
+from .certify import LAMBDA_TOL, SCAN_SAMPLES, check, decide, genericity_block, grassmann_genericity
 from .conslaw import (
     AtomConstructionError,
     FluxFunction,
@@ -45,9 +36,9 @@ from .conslaw import (
     push_forward_to_K1,
     support_radius,
 )
-from .fixtures import builtin, builtin_names, kr_measure
-from .measures import DiscreteMeasure, construct_nontrivial_for_subspace, is_null_lagrangian, two_atom_measure
-from .subspace import Subspace, find_rank_one
+from .fixtures import builtin, builtin_names, kr_measure, v0_chart
+from .measures import is_null_lagrangian
+from .subspace import Subspace
 
 EXIT_TRIVIAL = 0
 EXIT_VERIFIED = 0
@@ -56,6 +47,7 @@ EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 EXIT_NONTRIVIAL = 10
 EXIT_INCONCLUSIVE = 20
+_ANALYZE_EXIT = {"trivial": EXIT_TRIVIAL, "nontrivial": EXIT_NONTRIVIAL, "inconclusive": EXIT_INCONCLUSIVE}
 
 
 def _digest(obj):
@@ -105,83 +97,14 @@ def cmd_analyze(args):
         return EXIT_SCHEMA
     report = _report("analyze", obj, seed=args.seed)
     report["subspace"] = {"m": K.m, "n": K.n, "d": K.d}
-
-    # the exact chain decides first.  For d <= 2 it is complete: an
-    # obstruction without a witness means the rank-one directions are
-    # irrational (the note gives the discriminant), so only a pencil with
-    # d >= 3 gets the numeric rank-one sweep.  An exact rank-one direction
-    # gives the two-atom measure and anything else goes to the exact LP,
-    # so every exit 10 carries a measure with rational atoms.
-    t0 = time.perf_counter()
-    chain = reduce_chain(K)
-    report["timings"]["reduce_chain"] = time.perf_counter() - t0
-    if isinstance(chain, TrivialityCertificate):
-        report["verdicts"].append(
-            {"operation": "reduce_chain", "terminal": True, "chain_length": len(chain.chain)}
-        )
-        report["certificate"] = chain.to_json(K)
-        report["conclusion"] = "trivial: terminal certificate chain"
-        _emit(report, args.json_out)
-        return EXIT_TRIVIAL
-    report["verdicts"].append(
-        {
-            "operation": "reduce_chain",
-            "terminal": False,
-            "stuck_cone_dim": len(chain.cone),
-            "note": chain.note,
-        }
-    )
-    witness = chain.rank_one_witness
-    if witness is None and K.d >= 3:
-        t1 = time.perf_counter()
-        res = find_rank_one(K, seed=args.seed)
-        report["timings"]["find_rank_one"] = time.perf_counter() - t1
-        witness = res.witness
-        rank_entry = {
-            "operation": "find_rank_one",
-            "mode": res.mode,
-            "found": res.found,
-            "is_proof": witness is not None,
-            "residual": res.residual,
-            "lower_bound": None if res.found else res.residual,
-            "minors_evaluated": res.minors,
-            "minors_total": math.comb(K.m, 2) * math.comb(K.n, 2),
-            "gauss_newton_steps": res.gauss_newton_steps,
-        }
-        if res.witness_float is not None:
-            rank_entry["witness_float"] = [float(x) for x in res.witness_float]
-        if witness is not None:
-            rank_entry["witness"] = [rat_to_str(x) for x in witness]
-        report["verdicts"].append(rank_entry)
-    if witness is not None:
-        mu = two_atom_measure(K, witness)
-        nl = is_null_lagrangian(mu)
-        report["verdicts"].append(
-            {"operation": "is_null_lagrangian", "exact": True, "verdict": nl.verdict}
-        )
-        if nl.verdict:
-            report["measure"] = mu.to_json()
-            report["conclusion"] = "non-trivial measure from a rank-one direction"
-            _emit(report, args.json_out)
-            return EXIT_NONTRIVIAL
-
-    t2 = time.perf_counter()
-    lp = {}
-    mu = construct_nontrivial_for_subspace(K, budget=args.budget, seed=args.seed, stats=lp)
-    report["timings"]["construct_nontrivial"] = time.perf_counter() - t2
-    if mu is not None:
-        report["verdicts"].append(
-            {"operation": "construct_nontrivial", "found": True, "atoms": len(mu.atoms), "exact": True,
-             **lp}
-        )
-        report["measure"] = mu.to_json()
-        report["conclusion"] = "non-trivial measure with barycenter zero"
-        _emit(report, args.json_out)
-        return EXIT_NONTRIVIAL
-    report["verdicts"].append({"operation": "construct_nontrivial", "found": False, **lp})
-    report["conclusion"] = "inconclusive: no certificate chain and no measure within budget"
+    decision = decide(K, args.budget, args.seed)
+    report.update(verdicts=decision.verdicts, timings=decision.timings, conclusion=decision.conclusion)
+    if decision.verdict == "trivial":
+        report["certificate"] = decision.artifact.to_json(K)
+    elif decision.verdict == "nontrivial":
+        report["measure"] = decision.artifact.to_json()
     _emit(report, args.json_out)
-    return EXIT_INCONCLUSIVE
+    return _ANALYZE_EXIT[decision.verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -271,169 +194,18 @@ def cmd_k1(args):
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_measure_obj(obj):
-    mu = DiscreteMeasure.from_json(obj)
-    rep = is_null_lagrangian(mu)
-    entry = {
-        "operation": "is_null_lagrangian",
-        "exact": rep.exact,
-        "verdict": rep.verdict,
-        "max_residual": None if rep.exact else rep.max_residual(),
-        "checked": rep.checked,
-        "skipped": rep.skipped,
-    }
-    if not rep.verdict:
-        worst = max(rep.residuals, key=lambda k: abs(rep.residuals[k]))
-        entry["witness_minor"] = {
-            "rows": list(worst[0]),
-            "cols": list(worst[1]),
-            "residual": str(rep.residuals[worst]),
-        }
-    return rep.verdict, entry
-
-
-def _verify_certificate_obj(obj):
-    """Re-check a certificate chain: step i is verified on the restricted
-    pencil of the cone that step i - 1 leaves, K itself at step 0, and
-    the stored cone must span that cone."""
-    K = Subspace.from_json(obj["subspace"])
-    chain, terminal = TrivialityCertificate.chain_from_json(obj)
-    entries = []
-    d = K.d
-    ok = True
-    cone = [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)]
-    for step, (beta, stored_cone) in enumerate(chain):
-        if not _same_span(cone, stored_cone, d):
-            entries.append({"operation": "verify-cert", "step": step, "error": "cone mismatch"})
-            ok = False
-            break
-        if not cone:
-            entries.append({"operation": "verify-cert", "step": step,
-                            "error": "chain continues past the origin"})
-            ok = False
-            break
-        sub = K.restricted(cone) if step else K
-        rep = verify_combination(sub, MinorCombination(beta))
-        entry = {"operation": "verify_combination", "step": step, "verdict": rep.verdict}
-        if not rep.ok:
-            if rep.neg_witness is not None:
-                entry["witness_point"] = [rat_to_str(x) for x in _lift(rep.neg_witness, cone)]
-            entries.append(entry)
-            ok = False
-            break
-        entries.append(entry)
-        cone = [_lift(w, cone) for w in rep.kernel]
-    else:
-        if terminal and cone:
-            entries.append({"operation": "verify-cert", "error": "chain does not terminate at the origin"})
-            ok = False
-        if not terminal and not cone:
-            entries.append({"operation": "verify-cert", "error": "terminal flag understates the chain"})
-            ok = False
-    return ok, entries
-
-
-def _same_span(c1, c2, d):
-    if not c1 and not c2:
-        return True
-    if not c1 or not c2:
-        return False
-    m1 = RationalMatrix([list(v) for v in c1])
-    m2 = RationalMatrix([list(v) for v in c2])
-    both = RationalMatrix([list(v) for v in list(c1) + list(c2)])
-    return m1.rank() == m2.rank() == both.rank()
-
-
-def _check_scan_obj(obj):
-    """Schema of a grassmann-scan report; raises ValueError when it is off."""
-    inputs, samples, summary = obj.get("inputs"), obj.get("samples"), obj.get("summary")
-    if not isinstance(inputs, dict) or not all(
-        isinstance(inputs.get(key), int) for key in ("k", "m", "n", "samples", "seed")
-    ):
-        raise ValueError("bad grassmann-scan JSON: 'inputs'")
-    if not isinstance(samples, list) or len(samples) != inputs["samples"] or not all(
-        isinstance(s, dict) and all(key in s for key in ("seed", "lambda", "span_dim", "pd_found"))
-        for s in samples
-    ):
-        raise ValueError("bad grassmann-scan JSON: 'samples'")
-    if not isinstance(summary, dict) or not all(
-        key in summary for key in ("lambda_nonzero_fraction", "pd_fraction", "target_span_dim")
-    ):
-        raise ValueError("bad grassmann-scan JSON: 'summary'")
-
-
 def cmd_verify(args):
+    report = {"command": "verify"}
     try:
         obj = _load_json(args.artifact)
-    except (OSError, json.JSONDecodeError) as exc:
-        _emit({"command": "verify", "error": str(exc)}, args.json_out)
-        return EXIT_SCHEMA
-    if not isinstance(obj, dict):
-        _emit({"command": "verify", "error": "artifact JSON must be an object"}, args.json_out)
-        return EXIT_SCHEMA
-    report = _report("verify", obj)
-    targets = []
-    kind = obj.get("kind")
-    if kind == "measure":
-        targets.append(("measure", obj))
-    elif kind == "triviality-certificate":
-        targets.append(("certificate", obj))
-    elif kind == "grassmann-scan":
-        try:
-            _check_scan_obj(obj)
-        except ValueError as exc:
-            report["error"] = str(exc)
-            _emit(report, args.json_out)
-            return EXIT_SCHEMA
-        report["verdicts"].append({"operation": "scan-schema", "verdict": True})
-        report["conclusion"] = "report carries float probes and no exact artifact; schema accepted"
-        _emit(report, args.json_out)
-        return EXIT_VERIFIED
-    elif "measure" in obj or "certificate" in obj or "measure_stripped" in obj:
-        # a run report embedding artifacts: verify everything inside
-        for key in ("measure", "measure_stripped"):
-            if key in obj:
-                targets.append(("measure", obj[key]))
-        if "certificate" in obj:
-            targets.append(("certificate", obj["certificate"]))
-    elif "basis" in obj:
-        try:
-            Subspace.from_json(obj)
-        except (ValueError, KeyError) as exc:
-            report["error"] = str(exc)
-            _emit(report, args.json_out)
-            return EXIT_SCHEMA
-        report["verdicts"].append({"operation": "subspace-schema", "verdict": True})
-        report["conclusion"] = "subspace carries no re-verifiable artifact; schema accepted"
-        _emit(report, args.json_out)
-        return EXIT_VERIFIED
-    if not targets:
-        if "command" in obj and "verdicts" in obj:
-            report["conclusion"] = "report carries no re-verifiable artifact; schema accepted"
-            report["verdicts"].append({"operation": "report-schema", "verdict": True})
-            _emit(report, args.json_out)
-            return EXIT_VERIFIED
-        report["error"] = "artifact carries nothing verifiable"
-        _emit(report, args.json_out)
-        return EXIT_SCHEMA
-    all_ok = True
-    try:
-        for kind_i, target in targets:
-            if kind_i == "measure":
-                ok, entry = _verify_measure_obj(target)
-                report["verdicts"].append(entry)
-                all_ok = all_ok and ok
-            else:
-                ok, entries = _verify_certificate_obj(target)
-                report["verdicts"].extend(entries)
-                all_ok = all_ok and ok
-    except (ValueError, KeyError) as exc:
+        report = _report("verify", obj)
+        ok, report["verdicts"], report["conclusion"] = check(obj)
+    except (OSError, ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
         report["error"] = str(exc)
         _emit(report, args.json_out)
         return EXIT_SCHEMA
-    report["conclusion"] = "verified" if all_ok else "verification failed"
     _emit(report, args.json_out)
-    return EXIT_VERIFIED if all_ok else EXIT_FAILED
+    return EXIT_VERIFIED if ok else EXIT_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +250,9 @@ def cmd_grassmann_scan(args):
         _emit(report, args.json_out)
         return EXIT_SCHEMA
     try:
+        if args.samples > SCAN_SAMPLES:
+            raise ValueError("%d samples are over the limit of %d: the report keeps every sample"
+                             % (args.samples, SCAN_SAMPLES))
         block = genericity_block(k, m, n)
     except ValueError as exc:
         report["error"] = str(exc)
@@ -508,8 +283,6 @@ def cmd_grassmann_scan(args):
         "target_span_dim": k * (k + 1) // 2,
     }
     if 2 * k <= min(m, n):
-        from .fixtures import v0_chart
-
         (W0, W1), A0 = v0_chart(k, m, n)
         [rep] = grassmann_genericity(k, m, n, [W0 + W1], [A0])
         report["v0_probe"] = {

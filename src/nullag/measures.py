@@ -203,6 +203,29 @@ def is_null_lagrangian(mu: DiscreteMeasure, orders="all", tol=1e-9) -> NLReport:
     return NLReport(verdict, residuals, len(residuals), 0, False)
 
 
+def check_measure(obj):
+    """Re-check a measure's JSON by ``is_null_lagrangian``; (ok, verdict
+    entries), naming the worst minor when it fails.  A ValueError when the
+    JSON is malformed."""
+    rep = is_null_lagrangian(DiscreteMeasure.from_json(obj))
+    entry = {
+        "operation": "is_null_lagrangian",
+        "exact": rep.exact,
+        "verdict": rep.verdict,
+        "max_residual": None if rep.exact else rep.max_residual(),
+        "checked": rep.checked,
+        "skipped": rep.skipped,
+    }
+    if not rep.verdict:
+        worst = max(rep.residuals, key=lambda k: abs(rep.residuals[k]))
+        entry["witness_minor"] = {
+            "rows": list(worst[0]),
+            "cols": list(worst[1]),
+            "residual": str(rep.residuals[worst]),
+        }
+    return rep.verdict, [entry]
+
+
 def two_atom_measure(K: Subspace, witness) -> DiscreteMeasure:
     """The measure (1/2) delta_A + (1/2) delta_{-A} at A = P(witness)."""
     A = K.evaluate(witness)

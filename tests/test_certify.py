@@ -21,6 +21,7 @@ from nullag.certify import (
     TrivialityCertificate,
     _certificate_target,
     _identity_combination,
+    check_certificate,
     find_certificate_d_le_3,
     grassmann_genericity,
     reduce_chain,
@@ -161,7 +162,9 @@ def test_chain_diag_pencil_terminal():
     K = v0_subspace(2, 4, 4)
     cert = reduce_chain(K)
     assert isinstance(cert, TrivialityCertificate)
-    assert cert.terminal
+    assert check_certificate(cert.to_json(K)) == (True, [
+        {"operation": "verify_combination", "step": i, "verdict": "psd-nontrivial"}
+        for i in range(len(cert.chain))])
     assert 1 <= len(cert.chain) <= K.d
     dims = [len(c) for c in cert.cones]
     assert dims[0] == K.d
@@ -170,12 +173,12 @@ def test_chain_diag_pencil_terminal():
 
 def test_chain_rotation_terminal():
     cert = reduce_chain(rotation_pencil())
-    assert cert.terminal and len(cert.chain) == 1
+    assert isinstance(cert, TrivialityCertificate) and len(cert.chain) == 1
 
 
 def test_chain_quaternion_terminal():
     cert = reduce_chain(quaternion_pencil())
-    assert cert.terminal and len(cert.chain) <= 3
+    assert isinstance(cert, TrivialityCertificate) and len(cert.chain) <= 3
 
 
 def test_chain_k0_obstruction():
@@ -196,7 +199,7 @@ def test_chain_fuzz_terminal_and_bounded():
         for d in (2, 3):
             K = sub_k0_random(seed * 7 + d, d)
             cert = reduce_chain(K)
-            assert isinstance(cert, TrivialityCertificate) and cert.terminal
+            assert isinstance(cert, TrivialityCertificate) and check_certificate(cert.to_json(K))[0]
             assert len(cert.chain) <= d
 
 
@@ -205,7 +208,7 @@ def test_chain_json_roundtrip():
     cert = reduce_chain(K)
     obj = cert.to_json(K)
     chain, terminal = TrivialityCertificate.chain_from_json(obj)
-    assert terminal == cert.terminal
+    assert terminal is True
     assert len(chain) == len(cert.chain)
     K2 = Subspace.from_json(obj["subspace"])
     assert K2 == K

@@ -132,7 +132,7 @@ def test_analyze_irrational_witness(tmp_path, capsys, monkeypatch):
         "basis": [[["1", "0"], ["0", "2"]], [["0", "1"], ["1", "0"]]],
     }
     path = write_subspace(tmp_path, sub)
-    monkeypatch.setattr("nullag.cli.find_rank_one", refuse_rank_one_search)
+    monkeypatch.setattr("nullag.certify.find_rank_one", refuse_rank_one_search)
     code, report = run_cli(capsys, "analyze", path, "--json-out", str(tmp_path / "rep.json"))
     assert code == 10
     assert [v["operation"] for v in report["verdicts"]] == ["reduce_chain", "construct_nontrivial"]
@@ -160,7 +160,7 @@ def test_analyze_terminal_chain_runs_no_rank_one_search(tmp_path, capsys, monkey
     sub = quaternion4() if name == "quaternion4" else dump_fixture(capsys, name)["subspace"]
     path = write_subspace(tmp_path, sub)
 
-    monkeypatch.setattr("nullag.cli.find_rank_one", refuse_rank_one_search)
+    monkeypatch.setattr("nullag.certify.find_rank_one", refuse_rank_one_search)
     code, report = run_cli(capsys, "analyze", path)
     assert code == 0
     assert [v["operation"] for v in report["verdicts"]] == ["reduce_chain"]
@@ -258,16 +258,54 @@ def test_verify_tampered_later_step_witness_in_cone(tmp_path, capsys):
         assert K.minor_forms().combination(beta)(w) < 0
 
 
-def test_verify_rejects_step_past_the_origin(tmp_path, capsys):
-    sub = dump_fixture(capsys, "rotation")["subspace"]
-    code, report = run_cli(capsys, "analyze", write_subspace(tmp_path, sub))
-    assert code == 0
-    cert = report["certificate"]
-    cert["chain"].append({"beta": cert["chain"][0]["beta"], "cone_basis": []})
-    code, verified = run_cli(capsys, "verify", write_subspace(tmp_path, cert, "bad.json"))
-    assert code == 1
-    assert verified["verdicts"][-1] == {"operation": "verify-cert", "step": 1,
-                                        "error": "chain continues past the origin"}
+def chain_of(cert, *steps):
+    """The certificate with its chain replaced by ``steps``."""
+    return dict(cert, chain=list(steps))
+
+
+# (fixture, tampering of its analyze report's certificate, exit, last verdict
+# entry); sub-k0-random(seed=2208,d=3) has a three-step chain, cones 3, 2, 1
+@pytest.mark.parametrize(
+    "name, tamper, code, last",
+    [
+        pytest.param("sub-k0-random(seed=2208,d=3)",
+                     lambda c: chain_of(c, c["chain"][0],
+                                        dict(c["chain"][1], cone_basis=c["chain"][2]["cone_basis"]),
+                                        c["chain"][2]),
+                     1, {"operation": "verify-cert", "step": 1, "error": "cone mismatch"}, id="cone-mismatch"),
+        pytest.param("sub-k0-random(seed=2208,d=3)", lambda c: chain_of(c, *c["chain"][:-1]),
+                     1, {"operation": "verify-cert", "error": "chain does not terminate at the origin"},
+                     id="last-step-dropped"),
+        pytest.param("rotation",
+                     lambda c: chain_of(c, *c["chain"], {"beta": c["chain"][0]["beta"], "cone_basis": []}),
+                     1, {"operation": "verify-cert", "step": 1, "error": "chain continues past the origin"},
+                     id="step-past-origin"),
+        # Kr(r=1) is non-trivial: an empty chain marked not terminal certifies nothing
+        pytest.param("Kr(r=1)", lambda c: {"kind": "triviality-certificate", "terminal": False, "chain": [],
+                                           "subspace": c["subspace"]},
+                     1, {"operation": "verify-cert", "error": "certificate is not marked terminal"},
+                     id="not-terminal"),
+        pytest.param("Kr(r=1)", lambda c: {"certificate": [1]}, 2, None, id="non-object"),
+    ],
+)
+def test_verify_rejects_tampered_certificate(tmp_path, capsys, name, tamper, code, last):
+    obj = dump_fixture(capsys, name)
+    if "measure" in obj:
+        # a non-trivial fixture: only its subspace is used
+        cert = {"subspace": obj["subspace"]}
+    else:
+        analyze_code, report = run_cli(capsys, "analyze", write_subspace(tmp_path, obj["subspace"]))
+        assert analyze_code == 0
+        cert = report["certificate"]
+    artifact = tamper(cert)
+    for wrapped in (artifact, {"certificate": artifact, "conclusion": "trivial: terminal certificate chain"}):
+        verify_code, verified = run_cli(capsys, "verify", write_subspace(tmp_path, wrapped, "bad.json"))
+        assert verify_code == code
+        if last is None:
+            assert verified["error"] and verified["verdicts"] == []
+        else:
+            assert verified["conclusion"] == "verification failed"
+            assert verified["verdicts"][-1] == last
 
 
 def test_verify_kr_measure_dump(tmp_path, capsys):
@@ -594,6 +632,21 @@ def test_grassmann_scan_oversized_shape_exits_precondition(capsys, monkeypatch):
     code, report = run_cli(capsys, "grassmann-scan", "1", "200", "200", "--samples", "1")
     assert code == 3
     assert "limit" in report["error"] and report["verdicts"] == []
+    assert "samples" not in report
+
+
+def test_grassmann_scan_too_many_samples_exits_precondition(capsys, monkeypatch):
+    # the report keeps every sample: a count over the cap is refused before
+    # a chart is drawn or probed
+    def no_probe(*args, **kwargs):
+        raise AssertionError("a chart was probed")
+
+    monkeypatch.setattr(nullag.cli, "grassmann_genericity", no_probe)
+    monkeypatch.setattr(np.random, "default_rng", no_probe)
+    samples = nullag.certify.SCAN_SAMPLES + 1
+    code, report = run_cli(capsys, "grassmann-scan", "1", "2", "2", "--samples", str(samples))
+    assert code == 3
+    assert "limit of 100000" in report["error"] and report["verdicts"] == []
     assert "samples" not in report
 
 
