@@ -76,7 +76,13 @@ from .algebra import (
     rat_to_str,
     vec_is_zero,
 )
-from .measures import check_measure, construct_nontrivial_for_subspace, is_null_lagrangian, two_atom_measure
+from .measures import (
+    BLOCK_ENTRIES,
+    check_measure,
+    construct_nontrivial_for_subspace,
+    is_null_lagrangian,
+    two_atom_measure,
+)
 from .subspace import Subspace, _add_sym_outer, _minor_index_arrays, _rational_sqrt, find_rank_one
 
 
@@ -774,9 +780,6 @@ def check(obj):
 
 # |Lambda| at or below this counts as zero
 LAMBDA_TOL = 1e-12
-# float entries that one block of charts may hold in the genericity kernel
-# (a block holds as many charts as fit, and at least one)
-BLOCK_ENTRIES = 1 << 17
 # a chart that alone needs more float entries than this is refused
 CHART_ENTRIES = 1 << 24
 # a scan report keeps every sample, about 1.4 KB each: a scan of more is refused

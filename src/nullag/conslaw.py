@@ -196,9 +196,17 @@ def _compiled(body):
 def _defined_evaluator(f, label):
     """``f``, raising ValueError at a v where the value is not a finite
     real number: a division by zero, a negative base under a fractional
-    power (a Python or numpy complex), an overflow."""
+    power (a Python or numpy complex), an overflow.
+
+    An ndarray v is passed through to ``f`` unchecked, for one array
+    evaluation at many points: the caller checks the values, as
+    ``negative_branch_evidence`` does, and evaluates point by point where
+    they are not all defined.
+    """
 
     def evaluate(v):
+        if isinstance(v, np.ndarray):
+            return f(v)
         try:
             value = f(v)
             if not isinstance(value, complex) and math.isfinite(value):
@@ -228,11 +236,12 @@ def p1_alpha_matrix(flux: FluxFunction, alpha, u, v):
 
 
 def _minor(M, i, j):
-    return M[i, 0] * M[j, 1] - M[i, 1] * M[j, 0]
+    return M[..., i, 0] * M[..., j, 1] - M[..., i, 1] * M[..., j, 0]
 
 
 def minors_3x2(M):
-    """(D1, D2, D3) = row-pair minors (1,2), (2,3), (1,3)."""
+    """(D1, D2, D3) = row-pair minors (1,2), (2,3), (1,3); of a stack of
+    3 x 2 matrices, (D1, D2, D3) each over the stack."""
     return np.array([_minor(M, 0, 1), _minor(M, 1, 2), _minor(M, 0, 2)])
 
 
@@ -328,10 +337,10 @@ def build_atoms(flux: FluxFunction, alpha=(0.0, 0.0), s0=0.1, t0=0.1) -> FiveAto
     zeta4 = p1_alpha_matrix(flux, (a1, a2), a1, a2 - t0)
     atoms = [zeta0, zeta1, zeta2, zeta3, zeta4]
 
-    A = np.zeros((4, 4))
-    for j, z in enumerate(atoms[1:]):
-        A[:3, j] = minors_3x2(z)
-        A[3, j] = 1.0
+    # column j of A: the minors of atom j + 1 over a row of ones
+    Z = np.stack(atoms[1:])
+    D = minors_3x2(Z)
+    A = np.vstack([D, np.ones(4)])
     try:
         A_inv = np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
@@ -344,19 +353,11 @@ def build_atoms(flux: FluxFunction, alpha=(0.0, 0.0), s0=0.1, t0=0.1) -> FiveAto
     lam = float(last_col.min())
     Lam = float(last_col.max())
 
-    # quadratic coefficient matrices of the three minors in the weights
-    quad_mats = []
-    for i_minor in range(3):
-        S = np.zeros((4, 4))
-        for j in range(4):
-            for l in range(4):
-                plus = minors_3x2(atoms[1 + j] + atoms[1 + l])[i_minor]
-                S[j, l] = 0.5 * (
-                    plus
-                    - minors_3x2(atoms[1 + j])[i_minor]
-                    - minors_3x2(atoms[1 + l])[i_minor]
-                )
-        quad_mats.append(0.5 * (S + S.T))
+    # quadratic coefficient matrices of the three minors in the weights:
+    # S[i, j, l] is half of minor i of atom j + atom l less minor i of each,
+    # for every (i, j, l) at once by the operations of one entry
+    S = 0.5 * (minors_3x2(Z[:, None] + Z[None, :]) - D[:, :, None] - D[:, None, :])
+    quad_mats = 0.5 * (S + S.transpose(0, 2, 1))
     # row-sum bound on each quadratic block gives |Q| <= C1 |g|^2 and
     # |DQ| <= C1 r on the r-ball
     C1 = 2.0 * math.sqrt(sum(float(np.abs(S).sum(axis=1).max()) ** 2 for S in quad_mats))
@@ -458,8 +459,9 @@ def iterate_weights(system: FiveAtomSystem, eps, tol=1e-12, k_max=64) -> Iterati
     return IterationResult(gamma, float(eps), trace, True, g_norm, gamma0)
 
 
-def five_atom_measure(system: FiveAtomSystem, result: IterationResult, tol=1e-9) -> DiscreteMeasure:
-    """(1-eps) at the base atom plus the converged weights; verified."""
+def five_atom_measure(system: FiveAtomSystem, result: IterationResult, tol=1e-9):
+    """(1-eps) at the base atom plus the converged weights, verified: the
+    measure and its ``is_null_lagrangian`` report over the order-2 minors."""
     eps = result.eps
     weights = [1.0 - eps] + [float(x) for x in result.gamma]
     mu = DiscreteMeasure(list(system.atoms), weights)
@@ -469,17 +471,17 @@ def five_atom_measure(system: FiveAtomSystem, result: IterationResult, tol=1e-9)
             "five-atom measure failed the commutation check (max residual %g)"
             % report.max_residual()
         )
-    return mu
+    return mu, report
 
 
-def push_forward_to_K1(mu_alpha: DiscreteMeasure, flux: FluxFunction, alpha,
-                       tol=1e-9) -> DiscreteMeasure:
+def push_forward_to_K1(mu_alpha: DiscreteMeasure, flux: FluxFunction, alpha, tol=1e-9):
     """Transport a measure from the stripped manifold back to the full one.
 
     The first row of a stripped point is (u - alpha_1, v - alpha_2), so
     the state is read off row one, each atom is checked against the
     stripped parametrization, and the full-manifold measure is
-    re-verified numerically.
+    re-verified numerically.  Returns the measure and its
+    ``is_null_lagrangian`` report over the order-2 minors.
     """
     a1, a2 = float(alpha[0]), float(alpha[1])
     new_atoms = []
@@ -499,12 +501,31 @@ def push_forward_to_K1(mu_alpha: DiscreteMeasure, flux: FluxFunction, alpha,
             "pushed-forward measure failed the commutation check (max residual %g)"
             % report.max_residual()
         )
-    return mu
+    return mu, report
 
 
 def support_radius(mu: DiscreteMeasure):
     """Largest atom norm; reported instead of an a-priori constant."""
     return max(float(np.linalg.norm(np.asarray(a, dtype=float))) for a in mu.atoms)
+
+
+def _flux_values(flux: FluxFunction, v):
+    """a at each entry of the float array v.
+
+    One array evaluation, under numpy's floating-point errors raised; on
+    any floating-point error, a non-finite entry or a result that is not a
+    float array of v's shape, the scalar loop instead, which raises the
+    ValueError of the first v where a is undefined.
+    """
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            values = flux.a(v)
+        if (isinstance(values, np.ndarray) and values.dtype == float
+                and values.shape == v.shape and np.isfinite(values).all()):
+            return values
+    except (ArithmeticError, TypeError, ValueError):
+        pass
+    return np.array([flux.a(x) for x in v.tolist()])
 
 
 def negative_branch_evidence(flux: FluxFunction, alpha, delta=0.1, samples=10000, seed=0):
@@ -513,6 +534,11 @@ def negative_branch_evidence(flux: FluxFunction, alpha, delta=0.1, samples=10000
     With a' < 0 at the base state, (u2-u1)^2 - (v2-v1)(a(v2)-a(v1)) should
     stay non-negative on pairs near the base point, vanishing only on the
     diagonal; this reports the sampled range as evidence, not a proof.
+    The flux is evaluated once on the v2 array and once on the v1 array
+    (``_flux_values``); any floating-point error there falls back to the
+    scalar loop, so an undefined flux raises the ValueError naming the
+    first undefined v, with no numpy warning.  numpy's array powers may
+    differ from Python's ``pow`` in the last bit, so min and max may too.
     """
     a1, a2 = float(alpha[0]), float(alpha[1])
     if flux.a_prime(a2) >= 0:
@@ -521,8 +547,7 @@ def negative_branch_evidence(flux: FluxFunction, alpha, delta=0.1, samples=10000
     pts = rng.uniform(-delta, delta, size=(samples, 4))
     u1, v1 = a1 + pts[:, 0], a2 + pts[:, 1]
     u2, v2 = a1 + pts[:, 2], a2 + pts[:, 3]
-    # at Python floats an undefined flux raises at once, with no numpy warning
-    av = np.array([flux.a(x) for x in v2.tolist()]) - np.array([flux.a(x) for x in v1.tolist()])
+    av = _flux_values(flux, v2) - _flux_values(flux, v1)
     vals = (u2 - u1) ** 2 - (v2 - v1) * av
     return {
         "min": float(vals.min()),

@@ -172,11 +172,28 @@ class NLReport:
         return max(abs(v) for v in self.residuals.values())
 
 
+# float entries that one block of a stacked float kernel may hold: the
+# commutation check below and the genericity kernel of ``certify``
+BLOCK_ENTRIES = 1 << 17
+
+
 def is_null_lagrangian(mu: DiscreteMeasure, orders="all", tol=1e-9) -> NLReport:
     """Check int M dmu == M(barycenter) for the enumerated minors.
 
     Exact measures get an exact verdict (residuals must vanish
     identically); float measures are checked against ``tol``.
+
+    The float check is stacked and blocked.  For each minor order p it
+    gathers the order-p submatrices of every atom and of the barycenter, a
+    block of minors at a time, and takes their determinants in one stacked
+    ``np.linalg.det`` call per block (per group of atoms, when the atoms
+    alone fill a block), so a block holds at most ``BLOCK_ENTRIES`` float
+    entries whatever the shape or the atom count.  The residual of a minor
+    is then 0 + w_1 det_1 + ... + w_k det_k - det(barycenter), added in atom
+    order.  It equals the residual of one ``det`` call per minor and atom,
+    bit for bit: a stacked LAPACK call copies each matrix into the same
+    buffer and runs the same routine on it as a call on that matrix alone,
+    and the elementwise sums keep the per-minor order of operations.
     """
     m, n = mu.shape
     bary = mu.barycenter()
@@ -192,13 +209,19 @@ def is_null_lagrangian(mu: DiscreteMeasure, orders="all", tol=1e-9) -> NLReport:
             residuals[(rows, cols)] = val
         verdict = all(v == 0 for v in residuals.values())
         return NLReport(verdict, residuals, len(residuals), total - len(residuals), True)
-    pairs = enumerate_minors(m, n, orders)
+    stack = np.stack(list(mu.atoms) + [bary])
     residuals = {}
-    for rows, cols in pairs:
-        val = sum(
-            w * float(np.linalg.det(a[np.ix_(rows, cols)])) for w, a in zip(mu.weights, mu.atoms)
-        ) - float(np.linalg.det(bary[np.ix_(rows, cols)]))
-        residuals[(rows, cols)] = val
+    for p, pairs in itertools.groupby(enumerate_minors(m, n, orders), lambda pair: len(pair[0])):
+        pairs = list(pairs)
+        rows, cols = (np.array(index) for index in zip(*pairs))
+        group = max(1, min(len(stack), BLOCK_ENTRIES // (p * p)))
+        block = max(1, BLOCK_ENTRIES // (group * p * p))
+        for start in range(0, len(pairs), block):
+            r, c = rows[start:start + block, :, None], cols[start:start + block, None, :]
+            dets = np.concatenate([np.linalg.det(stack[g:g + group][:, r, c])
+                                   for g in range(0, len(stack), group)])
+            val = sum(w * det for w, det in zip(mu.weights, dets)) - dets[-1]
+            residuals.update(zip(pairs[start:start + block], val.tolist()))
     verdict = all(abs(v) <= tol for v in residuals.values())
     return NLReport(verdict, residuals, len(residuals), 0, False)
 

@@ -698,6 +698,24 @@ def test_reports_deterministic(tmp_path, capsys):
     assert _strip_timings(g1) == _strip_timings(g2)
 
 
+def test_verify_reports_skip_the_artifact_timings(tmp_path, capsys):
+    # two runs of one command differ in their timings only; the verify
+    # report digests its artifact without them, so the two verify reports
+    # are byte-identical once their own timings are dropped
+    sub = dump_fixture(capsys, "Kr(r=2)")["subspace"]
+    path = write_subspace(tmp_path, sub)
+    for argv, code in ((("analyze", path), 10), (("k1", "--flux", "v - 0.5*v^3"), 0)):
+        verified = []
+        for run in range(2):
+            out = tmp_path / ("%s-%d.json" % (argv[0], run))
+            assert run_cli(capsys, *argv, "--json-out", str(out))[0] == code
+            assert json.loads(out.read_text())["timings"]
+            verify_code, report = run_cli(capsys, "verify", str(out))
+            assert verify_code == 0
+            verified.append(_strip_timings(report))
+        assert verified[0] == verified[1], argv[0]
+
+
 def test_main_keeps_no_state_between_calls(tmp_path, capsys):
     # one process and one parser: analyze, k1 with non-default options, analyze
     sub = dump_fixture(capsys, "K0")["subspace"]

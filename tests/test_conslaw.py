@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 import flux_parser_oracle as oracle
+from bench_inputs import k1_draws
+from float_k1_oracle import five_atom_constants_reference, negative_branch_evidence_reference
+from nullag.cli import _build_atoms_halving
 from nullag.conslaw import (
     AtomConstructionError,
     FluxFunction,
@@ -202,6 +205,19 @@ def test_build_atoms_quadratic_constants():
     assert S.Lam == pytest.approx(inv_last.max())
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_build_atoms_matches_entry_by_entry_reference(seed):
+    # the positive-slope k1 draws of the benchmark: A and the quadratic
+    # coefficient matrices from one array expression, and the constants read
+    # off them, equal the entry-by-entry fill bit for bit
+    for flux, a1, a2 in k1_draws(seed, positive=True):
+        S = _build_atoms_halving(FluxFunction.named(flux), (a1, a2), 0.1, 0.1)
+        A, quad_mats, C1, C2, theta, eps0 = five_atom_constants_reference(S.atoms)
+        assert S.A.tobytes() == A.tobytes(), flux
+        assert [Q.tobytes() for Q in S.quad_mats] == [Q.tobytes() for Q in quad_mats], flux
+        assert (S.C1, S.C2, S.theta, S.eps0) == (C1, C2, theta, eps0), flux
+
+
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -277,19 +293,20 @@ def test_five_atom_measure_linear():
     flux = FluxFunction.linear()
     S = build_atoms(flux, (0.0, 0.0), 0.1, 0.1)
     res = iterate_weights(S, 0.01)
-    mu = five_atom_measure(S, res)
-    rep = is_null_lagrangian(mu, orders=2, tol=1e-12)
-    assert rep.verdict
+    mu, rep = five_atom_measure(S, res)
+    assert rep.verdict and rep.checked == 3
+    assert is_null_lagrangian(mu, orders=2, tol=1e-12).verdict
 
 
 def test_five_atom_measure_quadratic_and_push_forward():
     flux = FluxFunction.named("quadratic:1")
     S = build_atoms(flux, (0.0, 0.0), 0.1, 0.1)
     res = iterate_weights(S, S.eps0 / 2)
-    mu = five_atom_measure(S, res)
-    assert is_null_lagrangian(mu, orders=2, tol=1e-9).verdict
-    pushed = push_forward_to_K1(mu, flux, (0.0, 0.0))
-    assert is_null_lagrangian(pushed, orders=2, tol=1e-9).verdict
+    mu, rep = five_atom_measure(S, res)
+    assert rep.residuals == is_null_lagrangian(mu, orders=2, tol=1e-9).residuals
+    pushed, rep = push_forward_to_K1(mu, flux, (0.0, 0.0))
+    assert rep.verdict
+    assert rep.residuals == is_null_lagrangian(pushed, orders=2, tol=1e-9).residuals
     assert support_radius(pushed) > 0
 
 
@@ -297,7 +314,7 @@ def test_push_forward_dirac():
     flux = FluxFunction.named("quadratic:1")
     alpha = (0.3, 0.2)
     mu = DiscreteMeasure([np.zeros((3, 2))], [1.0])
-    pushed = push_forward_to_K1(mu, flux, alpha)
+    pushed, _ = push_forward_to_K1(mu, flux, alpha)
     assert np.abs(pushed.atoms[0] - p1_matrix(flux, *alpha)).max() < 1e-12
 
 
@@ -307,8 +324,8 @@ def test_push_forward_matches_stripped_at_origin():
     flux = FluxFunction.linear()
     S = build_atoms(flux, (0.0, 0.0), 0.1, 0.1)
     res = iterate_weights(S, 0.01)
-    mu = five_atom_measure(S, res)
-    pushed = push_forward_to_K1(mu, flux, (0.0, 0.0))
+    mu, _ = five_atom_measure(S, res)
+    pushed, _ = push_forward_to_K1(mu, flux, (0.0, 0.0))
     for a, b in zip(mu.atoms, pushed.atoms):
         assert np.abs(np.asarray(a) - np.asarray(b)).max() < 1e-12
 
@@ -326,9 +343,9 @@ def test_nonzero_base_point_quadratic():
     alpha = (0.7, 0.4)
     S = build_atoms(flux, alpha, 0.05, 0.05)
     res = iterate_weights(S, S.eps0 / 2)
-    mu = five_atom_measure(S, res)
-    pushed = push_forward_to_K1(mu, flux, alpha)
-    assert is_null_lagrangian(pushed, orders=2, tol=1e-9).verdict
+    mu, _ = five_atom_measure(S, res)
+    pushed, rep = push_forward_to_K1(mu, flux, alpha)
+    assert rep.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +368,63 @@ def test_negative_branch_quadratic():
     flux = FluxFunction.named("0 - v + v^2")
     report = negative_branch_evidence(flux, (0.0, 0.0), delta=0.05, samples=10000, seed=1)
     assert report["sign_constant"]
+
+
+def assert_same_evidence(report, expected):
+    # one array evaluation gives the scalar loop's evidence; numpy's array
+    # powers may differ from Python's pow in the last bit, so min and max
+    # may move there
+    for key in ("sign_constant", "samples", "delta", "note"):
+        assert report[key] == expected[key]
+    for key in ("min", "max"):
+        assert report[key] == pytest.approx(expected[key], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "flux, alpha, delta, samples, seed",
+    [
+        ("0 - v", (0.0, 0.0), 0.1, 2000, 0),
+        ("0 - v + v^2", (0.0, 0.0), 0.05, 10000, 1),
+        ("v - v^2", (0.0, 1.0), 0.1, 10000, 0),
+        ("v - 2.718*v^3", (0.0, 0.5), 0.1, 10000, 0),
+        ("0 - v - (v^2)^0.75", (0.3, 0.5), 0.2, 5000, 4),
+        ("quadratic:-1", (0.0, 0.9), 0.1, 10000, 0),
+        ("cubic:-2", (0.0, -0.7), 0.1, 10000, 0),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_negative_branch_matches_scalar_reference(flux, alpha, delta, samples, seed):
+    flux = FluxFunction.named(flux)
+    assert_same_evidence(negative_branch_evidence(flux, alpha, delta, samples, seed),
+                         negative_branch_evidence_reference(flux, alpha, delta, samples, seed))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 13, 16])
+@pytest.mark.filterwarnings("error")
+def test_negative_branch_matches_scalar_reference_on_benchmark_draws(seed):
+    draws = k1_draws(seed, positive=False)
+    assert len(draws) == 24
+    for flux, a1, a2 in draws:
+        flux = FluxFunction.named(flux)
+        assert_same_evidence(negative_branch_evidence(flux, (a1, a2)),
+                             negative_branch_evidence_reference(flux, (a1, a2)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_negative_branch_falls_back_to_the_scalar_loop():
+    # a(v) = -sin v by math.sin, which takes no array: the scalar loop runs,
+    # to the same bits
+    flux = FluxFunction(lambda v: -math.sin(v), lambda v: math.cos(v) - 1.0,
+                        lambda v: -math.cos(v), name="-sin", check=False)
+    report = negative_branch_evidence(flux, (0.0, 0.2))
+    assert report == negative_branch_evidence_reference(flux, (0.0, 0.2))
+    # a flux undefined beyond v = 2 (an invalid power on the array) and one
+    # that overflows near v = 2 raise the scalar loop's ValueError, naming
+    # the same first undefined v, with no numpy warning
+    for text, alpha in (("(2-v)^0.5", (0.0, 1.95)), ("0 - v - 1/(v-2)^120", (0.0, 1.95))):
+        flux = FluxFunction.named(text)
+        with pytest.raises(ValueError) as expected:
+            negative_branch_evidence_reference(flux, alpha, samples=2000)
+        with pytest.raises(ValueError, match="undefined at v = ") as raised:
+            negative_branch_evidence(flux, alpha, samples=2000)
+        assert str(raised.value) == str(expected.value)

@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from bench_inputs import sym3_open_pool
 from farkas_oracle import farkas_feasible_bruteforce, farkas_solve_reference
+from float_k1_oracle import null_lagrangian_reference
 from nullag import measures
 from nullag.algebra import RationalMatrix, _integer_row, enumerate_minors, minor, vec_dot
 from nullag.measures import (
@@ -112,6 +113,41 @@ def test_translation_shift_keeps_commutation():
         C = RationalMatrix([[rand_rat(rng) for _ in range(2)] for _ in range(2)])
         shifted = DiscreteMeasure([a + C for a in mu.atoms], mu.weights)
         assert is_null_lagrangian(shifted).verdict
+
+
+def float_measures(rng, m, n):
+    """A seeded float measure of 1-7 random atoms on m x n, and one with the
+    same weights on a rank-one line, which commutes with every minor."""
+    count = int(rng.integers(1, 8))
+    weights = rng.random(count) + 0.1
+    weights /= weights.sum()
+    generic = DiscreteMeasure(list(rng.standard_normal((count, m, n))), weights)
+    base, a, b = rng.standard_normal((m, n)), rng.standard_normal(m), rng.standard_normal(n)
+    line = DiscreteMeasure([base + t * np.outer(a, b) for t in rng.standard_normal(count)], weights)
+    return generic, line
+
+
+@pytest.mark.parametrize("block_entries", [measures.BLOCK_ENTRIES, 20])
+def test_float_check_matches_per_minor_reference(monkeypatch, block_entries):
+    # the stacked, blocked float check gives the per-minor residuals bit for
+    # bit, in the same order; at 20 float entries a block holds one minor of
+    # at most five 2 x 2 or two 3 x 3 submatrices (a 5 x 5 one alone), so
+    # every shape spans many blocks and the atoms are split into groups
+    monkeypatch.setattr(measures, "BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(26)
+    verdicts = set()
+    for m in range(2, 7):
+        for n in range(2, 7):
+            for mu in float_measures(rng, m, n):
+                for orders in [2, 3, "all"] if min(m, n) >= 3 else [2, "all"]:
+                    rep = is_null_lagrangian(mu, orders=orders)
+                    ref = null_lagrangian_reference(mu, orders=orders)
+                    assert [(k, v.hex()) for k, v in rep.residuals.items()] == [
+                        (k, v.hex()) for k, v in ref.residuals.items()], (m, n, orders)
+                    assert (rep.verdict, rep.checked, rep.skipped, rep.exact) == (
+                        ref.verdict, ref.checked, 0, False)
+                    verdicts.add(rep.verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
