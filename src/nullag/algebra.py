@@ -5,6 +5,12 @@ Everything in this module is exact: scalars are `fractions.Fraction`
 Fractions, polynomials are sparse exponent-vector maps.  Floating point
 never enters here; numeric work lives in the modules that need it.
 
+No command builds a polynomial: the library handles the minors as
+integer quadratic forms (``subspace.MinorForms``) and Laplace tables
+(``minor_table``).  ``MultiPoly`` stays only as the reference behind
+``subspace.minor_polys`` and ``QuadraticForm.from_poly``, which the
+benchmark's tracer names; the tests compare the forms against it.
+
 All objects are treated as immutable after construction.
 """
 
@@ -43,10 +49,6 @@ def rat_from_str(s) -> Fraction:
 # ---------------------------------------------------------------------------
 # vectors (plain tuples of Fractions)
 # ---------------------------------------------------------------------------
-
-def vec(xs):
-    return tuple(rat(x) for x in xs)
-
 
 def vec_dot(a, b):
     if len(a) != len(b):
@@ -97,12 +99,6 @@ class RationalMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
-
-    def tolist(self):
-        return [list(r) for r in self.entries]
 
     def __eq__(self, other):
         return (
@@ -162,23 +158,8 @@ class RationalMatrix:
             ]
         )
 
-    def matvec(self, v):
-        if self.cols != len(v):
-            raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(
-            sum((self.entries[i][k] * v[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
-
     def transpose(self):
         return RationalMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def frobenius_dot(self, other):
-        self._check_same_shape(other)
-        return sum(
-            (a * b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2)),
-            Fraction(0),
-        )
 
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -489,45 +470,6 @@ def minor_table(grid, top):
     return out
 
 
-def det_sum_expansion(A: RationalMatrix, X: RationalMatrix) -> Fraction:
-    """det(A+X) computed through the mixed-minor expansion.
-
-    Expands det(A+X) = det(A) + det(X) + sum over proper row subsets of X
-    of cofactor(A) * minor(X) terms (generalized Laplace across the row
-    split).  Must agree with the direct determinant exactly.
-    """
-    if A.rows != A.cols or X.rows != X.cols or A.rows != X.rows:
-        raise ValueError("det_sum_expansion needs two square matrices of equal size")
-    n = A.rows
-    total = A.det() + X.det()
-    full = tuple(range(n))
-    for p in range(1, n):
-        for rowset in itertools.combinations(full, p):
-            comp_rows = tuple(i for i in full if i not in rowset)
-            for colset in itertools.combinations(full, p):
-                comp_cols = tuple(j for j in full if j not in colset)
-                sign = -1 if (sum(rowset) + sum(colset)) % 2 else 1
-                cof = A.submatrix(comp_rows, comp_cols).det()
-                if cof == 0:
-                    continue
-                total += sign * cof * X.submatrix(rowset, colset).det()
-    return total
-
-
-def cofactor_2x2(B: RationalMatrix) -> RationalMatrix:
-    if B.rows != 2 or B.cols != 2:
-        raise ValueError("cofactor_2x2 needs a 2x2 matrix")
-    e = B.entries
-    return RationalMatrix([[e[1][1], -e[1][0]], [-e[0][1], e[0][0]]])
-
-
-def cofactor_identity_2x2(A: RationalMatrix, B: RationalMatrix) -> Fraction:
-    """det(A) - A:Cof(B) + det(B); equals det(A-B) for 2x2 matrices."""
-    if A.rows != 2 or A.cols != 2 or B.rows != 2 or B.cols != 2:
-        raise ValueError("cofactor_identity_2x2 needs 2x2 matrices")
-    return A.det() - A.frobenius_dot(cofactor_2x2(B)) + B.det()
-
-
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials
 # ---------------------------------------------------------------------------
@@ -535,7 +477,11 @@ def cofactor_identity_2x2(A: RationalMatrix, B: RationalMatrix) -> Fraction:
 class MultiPoly:
     """Sparse polynomial over the rationals in variables z_1..z_nvars.
 
-    Terms map exponent tuples to non-zero Fraction coefficients.
+    Terms map exponent tuples to non-zero Fraction coefficients.  No
+    command calls it: it stays only as the reference behind
+    ``subspace.minor_polys`` and ``QuadraticForm.from_poly``, which the
+    benchmark's tracer names, with the arithmetic those two use;
+    evaluation and coefficient vectors live with the tests.
     """
 
     __slots__ = ("nvars", "terms")
@@ -564,19 +510,8 @@ class MultiPoly:
         return MultiPoly(nvars)
 
     @staticmethod
-    def constant(nvars, c):
-        c = rat(c)
-        return MultiPoly(nvars, {(0,) * nvars: c} if c != 0 else {})
-
-    @staticmethod
-    def variable(nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return MultiPoly(nvars, {tuple(e): Fraction(1)})
-
-    @staticmethod
-    def linear(coeffs, constant=0):
-        """The affine polynomial coeffs . z + constant."""
+    def linear(coeffs):
+        """The linear polynomial coeffs . z."""
         nvars = len(coeffs)
         terms = {}
         for i, c in enumerate(coeffs):
@@ -585,9 +520,6 @@ class MultiPoly:
                 e = [0] * nvars
                 e[i] = 1
                 terms[tuple(e)] = c
-        constant = rat(constant)
-        if constant != 0:
-            terms[(0,) * nvars] = constant
         return MultiPoly(nvars, terms)
 
     def is_zero(self):
@@ -600,9 +532,6 @@ class MultiPoly:
         if len(degs) != 1:
             return False
         return deg is None or degs == {deg}
-
-    def homogeneous_part(self, deg):
-        return MultiPoly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == deg})
 
     def __eq__(self, other):
         return (
@@ -646,54 +575,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly) or other.nvars != self.nvars:
             raise ValueError("polynomial variable-count mismatch")
 
-    def eval(self, point):
-        """Exact evaluation at a rational point."""
-        if len(point) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        point = [rat(x) for x in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, p in zip(point, e):
-                if p:
-                    v *= x**p
-            total += v
-        return total
-
-    def compose_linear(self, L: RationalMatrix, shift=None):
-        """Exact substitution z_i -> (row i of L) . w + shift_i.
-
-        L is nvars x k; the result is a polynomial in k variables.
-        """
-        if L.rows != self.nvars:
-            raise ValueError("substitution matrix has wrong row count")
-        k = L.cols
-        if shift is None:
-            shift = (Fraction(0),) * self.nvars
-        if len(shift) != self.nvars:
-            raise ValueError("shift has wrong length")
-        subs = [MultiPoly.linear(L.row(i), shift[i]) for i in range(self.nvars)]
-        result = MultiPoly.zero(k)
-        pow_cache = [{0: MultiPoly.constant(k, 1)} for _ in range(self.nvars)]
-
-        def power(i, p):
-            cache = pow_cache[i]
-            if p not in cache:
-                cache[p] = power(i, p - 1) * subs[i]
-            return cache[p]
-
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(k, c)
-            for i, p in enumerate(e):
-                if p:
-                    term = term * power(i, p)
-            result = result + term
-        return result
-
-    def coefficient_vector(self, monomials):
-        """Coefficients against an explicit monomial list (exponent tuples)."""
-        return tuple(self.terms.get(tuple(e), Fraction(0)) for e in monomials)
-
     def __repr__(self):
         if not self.terms:
             return "MultiPoly(0)"
@@ -707,12 +588,6 @@ class MultiPoly:
             )
             bits.append("%s%s" % (c, "*" + mono if mono else ""))
         return "MultiPoly(%s)" % " + ".join(bits)
-
-
-def span_basis_indices(polys):
-    """Indices of the polynomials independent of those before them."""
-    monomials = sorted({e for p in polys for e in p.terms})
-    return independent_indices([p.coefficient_vector(monomials) for p in polys])
 
 
 # ---------------------------------------------------------------------------
@@ -749,28 +624,8 @@ class QuadraticForm:
                 m[j][i] = c / 2
         return QuadraticForm(RationalMatrix(m))
 
-    def to_poly(self):
-        d = self.dim
-        terms = {}
-        for i in range(d):
-            for j in range(i, d):
-                c = self.matrix[i, j] if i == j else 2 * self.matrix[i, j]
-                if c != 0:
-                    e = [0] * d
-                    e[i] += 1
-                    e[j] += 1
-                    terms[tuple(e)] = c
-        return MultiPoly(d, terms)
-
-    def __call__(self, v):
-        v = vec(v)
-        return vec_dot(v, self.matrix.matvec(v))
-
     def __add__(self, other):
         return QuadraticForm(self.matrix + other.matrix)
-
-    def scale(self, c):
-        return QuadraticForm(self.matrix.scale(c))
 
     def is_zero(self):
         return self.matrix.is_zero()

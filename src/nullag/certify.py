@@ -698,6 +698,8 @@ def check_certificate(obj):
     KeyError when the JSON is malformed.
     """
     chain, terminal = TrivialityCertificate.chain_from_json(obj)
+    if "subspace" not in obj:
+        raise ValueError("bad certificate JSON: missing key 'subspace'")
     K = Subspace.from_json(obj["subspace"])
     if not terminal:
         return False, [{"operation": "verify-cert", "error": "certificate is not marked terminal"}]

@@ -317,7 +317,8 @@ def cmd_fixtures(args):
     try:
         entry = builtin(args.name)
     except (KeyError, ValueError) as exc:
-        _emit({"command": "fixtures", "error": str(exc)}, args.json_out)
+        # str() of a KeyError is the repr of its message
+        _emit({"command": "fixtures", "error": exc.args[0]}, args.json_out)
         return EXIT_SCHEMA
     out = {
         "command": "fixtures",

@@ -24,6 +24,12 @@ import numpy as np
 
 from .measures import DiscreteMeasure, is_null_lagrangian
 
+# relative gap allowed between F(x1) - F(x0) and the quadrature of a
+_PRIMITIVE_TOL = 1e-8
+# tolerance of the commutation checks on the five-atom and pushed measures,
+# and relative distance of a pushed atom from the stripped parametrization
+_MEASURE_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # flux functions
@@ -42,14 +48,14 @@ class FluxFunction:
         if check:
             self._check_primitive()
 
-    def _check_primitive(self, tol=1e-8):
+    def _check_primitive(self):
         from scipy.integrate import quad
 
         for x0, x1 in ((0.0, 0.7), (-0.9, 0.3), (0.2, 1.1)):
             integral, _ = quad(self.a, x0, x1, limit=200)
             diff = self.primitive(x1) - self.primitive(x0)
             scale = max(1.0, abs(integral))
-            if abs(diff - integral) > tol * scale:
+            if abs(diff - integral) > _PRIMITIVE_TOL * scale:
                 raise ValueError(
                     "primitive inconsistent with flux on [%g, %g]: F-diff %g vs integral %g"
                     % (x0, x1, diff, integral)
@@ -459,13 +465,13 @@ def iterate_weights(system: FiveAtomSystem, eps, tol=1e-12, k_max=64) -> Iterati
     return IterationResult(gamma, float(eps), trace, True, g_norm, gamma0)
 
 
-def five_atom_measure(system: FiveAtomSystem, result: IterationResult, tol=1e-9):
+def five_atom_measure(system: FiveAtomSystem, result: IterationResult):
     """(1-eps) at the base atom plus the converged weights, verified: the
     measure and its ``is_null_lagrangian`` report over the order-2 minors."""
     eps = result.eps
     weights = [1.0 - eps] + [float(x) for x in result.gamma]
     mu = DiscreteMeasure(list(system.atoms), weights)
-    report = is_null_lagrangian(mu, orders=2, tol=tol)
+    report = is_null_lagrangian(mu, orders=2, tol=_MEASURE_TOL)
     if not report.verdict:
         raise IterationError(
             "five-atom measure failed the commutation check (max residual %g)"
@@ -474,7 +480,7 @@ def five_atom_measure(system: FiveAtomSystem, result: IterationResult, tol=1e-9)
     return mu, report
 
 
-def push_forward_to_K1(mu_alpha: DiscreteMeasure, flux: FluxFunction, alpha, tol=1e-9):
+def push_forward_to_K1(mu_alpha: DiscreteMeasure, flux: FluxFunction, alpha):
     """Transport a measure from the stripped manifold back to the full one.
 
     The first row of a stripped point is (u - alpha_1, v - alpha_2), so
@@ -491,11 +497,11 @@ def push_forward_to_K1(mu_alpha: DiscreteMeasure, flux: FluxFunction, alpha, tol
         v = a2 + atom[0, 1]
         expect = p1_alpha_matrix(flux, (a1, a2), u, v)
         scale = max(1.0, float(np.abs(expect).max()))
-        if float(np.abs(atom - expect).max()) > tol * scale:
+        if float(np.abs(atom - expect).max()) > _MEASURE_TOL * scale:
             raise ValueError("atom is off the stripped manifold beyond tolerance")
         new_atoms.append(p1_matrix(flux, u, v))
     mu = DiscreteMeasure(new_atoms, [float(w) for w in mu_alpha.weights])
-    report = is_null_lagrangian(mu, orders=2, tol=tol)
+    report = is_null_lagrangian(mu, orders=2, tol=_MEASURE_TOL)
     if not report.verdict:
         raise RuntimeError(
             "pushed-forward measure failed the commutation check (max residual %g)"

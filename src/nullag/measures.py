@@ -112,9 +112,6 @@ class DiscreteMeasure:
             acc = acc + w * a
         return acc
 
-    def is_dirac(self):
-        return sum(1 for w in self.weights if (w != 0 if self.exact else w > 1e-15)) <= 1
-
     def to_json(self):
         m, n = self.shape
         if self.exact:
@@ -296,7 +293,8 @@ class FarkasProblem:
     @property
     def A(self):
         """A as a RationalMatrix (built here on first read for a problem
-        made by ``from_columns``)."""
+        made by ``from_columns``).  ``farkas_solve`` never reads it; only
+        the tests and the benchmark's tracer do."""
         if self._A is None:
             self._A = RationalMatrix([[Fraction(a[i], c) for a, c in zip(self.columns, self.scales)]
                                       for i in range(len(self.b))])

@@ -2,16 +2,12 @@
 
 A d-dimensional subspace K of m x n matrices is stored through a basis
 B_1..B_d; the associated pencil P(z) = sum_l z_l B_l has entry (i,j) equal
-to a_ij . z for coefficient vectors a_ij in Q^d.  Elementary row and
-column operations on the pencil produce equivalent subspaces that keep the
-pointwise rank profile and the span of the 2x2 minor polynomials; the
-certificate machinery leans on both facts.
+to a_ij . z for coefficient vectors a_ij in Q^d.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +20,6 @@ from .algebra import (
     rat,
     rat_from_str,
     rat_to_str,
-    span_basis_indices,
 )
 
 
@@ -130,108 +125,7 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# pencil operations
-# ---------------------------------------------------------------------------
-
-_OP_KINDS = ("row-swap", "row-scale", "row-add", "col-swap", "col-scale", "col-add")
-
-
-class PencilOp:
-    """One elementary row or column operation on a pencil.
-
-    swap:  interchange lines i and j
-    scale: line i multiplied by c (c != 0)
-    add:   line i incremented by c times line j
-    """
-
-    __slots__ = ("kind", "i", "j", "c")
-
-    def __init__(self, kind, i, j=None, c=None):
-        if kind not in _OP_KINDS:
-            raise ValueError("unknown op kind %r" % kind)
-        if kind.endswith("scale"):
-            if c is None or rat(c) == 0:
-                raise ValueError("scale factor must be non-zero")
-            j = None
-        elif kind.endswith("swap"):
-            if j is None:
-                raise ValueError("swap needs two indices")
-            c = None
-        else:
-            if j is None or c is None:
-                raise ValueError("add needs a second index and a factor")
-        self.kind = kind
-        self.i = int(i)
-        self.j = None if j is None else int(j)
-        self.c = None if c is None else rat(c)
-
-    def __repr__(self):
-        return "PencilOp(%r, i=%d, j=%r, c=%r)" % (self.kind, self.i, self.j, self.c)
-
-
-def _apply_op_to_matrix(M: RationalMatrix, op: PencilOp) -> RationalMatrix:
-    rows = [list(r) for r in M.entries]
-    if op.kind.startswith("col"):
-        rows = [list(r) for r in zip(*rows)]
-    if op.kind.endswith("swap"):
-        rows[op.i], rows[op.j] = rows[op.j], rows[op.i]
-    elif op.kind.endswith("scale"):
-        rows[op.i] = [op.c * x for x in rows[op.i]]
-    else:
-        rows[op.i] = [a + op.c * b for a, b in zip(rows[op.i], rows[op.j])]
-    if op.kind.startswith("col"):
-        rows = [list(r) for r in zip(*rows)]
-    return RationalMatrix(rows)
-
-
-def apply_ops(K: Subspace, ops) -> Subspace:
-    """Equivalent subspace obtained by elementary pencil operations.
-
-    The operations have constant coefficients, so they act on every basis
-    matrix simultaneously; the pointwise rank profile is preserved.
-    """
-    basis = list(K.basis)
-    for op in ops:
-        limit = K.m if op.kind.startswith("row") else K.n
-        idxs = [op.i] if op.j is None else [op.i, op.j]
-        if any(i < 0 or i >= limit for i in idxs):
-            raise IndexError("op index out of range")
-        if op.kind.endswith("add") and op.i == op.j:
-            raise ValueError("add op needs distinct lines")
-        basis = [_apply_op_to_matrix(b, op) for b in basis]
-    return Subspace(basis)
-
-
-def random_pencil_ops(m, n, count, rng: random.Random):
-    """Deterministic stream of well-formed random ops (for transport tests)."""
-    ops = []
-    for _ in range(count):
-        axis = rng.choice(("row", "col"))
-        limit = m if axis == "row" else n
-        if limit < 2:
-            axis = "col" if axis == "row" else "row"
-            limit = m if axis == "row" else n
-        kind = rng.choice(("swap", "scale", "add"))
-        i = rng.randrange(limit)
-        if kind == "scale":
-            c = Fraction(rng.choice([x for x in range(-3, 4) if x]), rng.randint(1, 3))
-            ops.append(PencilOp(axis + "-scale", i, c=c))
-        elif kind == "swap":
-            j = rng.randrange(limit - 1)
-            if j >= i:
-                j += 1
-            ops.append(PencilOp(axis + "-swap", i, j))
-        else:
-            j = rng.randrange(limit - 1)
-            if j >= i:
-                j += 1
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            ops.append(PencilOp(axis + "-add", i, j, c))
-    return ops
-
-
-# ---------------------------------------------------------------------------
-# pencil entries and minor spans
+# pencil entries and minor forms
 # ---------------------------------------------------------------------------
 
 def parametrize(K: Subspace):
@@ -258,7 +152,10 @@ def _poly_det(grid):
 
 
 def minor_polys(K: Subspace, order=2):
-    """Minor polynomials M_k(P(z)) in the fixed enumeration order."""
+    """Minor polynomials M_k(P(z)) in the fixed enumeration order.
+
+    No command calls this: it is the reference that the tests check
+    ``MinorForms`` against, and the benchmark's tracer names it."""
     pencil = parametrize(K)
     out = []
     for rows, cols in enumerate_minors(K.m, K.n, order):
@@ -378,27 +275,6 @@ class MinorForms:
         return tuple(beta)
 
 
-class MinorSpan:
-    """Order-p minor polynomials of a pencil plus a basis of their span."""
-
-    __slots__ = ("polys", "span_basis")
-
-    def __init__(self, polys, span_basis):
-        self.polys = list(polys)
-        self.span_basis = list(span_basis)
-
-    @property
-    def dim(self):
-        return len(self.span_basis)
-
-
-def minor_span(K: Subspace, order=2) -> MinorSpan:
-    if order < 2 or order > min(K.m, K.n):
-        raise ValueError("minor order %d out of range" % order)
-    polys = minor_polys(K, order)
-    return MinorSpan(polys, span_basis_indices(polys))
-
-
 # ---------------------------------------------------------------------------
 # rank-one detection
 # ---------------------------------------------------------------------------
@@ -458,6 +334,8 @@ _REFINE_CANDIDATES = 12
 # is reported as mode "numeric" rather than "numeric-inconclusive"
 _FOUND_TOL = 1e-9
 _ABSENT_TOL = 1e-6
+# Gauss-Newton steps per refined candidate, at most
+_GAUSS_NEWTON_ITERS = 60
 
 
 def _minor_index_arrays(m, n):
@@ -502,9 +380,10 @@ def _sphere_samples(d, density, seed):
     return Z / np.linalg.norm(Z, axis=1, keepdims=True)
 
 
-def _gauss_newton(z, B, idx, iters=60):
-    """Refine z towards a zero of the minors in idx; returns the best
-    direction, its residual and the number of iterations run."""
+def _gauss_newton(z, B, idx):
+    """Refine z towards a zero of the minors in idx, for at most
+    ``_GAUSS_NEWTON_ITERS`` steps; returns the best direction, its residual
+    and the number of iterations run."""
     a1, a2, b1, b2 = idx
     Bt = B.T  # (mn) x d
     best = z / np.linalg.norm(z)
@@ -512,7 +391,7 @@ def _gauss_newton(z, B, idx, iters=60):
     cur = best
     stale = 0
     steps = 0
-    for steps in range(1, iters + 1):
+    for steps in range(1, _GAUSS_NEWTON_ITERS + 1):
         e = cur @ B
         s = float(e @ e)
         mvals = e[a1] * e[a2] - e[b1] * e[b2]

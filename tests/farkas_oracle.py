@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from nullag.algebra import RationalMatrix, vec_dot
 from nullag.measures import FarkasResult
+from poly_oracle import matvec
 
 
 def farkas_feasible_bruteforce(problem) -> bool:
@@ -104,7 +105,7 @@ def farkas_solve_reference(problem) -> FarkasResult:
             if basis[i] < n:
                 x[basis[i]] = T[i][ncols]
         x = tuple(x)
-        if any(xi < 0 for xi in x) or A.matvec(x) != b:
+        if any(xi < 0 for xi in x) or matvec(A, x) != b:
             raise RuntimeError("simplex produced an invalid solution")
         return FarkasResult(x=x, pivots=pivots)
     # simplex multipliers off the artificial columns: y'_i = (c_B B^-1)_i

@@ -17,13 +17,8 @@ import pytest
 
 from conftest import record_acceptance
 from farkas_oracle import farkas_feasible_bruteforce
-from nullag.algebra import (
-    RationalMatrix,
-    cofactor_identity_2x2,
-    det_sum_expansion,
-    span_basis_indices,
-    vec_dot,
-)
+from identity_oracle import cofactor_identity_2x2, det_sum_expansion
+from nullag.algebra import RationalMatrix, vec_dot
 from nullag.certify import (
     TrivialityCertificate,
     find_certificate_d_le_3,
@@ -48,13 +43,9 @@ from nullag.measures import (
     is_null_lagrangian,
     two_atom_measure,
 )
-from nullag.subspace import (
-    Subspace,
-    apply_ops,
-    find_rank_one,
-    minor_polys,
-    random_pencil_ops,
-)
+from nullag.subspace import Subspace, find_rank_one, minor_polys
+from pencil_ops import apply_ops, random_pencil_ops
+from poly_oracle import matvec, span_basis_indices
 from rank_one_oracle import find_rank_one_exact, poly_divides
 
 
@@ -315,7 +306,7 @@ def test_criterion_5_farkas_oracle():
         res = farkas_solve(prob)
         assert res.feasible == farkas_feasible_bruteforce(prob)
         if res.feasible:
-            assert A.matvec(res.x) == tuple(b) and all(x >= 0 for x in res.x)
+            assert matvec(A, res.x) == tuple(b) and all(x >= 0 for x in res.x)
         else:
             y = res.certificate
             assert all(vec_dot(y, col) >= 0 for col in zip(*A.entries))
@@ -408,7 +399,7 @@ def test_criterion_8_duality_exclusion():
         found = mu is not None
         if found:
             assert is_null_lagrangian(mu).verdict
-            assert not mu.is_dirac()
+            assert sum(1 for w in mu.weights if w != 0) > 1  # not a Dirac mass
         assert not (terminal and found), "both certificate and measure on %s" % name
     record_acceptance(
         "ACCEPTANCE 8: PASS - no fixture or fuzzed subspace yields both a terminal "

@@ -16,6 +16,7 @@ from nullag.cli import main
 from nullag.fixtures import quaternion_pencil
 from nullag.measures import default_cone_sampler, subspace_value_fn
 from nullag.subspace import Subspace
+from poly_oracle import form_value
 
 
 def run_cli(capsys, *argv):
@@ -255,7 +256,7 @@ def test_verify_tampered_later_step_witness_in_cone(tmp_path, capsys):
         w = tuple(rat_from_str(x) for x in failed["witness_point"])
         cone = [tuple(rat_from_str(x) for x in v) for v in cert["chain"][step]["cone_basis"]]
         assert RationalMatrix(cone + [w]).rank() == len(cone)
-        assert K.minor_forms().combination(beta)(w) < 0
+        assert form_value(K.minor_forms().combination(beta), w) < 0
 
 
 def chain_of(cert, *steps):
@@ -328,6 +329,17 @@ def test_verify_tampered_measure(tmp_path, capsys):
     code, report = run_cli(capsys, "verify", str(mu_path))
     assert code == 1
     assert "witness_minor" in report["verdicts"][0]
+
+
+def test_verify_certificate_without_subspace_names_the_key(tmp_path, capsys):
+    sub = dump_fixture(capsys, "diag-pencil")["subspace"]
+    _, report = run_cli(capsys, "analyze", write_subspace(tmp_path, sub))
+    cert = report["certificate"]
+    del cert["subspace"]
+    for artifact in (cert, {"certificate": cert}):
+        code, verified = run_cli(capsys, "verify", write_subspace(tmp_path, artifact, "cert.json"))
+        assert code == 2
+        assert verified["error"] == "bad certificate JSON: missing key 'subspace'"
 
 
 def test_verify_rejects_empty(tmp_path, capsys):
@@ -675,6 +687,12 @@ def test_fixtures_list_and_unknown(capsys):
     assert "Kr(r=0)" in names and "rotation" in names
     code, _ = run_cli(capsys, "fixtures", "dump", "garbage")
     assert code == 2
+    code, report = run_cli(capsys, "fixtures", "dump", "nope")
+    assert code == 2
+    assert report["error"] == "unknown fixture 'nope'"
+    code, report = run_cli(capsys, "fixtures", "dump", "Kr(r=0")
+    assert code == 2
+    assert report["error"] == "malformed fixture name 'Kr(r=0'"
 
 
 # ---------------------------------------------------------------------------

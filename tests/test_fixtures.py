@@ -1,9 +1,9 @@
 import pytest
 
-from nullag.algebra import MultiPoly
 from nullag.fixtures import builtin, builtin_names, kr_family, kr_measure
 from nullag.measures import is_null_lagrangian
 from nullag.subspace import find_rank_one, parametrize
+from poly_oracle import variable
 
 
 def test_kr_family_dimensions():
@@ -16,10 +16,10 @@ def test_kr_family_dimensions():
 def test_kr_family_pencil_shape():
     K = kr_family(0)
     pencil = parametrize(K)
-    a = MultiPoly.variable(4, 0)
-    b = MultiPoly.variable(4, 1)
-    c = MultiPoly.variable(4, 2)
-    d = MultiPoly.variable(4, 3)
+    a = variable(4, 0)
+    b = variable(4, 1)
+    c = variable(4, 2)
+    d = variable(4, 3)
     assert pencil[0][0] == b + d
     assert pencil[0][1] == a - c
     assert pencil[0][2] == c
@@ -34,8 +34,8 @@ def test_kr_family_pencil_shape():
 def test_kr_family_sigma_slots():
     K = kr_family(2)
     pencil = parametrize(K)
-    s1 = MultiPoly.variable(6, 4)
-    s2 = MultiPoly.variable(6, 5)
+    s1 = variable(6, 4)
+    s2 = variable(6, 5)
     assert pencil[3][3] == s1 and pencil[4][4] == s1
     assert pencil[5][5] == s2 and pencil[6][6] == s2
     assert pencil[3][4].is_zero()

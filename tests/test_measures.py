@@ -26,6 +26,7 @@ from nullag.measures import (
 from nullag.fixtures import kr_family
 from nullag.certify import reduce_chain
 from nullag.subspace import Subspace
+from poly_oracle import matvec
 from sample_oracle import construct_nontrivial_reference, value_fn_reference
 
 
@@ -199,7 +200,7 @@ def test_farkas_fuzz_against_bruteforce():
         oracle = farkas_feasible_bruteforce(prob)
         assert res.feasible == oracle
         if res.feasible:
-            assert A.matvec(res.x) == tuple(b)
+            assert matvec(A, res.x) == tuple(b)
             assert all(x >= 0 for x in res.x)
         else:
             y = res.certificate
@@ -288,7 +289,7 @@ def test_farkas_resume_matches_cold_reference():
         assert (again.x, again.certificate) == (ref.x, ref.certificate)
         reentered += again.pivots > 0
         # a checkpoint is ignored on other rows, another b or another first column
-        other_rows = FarkasProblem(RationalMatrix([[1] * len(cols)] + prob.A.tolist()), [1] + b)
+        other_rows = FarkasProblem(RationalMatrix([[1] * len(cols)] + [list(r) for r in prob.A.entries]), [1] + b)
         other_b = FarkasProblem(prob.A, [x + 1 for x in b])
         other_col = FarkasProblem(RationalMatrix.from_columns([[x + 1 for x in cols[0]]] + cols[1:]), b)
         for other in (other_rows, other_b, other_col):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from nullag.algebra import MultiPoly, QuadraticForm, RationalMatrix
 from nullag.subspace import Subspace, minor_polys
+from poly_oracle import coefficient_vector, to_poly
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -57,8 +58,8 @@ def monomial_solve(polys, g):
     monomials = sorted(set(e for p in polys for e in p.terms) | set(g.terms))
     if not monomials:
         return None
-    A = RationalMatrix.from_columns([p.coefficient_vector(monomials) for p in polys])
-    return A.solve(g.coefficient_vector(monomials))
+    A = RationalMatrix.from_columns([coefficient_vector(p, monomials) for p in polys])
+    return A.solve(coefficient_vector(g, monomials))
 
 
 @SETTINGS
@@ -99,7 +100,7 @@ def test_solve_beta_matches_monomial_solve(case):
     for i in range(K.d):
         for j in range(i, K.d):
             sym[i][j] = sym[j][i] = rand_rat(rng)
-    generic = QuadraticForm(RationalMatrix(sym)).to_poly()
+    generic = to_poly(QuadraticForm(RationalMatrix(sym)))
     for g in (in_span, line * line, generic, polys[0], MultiPoly.zero(K.d)):
         assert K.minor_forms().solve(QuadraticForm.from_poly(g).matrix) == monomial_solve(polys, g)
 
