@@ -46,6 +46,13 @@ def rat_from_str(s) -> Fraction:
         raise ValueError("zero denominator: %r" % (s,)) from None
 
 
+def bad_json(what, exc):
+    """The ValueError for malformed ``what`` JSON that raised ``exc``; a
+    KeyError is a missing key, and says so."""
+    detail = "missing key %r" % exc.args[0] if isinstance(exc, KeyError) else exc
+    return ValueError("bad %s JSON: %s" % (what, detail))
+
+
 # ---------------------------------------------------------------------------
 # vectors (plain tuples of Fractions)
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ means the identity form lies outside the minor span, and the cone is an
 obstruction without a witness.  No floating point enters a chain step.
 
 Form convention.  Every minor form comes from ``Subspace.minor_forms``.
-With L the lcm of the basis denominators and A_ij = L a_ij the integer
-entry vectors, the k-th minor of ``enumerate_minors(m, n, 2)`` (rows
-r1 < r2, columns c1 < c2) is z^T Q_k z with Q_k = S_k / (2 L^2) and the
-integer symmetric matrix
+With L = ``Subspace.L``, the lcm of the basis denominators, and the
+integer entry vectors A_ij = L a_ij of ``Subspace.int_grid``, the k-th
+minor of ``enumerate_minors(m, n, 2)`` (rows r1 < r2, columns c1 < c2) is
+z^T Q_k z with Q_k = S_k / (2 L^2) and the integer symmetric matrix
 
     S_k = A11 A22^T + A22 A11^T - A12 A21^T - A21 A12^T,
 
@@ -69,6 +69,7 @@ import numpy as np
 
 from .algebra import (
     RationalMatrix,
+    bad_json,
     independent_indices,
     psd_analyze,
     rat,
@@ -150,7 +151,7 @@ class TrivialityCertificate:
             ]
             return chain, bool(obj["terminal"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError("bad certificate JSON: %s" % exc) from exc
+            raise bad_json("certificate", exc) from exc
 
 
 class Obstruction:
@@ -170,14 +171,13 @@ class Obstruction:
 class GenericityReport:
     """Outcome of one Grassmannian chart probe."""
 
-    __slots__ = ("lambda_value", "span_dim", "beta", "min_eigenvalue", "exact_span_dim")
+    __slots__ = ("lambda_value", "span_dim", "beta", "min_eigenvalue")
 
-    def __init__(self, lambda_value, span_dim, beta=None, min_eigenvalue=None, exact_span_dim=None):
+    def __init__(self, lambda_value, span_dim, beta=None, min_eigenvalue=None):
         self.lambda_value = lambda_value
         self.span_dim = span_dim
         self.beta = beta
         self.min_eigenvalue = min_eigenvalue
-        self.exact_span_dim = exact_span_dim
 
 
 class CertificateOutcome:
@@ -699,7 +699,7 @@ def check_certificate(obj):
     """
     chain, terminal = TrivialityCertificate.chain_from_json(obj)
     if "subspace" not in obj:
-        raise ValueError("bad certificate JSON: missing key 'subspace'")
+        raise bad_json("certificate", KeyError("subspace"))
     K = Subspace.from_json(obj["subspace"])
     if not terminal:
         return False, [{"operation": "verify-cert", "error": "certificate is not marked terminal"}]
@@ -838,9 +838,7 @@ def grassmann_genericity(k, m, n, charts, A) -> list:
     A caller with many charts feeds them in blocks of
     ``genericity_block(k, m, n)`` charts, which hold at most
     ``BLOCK_ENTRIES`` float entries in the kernel, so memory stays bounded
-    whatever the number of charts.  On a rational chart the exact span
-    dimension is the rank of ``Subspace.minor_forms()`` of the chart
-    subspace.
+    whatever the number of charts.
     """
     p = m * n
     if k > p:
@@ -872,11 +870,6 @@ def grassmann_genericity(k, m, n, charts, A) -> list:
     lam = np.linalg.det(Pi @ Pi.transpose(0, 2, 1))
     span_dim = np.linalg.matrix_rank(Pi, tol=1e-10 * np.maximum(1.0, np.abs(Pi).max(axis=(1, 2))))
     reports = [GenericityReport(float(v), int(r)) for v, r in zip(lam, span_dim)]
-    if not (isinstance(charts, np.ndarray) and charts.dtype.kind == "f"):
-        for rep, chart, chart_A in zip(reports, charts, A):
-            if _chart_is_rational(chart, chart_A):
-                sub = _chart_subspace(m, n, chart[:k], chart[k:], chart_A)
-                rep.exact_span_dim = sub.minor_forms().span_dim()
 
     full = np.flatnonzero((np.abs(lam) > LAMBDA_TOL) & (span_dim == len(upper[0])))
     if len(full):
@@ -888,29 +881,6 @@ def grassmann_genericity(k, m, n, charts, A) -> list:
         for s, e in zip(full, np.linalg.eigvalsh(forms).min(axis=1)):
             reports[s].min_eigenvalue = float(e)
     return reports
-
-
-def _chart_is_rational(rows, A):
-    try:
-        for row in list(rows) + list(A):
-            for x in row:
-                rat(x)
-    except (TypeError, ValueError):
-        return False
-    return True
-
-
-def _chart_subspace(m, n, W0, W1, A) -> Subspace:
-    """The chart subspace, spanned by W0[l] + sum_i A[i][l] W1[i], exactly."""
-    basis = []
-    for l, w in enumerate(W0):
-        v = [rat(x) for x in w]
-        for row, u in zip(A, W1):
-            c = rat(row[l])
-            if c != 0:
-                v = [x + c * rat(y) for x, y in zip(v, u)]
-        basis.append([v[i * n : (i + 1) * n] for i in range(m)])
-    return Subspace(basis)
 
 
 def _check_scan_report(obj):

@@ -36,7 +36,7 @@ from .conslaw import (
     push_forward_to_K1,
     support_radius,
 )
-from .fixtures import builtin, builtin_names, kr_measure, v0_chart
+from .fixtures import builtin, builtin_names, kr_measure, v0_chart, v0_subspace
 from .subspace import Subspace
 
 EXIT_TRIVIAL = 0
@@ -288,7 +288,7 @@ def cmd_grassmann_scan(args):
             "lambda": rep.lambda_value,
             "lambda_nonzero": abs(rep.lambda_value) > LAMBDA_TOL,
             "span_dim": rep.span_dim,
-            "exact_span_dim": rep.exact_span_dim,
+            "exact_span_dim": v0_subspace(k, m, n).minor_forms().span_dim(),
         }
     report["timings"]["scan"] = time.perf_counter() - t0
     report["verdicts"].append(

@@ -9,14 +9,15 @@ stack the values of a spanning family of polynomials, and solve the
 resulting equality-form Farkas problem with an exact simplex.  On a
 subspace the family is the minors of the pencil P(z) and the d
 projections; a point's minors are read off one integer grid, cL * P(z)
-with c the lcm of the basis denominators (once per pencil) and L that of
-the point's, by the Laplace minor table of ``algebra.minor_table``.
+with c the lcm of the basis denominators (``Subspace.L``, once per pencil)
+and L that of the point's, by the Laplace minor table of
+``algebra.minor_table``, and handed on cleared of denominators.
 
 The simplex is a revised, fraction-free one.  Each column is held as a
 positive integer scale and an integer column, cleared of denominators
-once: by its own lcm for a problem given as a RationalMatrix, and when a
-sample point is drawn for the measure constructor, whose row basis and
-certificate screening read the same integer columns.  The solver keeps
+once: by its own lcm for a problem given as a RationalMatrix, and by the
+value function of the measure constructor, whose row basis and certificate
+screening read the same integer columns.  The solver keeps
 D * B^-1 (D the determinant of the basis B) and the right-hand side in
 integers, prices each column when it needs it, and a pivot is the Bareiss
 step (p*x - f*r) // D.  A positive column scale cancels in each pivot
@@ -38,6 +39,7 @@ import numpy as np
 from .algebra import (
     RationalMatrix,
     _integer_row,
+    bad_json,
     enumerate_minors,
     independent_indices,
     minor,
@@ -137,7 +139,7 @@ class DiscreteMeasure:
                 atoms = [np.asarray(a, dtype=float) for a in atoms_raw]
                 weights = [float(w) for w in weights_raw]
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError("bad measure JSON: %s" % exc) from exc
+            raise bad_json("measure", exc) from exc
         mu = DiscreteMeasure(atoms, weights)
         shape = obj.get("shape", list(mu.shape))
         if not isinstance(shape, list) or tuple(shape) != mu.shape:
@@ -510,22 +512,22 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
     with a family of homogeneous functions.
 
     ``value_fn(p)`` gives the family's non-zero values at a point p as a
-    sparse map {key: value}; the keys sort in a fixed row order, and the
-    family must contain the d coordinate projections, so that a solution
-    automatically has barycenter zero.  Points come from
+    column cleared of denominators, ``(L, {key: int})``: a positive integer
+    scale L and the values times L; the keys sort in a fixed row order, and
+    the family must contain the d coordinate projections, so that a
+    solution automatically has barycenter zero.  Points come from
     ``default_cone_sampler(d, seed)``.  Feasibility over a
     finite sample is monotone in the sample, so the sample grows, first to
     max(32, 2d) points and then by 32, until the Farkas solve succeeds or
     ``budget`` points are drawn.
 
-    Each point's value column is cleared of denominators once, when the
-    point is drawn: a positive scale L, the lcm of its values'
-    denominators, and the values times L in integers, with L in the ones
-    row.  The row basis, the certificate screening and the LP read only
-    these integer columns.  A positive column scale changes no row
-    independence, no sign of y . a_c and no pivot (``farkas_solve``), so
-    the rows, pivots, certificates and measure are those of the rational
-    columns.
+    The value function clears each column where it computes the values
+    (``subspace_value_fn``), and L goes in the ones row; no sampled value
+    becomes a Fraction here.  The row basis, the certificate screening, the
+    LP and the final check read only these integer columns.  A positive
+    column scale changes no row independence, no sign of y . a_c and no
+    pivot (``farkas_solve``), so the rows, pivots, certificates and measure
+    are those of the rational columns, whatever positive scale clears each.
 
     An infeasible solve leaves its certificate y on its row keys and the
     ones row.  If y . a_c >= 0 on every new column c of the next step
@@ -553,7 +555,6 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
                  farkas_rows=0, farkas_cols=0)
     sampler = default_cone_sampler(d, seed=seed)
     points = []
-    values = []
     # per point, the scale L and the integer values {key: L * value}
     scales = []
     cleared = []
@@ -564,12 +565,10 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
         want = min(max(_BATCH, 2 * d) if not points else _BATCH, budget - len(points))
         start = len(points)
         for p in itertools.islice(sampler, max(want, 0)):
-            v = value_fn(p)
-            L, ints = _integer_row(v.values())
+            L, ints = value_fn(p)
             points.append(p)
-            values.append(v)
             scales.append(L)
-            cleared.append(dict(zip(v, ints)))
+            cleared.append(ints)
         if not points:
             return None
         if Y is not None and all(
@@ -594,7 +593,7 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
             if res.feasible:
                 support = [(lam, p) for lam, p in zip(res.x, points) if lam != 0]
                 mu = VectorMeasure([p for _, p in support], [lam for lam, _ in support])
-                _verify_vector_measure(mu, values, res.x)
+                _verify_vector_measure(mu, scales, cleared, res.x)
                 return mu
             Y, checkpoint = _integer_row(res.certificate)[1], res.checkpoint
         if len(points) >= budget:
@@ -617,16 +616,16 @@ def _independent_value_rows(values):
     return [live[i] for i in independent_indices(rows)]
 
 
-def _verify_vector_measure(mu: VectorMeasure, values, x):
+def _verify_vector_measure(mu: VectorMeasure, scales, cleared, x):
+    """Check sum_c x_c ints_c[r] / L_c == 0 on every row r of the cleared
+    columns (L_c, ints_c), in integers, with the weights x_c / L_c cleared."""
     total = sum(mu.weights, Fraction(0))
     if total != 1:
         raise RuntimeError("constructed measure weights do not sum to one")
-    for r in sorted(set().union(*values)):
-        acc = sum(
-            (lam * values[c].get(r, Fraction(0)) for c, lam in enumerate(x) if lam != 0),
-            Fraction(0),
-        )
-        if acc != 0:
+    support = [c for c, lam in enumerate(x) if lam != 0]
+    _, w = _integer_row([x[c] / scales[c] for c in support])
+    for r in set().union(*cleared):
+        if sum(wc * cleared[c].get(r, 0) for wc, c in zip(w, support)) != 0:
             raise RuntimeError("constructed measure fails exact commutation")
     if len(mu.points) < 2:
         raise RuntimeError("constructed measure is a Dirac; projections row missing?")
@@ -637,45 +636,40 @@ def _verify_vector_measure(mu: VectorMeasure, values, x):
 # ---------------------------------------------------------------------------
 
 def subspace_value_fn(K: Subspace):
-    """Per-point values of every minor of P(z) plus the d projections.
+    """Per-point values of every minor of P(z) plus the d projections, as
+    a column cleared of denominators, ``(scale, {key: int})``.
 
     A minor is keyed ``(p, rows, cols)`` and the l-th projection
     ``(min(m, n) + 1, l)``, so the keys sort in ``enumerate_minors(m, n)``
     order, followed by the projections.  The minors come from one integer
-    grid per point: the basis is cleared of denominators once per pencil,
-    by their lcm c, and the point z by the lcm L of its own, so that
-    E = cL * P(z) is an integer matrix; ``minor_table`` expands E's
-    non-zero minors by Laplace on row prefixes, and an order-p minor of
-    P(z) is that of E over (cL)**p.  When every basis matrix is symmetric,
-    P(z) is too and a minor equals its transpose; only the twin with
-    rows <= cols, the one that sorts first, is kept, so the independent
-    rows are the same.
+    grid per point: with c = ``K.L`` and L the lcm of the denominators of
+    z = q / L, E = cL * P(z) is read off ``K.int_grid``, and
+    ``minor_table`` expands its non-zero minors by Laplace on row prefixes.
+    Every value is put over S = (cL)**top, top = min(m, n): an order-p
+    minor of E times (cL)**(top - p), projection l as q_l c**top L**(top-1).
+    The column and S are divided by their gcd, which leaves S the least
+    positive scale that clears the values.  When every basis matrix is
+    symmetric, P(z) is too and a minor equals its transpose; only the twin
+    with rows <= cols, the one that sorts first, is kept, so the
+    independent rows are the same.
     """
     d, top = K.d, min(K.m, K.n)
     proj = top + 1
     symmetric = all(b == b.transpose() for b in K.basis)
-    entries = K.entry_grid()
-    c = math.lcm(*(x.denominator for row in entries for a in row for x in a))
-    # per entry (i, j), the pairs (l, c * B_l[i][j]) with a non-zero value
-    coeffs = [[[(l, x.numerator * (c // x.denominator)) for l, x in enumerate(a) if x]
-               for a in row] for row in entries]
 
     def value(p):
         if len(p) != d:
             raise ValueError("point dimension mismatch")
-        p = [rat(x) for x in p]
-        L, q = _integer_row(p)
-        grid = [[sum(q[l] * v for l, v in entry) for entry in row] for row in coeffs]
-        scale = [(c * L) ** k for k in range(top + 1)]
-        vals = {}
-        for (rows, cols), det in minor_table(grid, top).items():
-            if symmetric and rows > cols:
-                continue
-            vals[(len(rows), rows, cols)] = Fraction(det, scale[len(rows)])
-        for i in range(d):
-            if p[i] != 0:
-                vals[(proj, i)] = p[i]
-        return vals
+        L, q = _integer_row([rat(x) for x in p])
+        grid = [[sum(q[l] * v for l, v in entry) for entry in row] for row in K.int_grid]
+        # lift[k] = (cL)**(top - k) puts an order-k minor of E over S = lift[0]
+        lift = [(K.L * L) ** (top - k) for k in range(top + 1)]
+        col = {(len(rows), rows, cols): det * lift[len(rows)]
+               for (rows, cols), det in minor_table(grid, top).items()
+               if not (symmetric and rows > cols)}
+        col.update(((proj, i), K.L * lift[1] * x) for i, x in enumerate(q) if x)
+        g = math.gcd(lift[0], *col.values())
+        return lift[0] // g, {key: v // g for key, v in col.items()}
 
     return value
 

@@ -16,6 +16,8 @@ from .algebra import (
     MultiPoly,
     QuadraticForm,
     RationalMatrix,
+    _integer_row,
+    bad_json,
     enumerate_minors,
     rat,
     rat_from_str,
@@ -24,9 +26,12 @@ from .algebra import (
 
 
 class Subspace:
-    """Basis presentation of a subspace of m x n matrices."""
+    """Basis presentation of a subspace of m x n matrices, cleared of
+    denominators once: ``L`` is the lcm of those of the basis entries, and
+    ``int_grid[i][j]`` the pairs (l, L B_l[i][j]) of the non-zero entries,
+    which ``evaluate``, ``MinorForms`` and ``subspace_value_fn`` read."""
 
-    __slots__ = ("m", "n", "d", "basis", "_minor_forms")
+    __slots__ = ("m", "n", "d", "basis", "L", "int_grid", "_minor_forms")
 
     def __init__(self, basis):
         basis = tuple(
@@ -52,6 +57,11 @@ class Subspace:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "basis", basis)
+        L = math.lcm(*(x.denominator for b in basis for row in b.entries for x in row))
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "int_grid", tuple(  # rows: row i of every B_l
+            tuple(tuple((l, x.numerator * (L // x.denominator)) for l, x in enumerate(a) if x)
+                  for a in zip(*rows)) for rows in zip(*(b.entries for b in basis))))
         object.__setattr__(self, "_minor_forms", None)
 
     def __setattr__(self, *a):
@@ -77,17 +87,14 @@ class Subspace:
         return self._minor_forms
 
     def evaluate(self, z):
-        """P(z) = sum_l z_l B_l, exactly, added up over the non-zero z_l B_l[i][j]."""
+        """P(z) = sum_l z_l B_l, exactly: with (L_z, q) the point cleared of
+        denominators, entry (i, j) is (sum_l q_l A_ij[l]) / (L L_z)."""
         if len(z) != self.d:
             raise ValueError("point dimension mismatch")
-        grid = [[Fraction(0)] * self.n for _ in range(self.m)]
-        for zl, b in zip(map(rat, z), self.basis):
-            if zl:
-                for acc, row in zip(grid, b.entries):
-                    for j, v in enumerate(row):
-                        if v:
-                            acc[j] += zl * v
-        return RationalMatrix(grid)
+        Lz, q = _integer_row([rat(x) for x in z])
+        den = self.L * Lz
+        return RationalMatrix([[Fraction(sum(q[l] * a for l, a in entry), den) for entry in row]
+                               for row in self.int_grid])
 
     def basis_float(self):
         """d x (m*n) float array of the flattened basis matrices."""
@@ -116,7 +123,7 @@ class Subspace:
             ]
             stated = {key: int(obj[key]) for key in ("m", "n", "d") if key in obj}
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError("bad subspace JSON: %s" % exc) from exc
+            raise bad_json("subspace", exc) from exc
         K = Subspace(basis)
         for key, value in stated.items():
             if value != getattr(K, key):
@@ -174,8 +181,8 @@ def _add_sym_outer(acc, u, v, sign):
 class MinorForms:
     """The quadratic forms of the order-2 minors of a pencil, exactly.
 
-    Let L be the lcm of the denominators of the basis entries, so that the
-    entry vectors A_ij = L a_ij are integer vectors.  The k-th minor in
+    With L and the integer entry vectors A_ij = L a_ij of ``Subspace``
+    (``K.L`` and ``K.int_grid``), the k-th minor in
     ``enumerate_minors(m, n, 2)`` order, rows r1 < r2 and columns c1 < c2,
     is M_k(P(z)) = z^T Q_k z with
 
@@ -193,19 +200,7 @@ class MinorForms:
     __slots__ = ("d", "L", "S")
 
     def __init__(self, K: Subspace):
-        L = 1
-        for b in K.basis:
-            for row in b.entries:
-                for x in row:
-                    L = math.lcm(L, x.denominator)
-        grid = [
-            [
-                [(l, b.entries[i][j].numerator * (L // b.entries[i][j].denominator))
-                 for l, b in enumerate(K.basis) if b.entries[i][j] != 0]
-                for j in range(K.n)
-            ]
-            for i in range(K.m)
-        ]
+        grid = K.int_grid
         S = []
         for (r1, r2), (c1, c2) in enumerate_minors(K.m, K.n, 2):
             acc = {}
@@ -213,7 +208,7 @@ class MinorForms:
             _add_sym_outer(acc, grid[r1][c2], grid[r2][c1], -1)
             S.append({key: s for key, s in acc.items() if s != 0})
         self.d = K.d
-        self.L = L
+        self.L = K.L
         self.S = tuple(S)
 
     def combination(self, beta) -> QuadraticForm:

@@ -7,13 +7,47 @@ numpy call per quantity.  ``scan_samples_reference`` draws the scan's charts
 one by one, each from its own ``default_rng(seed + i)``, and turns each
 report into the sample entry of a ``grassmann-scan`` report.  The stacked
 kernel, ``certify.grassmann_genericity``, is checked against both bit for
-bit.
+bit.  ``exact_span_dim`` is the exact span dimension of a rational chart's
+minor forms, the reference the float span dimension is checked against.
 """
 
 import numpy as np
 
-from nullag.certify import LAMBDA_TOL, GenericityReport, _chart_is_rational, _chart_subspace
-from nullag.subspace import _minor_index_arrays
+from nullag.algebra import rat
+from nullag.certify import LAMBDA_TOL, GenericityReport
+from nullag.subspace import Subspace, _minor_index_arrays
+
+
+def _chart_is_rational(rows, A):
+    try:
+        for row in list(rows) + list(A):
+            for x in row:
+                rat(x)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _chart_subspace(m, n, W0, W1, A) -> Subspace:
+    """The chart subspace, spanned by W0[l] + sum_i A[i][l] W1[i], exactly."""
+    basis = []
+    for l, w in enumerate(W0):
+        v = [rat(x) for x in w]
+        for row, u in zip(A, W1):
+            c = rat(row[l])
+            if c != 0:
+                v = [x + c * rat(y) for x, y in zip(v, u)]
+        basis.append([v[i * n : (i + 1) * n] for i in range(m)])
+    return Subspace(basis)
+
+
+def exact_span_dim(k, m, n, chart, A):
+    """The rank of ``Subspace.minor_forms()`` of a chart's subspace, given
+    its mn rows (W0 over W1) and A as in ``grassmann_genericity``; None
+    when an entry is not rational."""
+    if not _chart_is_rational(chart, A):
+        return None
+    return _chart_subspace(m, n, chart[:k], chart[k:], A).minor_forms().span_dim()
 
 
 def genericity_reference(k, m, n, chart, A) -> GenericityReport:
@@ -43,14 +77,11 @@ def genericity_reference(k, m, n, chart, A) -> GenericityReport:
     Pi = np.ascontiguousarray(X_all[:, upper[0], upper[1]].T)
     lam = float(np.linalg.det(Pi @ Pi.T))
     span_dim = int(np.linalg.matrix_rank(Pi, tol=1e-10 * max(1.0, float(np.abs(Pi).max()))))
-    exact_span_dim = None
-    if _chart_is_rational(W0 + W1, A_raw):
-        exact_span_dim = _chart_subspace(m, n, W0, W1, A_raw).minor_forms().span_dim()
     beta = min_eig = None
     if abs(lam) > LAMBDA_TOL and span_dim == len(Pi):
         beta, *_ = np.linalg.lstsq(Pi, np.eye(k)[upper], rcond=None)
         min_eig = float(np.linalg.eigvalsh(np.tensordot(beta, X_all, axes=1)).min())
-    return GenericityReport(lam, span_dim, beta, min_eig, exact_span_dim)
+    return GenericityReport(lam, span_dim, beta, min_eig)
 
 
 def scan_samples_reference(k, m, n, samples, seed, det_floor=1e-8):

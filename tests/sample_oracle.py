@@ -4,16 +4,19 @@
 passes over the whole basis.  ``value_fn_reference`` evaluates every
 minor of P(z), so on a symmetric pencil it keeps both transposed twins.
 ``construct_nontrivial_reference`` solves the Farkas LP again at every
-growth step of the sample, cold, with no certificate screening.  The library's
-``Subspace.evaluate``, ``subspace_value_fn`` and ``construct_nontrivial``
-must give the same matrices, the same independent rows and the same
-measure (or None) as these.
+growth step of the sample, cold, with no certificate screening, on the
+Fraction values.  The library's ``Subspace.evaluate``,
+``subspace_value_fn`` and ``construct_nontrivial`` must give the same
+matrices, the same independent rows and the same measure (or None) as
+these.  ``cleared`` turns a value function with Fraction values into one
+that gives the cleared column ``(scale, {key: int})`` that
+``construct_nontrivial`` reads, by ``clear``.
 """
 
 import itertools
 from fractions import Fraction
 
-from nullag.algebra import RationalMatrix, minor, nonvanishing_minor_candidates, rat
+from nullag.algebra import RationalMatrix, _integer_row, minor, nonvanishing_minor_candidates, rat
 from nullag.measures import (
     _BATCH,
     FarkasProblem,
@@ -55,6 +58,18 @@ def value_fn_reference(K):
     return value
 
 
+def clear(vals):
+    """A {key: value} map cleared of denominators, ``(L, {key: L * value})``
+    with L the least such scale."""
+    L, ints = _integer_row(vals.values())
+    return L, dict(zip(vals, ints))
+
+
+def cleared(value_fn):
+    """``value_fn`` with each point's values cleared by ``clear``."""
+    return lambda p: clear(value_fn(p))
+
+
 def construct_nontrivial_reference(value_fn, d, budget=256, seed=0):
     """One cold exact Farkas solve per growth step of the sample.
 
@@ -83,7 +98,8 @@ def construct_nontrivial_reference(value_fn, d, budget=256, seed=0):
         if res.feasible:
             support = [(lam, p) for lam, p in zip(res.x, points) if lam != 0]
             mu = VectorMeasure([p for _, p in support], [lam for lam, _ in support])
-            _verify_vector_measure(mu, values, res.x)
+            scales, columns = zip(*map(clear, values))
+            _verify_vector_measure(mu, scales, columns, res.x)
             return mu, solves
         if len(points) >= budget:
             return None, solves

@@ -37,7 +37,7 @@ from nullag.fixtures import (
     v0_subspace,
 )
 from nullag.subspace import Subspace, minor_polys
-from genericity_oracle import genericity_reference
+from genericity_oracle import exact_span_dim, genericity_reference
 from pencil_ops import apply_ops, random_pencil_ops
 from poly_oracle import form_value
 from rank_one_oracle import find_rank_one_exact
@@ -372,7 +372,7 @@ def test_chain_agrees_with_exact_rank_one_oracle():
 def test_grassmann_v0_chart():
     chart, A = v0_chart(2, 4, 4)
     [rep] = grassmann_genericity(2, 4, 4, [chart[0] + chart[1]], [A])
-    assert rep.exact_span_dim == 3  # k(k+1)/2
+    assert exact_span_dim(2, 4, 4, chart[0] + chart[1], A) == 3  # k(k+1)/2
     assert rep.span_dim == 3
     assert abs(rep.lambda_value) > 1e-12
     assert rep.beta is not None and rep.min_eigenvalue > 0
@@ -398,7 +398,7 @@ def test_grassmann_degenerate_dyad_chart():
     [rep] = grassmann_genericity(2, 4, 4, [[e11, e12] + W1], [A])
     assert rep.span_dim < 3
     assert abs(rep.lambda_value) <= 1e-12
-    assert rep.exact_span_dim == 0
+    assert exact_span_dim(2, 4, 4, [e11, e12] + W1, A) == 0
 
 
 def _rational_chart(rng, k, m, n, family):
@@ -449,10 +449,11 @@ def test_grassmann_exact_span_matches_float_on_rational_charts():
             family = "dense"
         W0, W1, A = _rational_chart(rng, k, m, n, family)
         [rep] = grassmann_genericity(k, m, n, [W0 + W1], [A])
-        assert rep.exact_span_dim == rep.span_dim, (case, k, m, n, family)
+        exact = exact_span_dim(k, m, n, W0 + W1, A)
+        assert exact == rep.span_dim, (case, k, m, n, family)
         if family == "one-row":
-            assert rep.exact_span_dim == 0
-        seen.add((family, rep.exact_span_dim))
+            assert exact == 0
+        seen.add((family, exact))
     # full, partial and zero spans all occur
     assert {("one-row", 0), ("dense", 3), ("dense", 6), ("factored", 3)} <= seen
 
@@ -493,8 +494,8 @@ def test_grassmann_rejects_bad_chart():
 def _same_report(a, b):
     """Two genericity reports agree bit for bit."""
     return (
-        (a.lambda_value, a.span_dim, a.min_eigenvalue, a.exact_span_dim)
-        == (b.lambda_value, b.span_dim, b.min_eigenvalue, b.exact_span_dim)
+        (a.lambda_value, a.span_dim, a.min_eigenvalue)
+        == (b.lambda_value, b.span_dim, b.min_eigenvalue)
         and (a.beta is None) == (b.beta is None)
         and (a.beta is None or a.beta.tobytes() == b.beta.tobytes())
     )
@@ -523,8 +524,8 @@ def test_grassmann_block_matches_per_chart_oracle():
 
 def test_grassmann_block_mixes_rational_charts():
     # the block-scalar chart (span 3) and the dyad chart (span 0) in one
-    # block, with a float chart between them: the exact span dimension is
-    # taken on the rational charts only
+    # block, with a float chart between them: the exact span dimension
+    # exists on the rational charts only
     (W0, W1), A = v0_chart(2, 4, 4)
     e = lambda t: [Fraction(int(s == t)) for s in range(16)]
     dyad = [e(t) for t in range(16)]
@@ -532,7 +533,7 @@ def test_grassmann_block_mixes_rational_charts():
     charts = [W0 + W1, list(floats), dyad]
     As = [A, np.ones((14, 2)), [[0, 0]] * 14]
     reports = grassmann_genericity(2, 4, 4, charts, As)
-    assert [rep.exact_span_dim for rep in reports] == [3, None, 0]
+    assert [exact_span_dim(2, 4, 4, chart, chart_A) for chart, chart_A in zip(charts, As)] == [3, None, 0]
     for chart, chart_A, rep in zip(charts, As, reports):
         assert _same_report(rep, genericity_reference(2, 4, 4, (chart[:2], chart[2:]), chart_A))
 

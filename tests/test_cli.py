@@ -395,37 +395,50 @@ def test_smoke_measures_verify_exactly(tmp_path, capsys):
     K = Subspace.from_json(inputs["dense3"])
     points = itertools.islice(default_cone_sampler(K.d), lp["farkas_cols"])
     value = subspace_value_fn(K)
-    assert all(any(len(key) == 3 and key[0] == 3 for key in value(p)) for p in points)
+    assert all(any(len(key) == 3 and key[0] == 3 for key in value(p)[1]) for p in points)
 
 
 @pytest.mark.parametrize(
-    "command, payload, extra",
+    "command, payload, extra, error",
     [
-        pytest.param("verify", [1, 2], (), id="verify-list"),
-        pytest.param("verify", 3, (), id="verify-number"),
-        pytest.param("verify", None, (), id="verify-null"),
+        pytest.param("verify", [1, 2], (), None, id="verify-list"),
+        pytest.param("verify", 3, (), None, id="verify-number"),
+        pytest.param("verify", None, (), None, id="verify-null"),
         pytest.param("verify", {"kind": "triviality-certificate", "terminal": True,
-                                "subspace": ROTATION, "chain": [5]}, (), id="verify-chain-entry"),
+                                "subspace": ROTATION, "chain": [5]}, (), None, id="verify-chain-entry"),
         pytest.param("verify", {"kind": "measure", "shape": 5, "atoms": [[["1", "0"], ["0", "0"]]],
-                                "weights": ["1"]}, (), id="verify-measure-shape"),
+                                "weights": ["1"]}, (), None, id="verify-measure-shape"),
         pytest.param("verify", {"kind": "measure", "shape": [2, 2], "atoms": [[["1/0", "0"], ["0", "0"]]],
-                                "weights": ["1"]}, (), id="verify-atom-zero-denominator"),
+                                "weights": ["1"]}, (), None, id="verify-atom-zero-denominator"),
         pytest.param("verify", {"kind": "measure", "shape": [2, 2], "atoms": [[["1", "0"], ["0", "0"]]],
-                                "weights": ["1/0"]}, (), id="verify-weight-zero-denominator"),
+                                "weights": ["1/0"]}, (), None, id="verify-weight-zero-denominator"),
         pytest.param("verify", {"kind": "triviality-certificate", "terminal": True, "subspace": ROTATION,
-                                "chain": [{"beta": ["1/0"], "cone_basis": []}]}, (),
+                                "chain": [{"beta": ["1/0"], "cone_basis": []}]}, (), None,
                      id="verify-beta-zero-denominator"),
-        pytest.param("analyze", dict(ROTATION, d=None), (), id="analyze-null-dimension"),
-        pytest.param("analyze", dict(ROTATION, basis=[[["1/0", "0"], ["0", "1"]]], d=1), (),
+        pytest.param("analyze", dict(ROTATION, d=None), (), None, id="analyze-null-dimension"),
+        pytest.param("analyze", dict(ROTATION, basis=[[["1/0", "0"], ["0", "1"]]], d=1), (), None,
                      id="analyze-basis-zero-denominator"),
-        pytest.param("analyze", "Kr(r=0)", ("--budget", "-5"), id="budget-negative"),
-        pytest.param("analyze", "Kr(r=2)", ("--seed", "-3"), id="analyze-seed-negative"),
+        pytest.param("analyze", "Kr(r=0)", ("--budget", "-5"), None, id="budget-negative"),
+        pytest.param("analyze", "Kr(r=2)", ("--seed", "-3"), None, id="analyze-seed-negative"),
         # grassmann-scan reads no file: the payload is its positional arguments
-        pytest.param("grassmann-scan", ("2", "4", "4"), ("--samples", "3", "--seed", "-5"),
+        pytest.param("grassmann-scan", ("2", "4", "4"), ("--samples", "3", "--seed", "-5"), None,
                      id="grassmann-scan-seed-negative"),
+        # a missing key is named as such, not by the repr of a KeyError
+        pytest.param("verify", {"kind": "triviality-certificate", "terminal": True}, (),
+                     "bad certificate JSON: missing key 'chain'", id="verify-certificate-no-chain"),
+        pytest.param("verify", {"kind": "triviality-certificate", "terminal": True, "subspace": ROTATION,
+                                "chain": [{"beta": ["1"]}]}, (),
+                     "bad certificate JSON: missing key 'cone_basis'", id="verify-chain-entry-no-cone"),
+        pytest.param("verify", {"kind": "triviality-certificate", "subspace": ROTATION, "chain": []}, (),
+                     "bad certificate JSON: missing key 'terminal'", id="verify-certificate-no-terminal"),
+        pytest.param("verify", {"kind": "measure"}, (), "bad measure JSON: missing key 'atoms'",
+                     id="verify-measure-no-atoms"),
+        pytest.param("verify", {"kind": "measure", "atoms": [[["1", "0"], ["0", "0"]]]}, (),
+                     "bad measure JSON: missing key 'weights'", id="verify-measure-no-weights"),
+        pytest.param("analyze", {}, (), "bad subspace JSON: missing key 'basis'", id="analyze-no-basis"),
     ],
 )
-def test_malformed_input_exits_schema(tmp_path, capsys, command, payload, extra):
+def test_malformed_input_exits_schema(tmp_path, capsys, command, payload, extra, error):
     if command == "grassmann-scan":
         code, report = run_cli(capsys, command, *payload, *extra)
     else:
@@ -434,6 +447,8 @@ def test_malformed_input_exits_schema(tmp_path, capsys, command, payload, extra)
         code, report = run_cli(capsys, command, write_subspace(tmp_path, payload), *extra)
     assert code == 2
     assert report["error"]
+    if error is not None:
+        assert report["error"] == error
     assert "verdicts" not in report or report["verdicts"] == []
 
 

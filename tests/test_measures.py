@@ -27,7 +27,7 @@ from nullag.fixtures import kr_family
 from nullag.certify import reduce_chain
 from nullag.subspace import Subspace
 from poly_oracle import matvec
-from sample_oracle import construct_nontrivial_reference, value_fn_reference
+from sample_oracle import cleared, construct_nontrivial_reference, value_fn_reference
 
 
 def rand_rat(rng, span=5):
@@ -419,11 +419,11 @@ def test_construct_on_rank_one_line():
 def test_construct_polynomial_family_surface():
     # same search expressed through the value function of an explicit family;
     # sample points are non-zero, so every listed value is non-zero
-    vm = construct_nontrivial(lambda p: {0: p[0] ** 2, 1: p[0]}, 1, seed=0)
+    vm = construct_nontrivial(cleared(lambda p: {0: p[0] ** 2, 1: p[0]}), 1, seed=0)
     assert vm is None  # z^2 >= 0 blocks any non-trivial barycenter-zero measure
 
     # the family {0, z}
-    vm2 = construct_nontrivial(lambda p: {1: p[0]}, 1, seed=0)
+    vm2 = construct_nontrivial(cleared(lambda p: {1: p[0]}), 1, seed=0)
     assert vm2 is not None
     assert sum(w * p[0] for w, p in zip(vm2.weights, vm2.points)) == 0
 
@@ -437,7 +437,7 @@ def test_construct_draws_the_whole_budget():
         return {0: p[0] ** 2, 1: p[0]}
 
     stats = {}
-    assert construct_nontrivial(value_fn, 1, budget=320, stats=stats) is None
+    assert construct_nontrivial(cleared(value_fn), 1, budget=320, stats=stats) is None
     assert len(drawn) == len(set(drawn)) == 320
     # every growth step (32, 64, ..., 320 points) is either solved or
     # settled by the last certificate; the last LP solved has the rows
@@ -449,20 +449,24 @@ def test_construct_draws_the_whole_budget():
 
 def assert_value_fn_follows_the_minor_enumeration(K, p):
     """The sorted keys are the row order of the Farkas instance: non-zero
-    minors in enumerate_minors order, then the non-zero projections."""
+    minors in enumerate_minors order, then the non-zero projections.  The
+    column comes cleared of denominators: the scale and the integers are
+    those of ``_integer_row`` of the Fraction values, not just
+    proportional to them."""
     m, n = K.m, K.n
     M = K.evaluate(p)
-    vals = subspace_value_fn(K)(p)
+    scale, ints = subspace_value_fn(K)(p)
     minors = [(rows, cols) for rows, cols in enumerate_minors(m, n)
               if minor(M, rows, cols) != 0]
     proj = [l for l in range(K.d) if p[l] != 0]
-    assert sorted(vals) == ([(len(rows), rows, cols) for rows, cols in minors]
+    assert sorted(ints) == ([(len(rows), rows, cols) for rows, cols in minors]
                             + [(min(m, n) + 1, l) for l in proj])
-    for rows, cols in minors:
-        assert vals[(len(rows), rows, cols)] == minor(M, rows, cols)
-    for l in proj:
-        assert vals[(min(m, n) + 1, l)] == p[l]
-    return vals
+    vals = {(len(rows), rows, cols): minor(M, rows, cols) for rows, cols in minors}
+    vals.update(((min(m, n) + 1, l), p[l]) for l in proj)
+    L, want = _integer_row(vals.values())
+    assert scale == L
+    assert ints == dict(zip(vals, want))
+    return ints
 
 
 def test_value_fn_keys_follow_the_minor_enumeration():
@@ -485,7 +489,7 @@ def test_value_fn_keys_follow_the_minor_enumeration():
                 assert_value_fn_follows_the_minor_enumeration(K, p)
     # dense 4x5 and 5x5 pencils with denominators up to 4 in the basis and
     # in the points: minors up to order 5, taken off the integer grid
-    # cL * P(z) and divided by (cL)**p
+    # cL * P(z), put over (cL)**top and reduced by the column's gcd
     top = set()
     for m, n in ((4, 5), (5, 5)):
         for d in (2, 3, 5):
@@ -601,7 +605,8 @@ def test_screening_matches_solving_every_step_on_polynomial_families(solve_resul
             return vals
 
         vm, stats = assert_matches_reference(
-            value_fn, value_fn, d, solve_results, budget=rng.choice((64, 128)), seed=rng.randint(0, 9))
+            cleared(value_fn), value_fn, d, solve_results, budget=rng.choice((64, 128)),
+            seed=rng.randint(0, 9))
         screened += stats["farkas_screened"]
         found += vm is not None
     assert screened > 0 and 0 < found < 24
@@ -609,8 +614,9 @@ def test_screening_matches_solving_every_step_on_polynomial_families(solve_resul
 
 def test_transpose_skip_keeps_the_independent_rows():
     # on a symmetric pencil a minor and its transpose give equal rows; the
-    # value function keeps only the twin that sorts first, and the row
-    # basis is the one of the full table
+    # value function keeps only the twin that sorts first, with the same
+    # cleared column otherwise, and the row basis is the one of the full
+    # table
     rng = random.Random(59)
     skipped = 0
     for _ in range(30):
@@ -633,10 +639,12 @@ def test_transpose_skip_keeps_the_independent_rows():
         points = [tuple(rand_rat(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(d))
                   for _ in range(rng.randint(1, 12))]
         points = [p for p in points if any(p)] or [(Fraction(1),) * d]
-        full = [value_fn_reference(K)(p) for p in points]
+        full = [cleared(value_fn_reference(K))(p) for p in points]
         kept = [subspace_value_fn(K)(p) for p in points]
-        for f, k in zip(full, kept):
+        for (f_scale, f), (k_scale, k) in zip(full, kept):
+            assert k_scale == f_scale
             assert k == {key: v for key, v in f.items() if len(key) == 2 or key[1] <= key[2]}
             skipped += len(f) - len(k)
-        assert _independent_value_rows(kept) == _independent_value_rows(full)
+        assert (_independent_value_rows([k for _, k in kept])
+                == _independent_value_rows([f for _, f in full]))
     assert skipped > 0

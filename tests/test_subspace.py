@@ -110,8 +110,11 @@ def test_parametrize_matches_evaluation():
 
 def test_evaluate_matches_dense_sum():
     # seeded pencils up to 5 x 5 with zero entries, at points with zero,
-    # integer and fractional coordinates (ints and strings are coerced)
+    # integer and fractional coordinates (ints and strings are coerced);
+    # most bases have denominators, so P(z) is read off the integer grid
+    # L * P over L times the point's own lcm
     rng = random.Random(41)
+    with_denominators = 0
     for _ in range(120):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         d = rng.randint(1, min(6, m * n))
@@ -127,6 +130,8 @@ def test_evaluate_matches_dense_sum():
             z = [rng.choice((0, 0, rng.randint(-3, 3), rand_rat(rng), str(rand_rat(rng))))
                  for _ in range(d)]
             assert K.evaluate(z) == evaluate_reference(K, z)
+        with_denominators += K.L > 1
+    assert with_denominators >= 100
     K = random_subspace(rng, 2, 3, 2)
     assert K.evaluate((0, 0)) == RationalMatrix.zeros(2, 3)
     with pytest.raises(TypeError):
