@@ -93,10 +93,6 @@ class RationalMatrix:
         return RationalMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zeros(m, n):
-        return RationalMatrix([[Fraction(0)] * n for _ in range(m)])
-
-    @staticmethod
     def from_columns(cols):
         cols = [tuple(rat(x) for x in c) for c in cols]
         return RationalMatrix([[c[i] for c in cols] for i in range(len(cols[0]))])
@@ -134,16 +130,14 @@ class RationalMatrix:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        self._check_same_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
         return RationalMatrix(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        return self + other.scale(-1)
 
     def __neg__(self):
         return self.scale(-1)
@@ -167,10 +161,6 @@ class RationalMatrix:
 
     def transpose(self):
         return RationalMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def _check_same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     def submatrix(self, rowset, colset):
         return RationalMatrix([[self.entries[i][j] for j in colset] for i in rowset])

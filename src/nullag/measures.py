@@ -104,11 +104,12 @@ class DiscreteMeasure:
 
     def barycenter(self):
         if self.exact:
-            m, n = self.shape
-            acc = RationalMatrix.zeros(m, n)
-            for w, a in zip(self.weights, self.atoms):
-                acc = acc + a.scale(w)
-            return acc
+            # entry (i, j) is sum_c w_c a_c[i][j], over the lcm of the
+            # weights' denominators times that of the atoms' entries there
+            lw, w = _integer_row(self.weights)
+            return RationalMatrix([[Fraction(sum(map(operator.mul, w, q)), lw * l)
+                                    for l, q in map(_integer_row, zip(*rows))]
+                                   for rows in zip(*(a.entries for a in self.atoms))])
         acc = np.zeros(self.shape)
         for w, a in zip(self.weights, self.atoms):
             acc = acc + w * a
@@ -401,8 +402,13 @@ def farkas_solve(problem: FarkasProblem, start=None) -> FarkasResult:
         rows = [i for i in range(m) if column[i] > 0]
         if not rows:
             raise RuntimeError("phase-one objective unbounded; this cannot happen")
-        # the least ratio M[i][-1] / column[i], a tie to the smaller basic index
-        leave = min(rows, key=lambda i: (Fraction(M[i][m], column[i]), basis[i]))
+        # the least ratio M[i][-1] / column[i], a tie to the smaller basic
+        # index; the columns are positive, so ratios compare crosswise
+        leave = rows[0]
+        for i in rows[1:]:
+            lhs, rhs = M[i][m] * column[leave], M[leave][m] * column[i]
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
         prow, p = M[leave], column[leave]
         # M is replaced, never changed in place, so the checkpoint keeps its own
         M = [row if row is prow else _pivoted(row, prow, f_r, p, D) for row, f_r in zip(M, column)]

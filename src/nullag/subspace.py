@@ -331,6 +331,11 @@ _FOUND_TOL = 1e-9
 _ABSENT_TOL = 1e-6
 # Gauss-Newton steps per refined candidate, at most
 _GAUSS_NEWTON_ITERS = 60
+# float entries of w(z) scored at once (8 MB), whatever the sample block
+_SCORE_ENTRIES = 1 << 20
+# scores closer than this may rank in another order than the residuals
+# (their rounding differs by about 1e-15 on residuals of at most 1)
+_SCORE_TIE = 1e-12
 
 
 def _minor_index_arrays(m, n):
@@ -356,6 +361,62 @@ def _residuals(Z, B, idx):
     s = (E * E).sum(axis=1)
     M = E[:, a1] * E[:, a2] - E[:, b1] * E[:, b2]
     return np.sqrt((M * M).sum(axis=1)) / s
+
+
+def _score_factor(K: Subspace, B):
+    """(R, G) with sqrt(sum_k M_k(P(z))^2) = ||R w(z)|| and ||P(z)||_F^2 = z^T G z.
+
+    w(z) = (z_i z_j), i <= j in ``np.triu_indices`` order, has D = d(d+1)/2
+    entries.  Each live exact form ``K.minor_forms().S[k]`` is one row of F,
+    its coefficient of z_i z_j: s_ii / (2 L^2) on the diagonal and
+    2 s_ij / (2 L^2) off it, so M_k(P(z)) = (F w(z))_k and the sum of the
+    squared minors is ||F w||^2 = ||R w||^2 for R the triangular factor of F
+    (at most D x D).  G = B B^T is the Gram matrix of the float basis B.
+    """
+    d = K.d
+    col = {key: c for c, key in enumerate((i, j) for i in range(d) for j in range(i, d))}
+    live = [upper for upper in K.minor_forms().S if upper]
+    F = np.zeros((len(live), len(col)))
+    den = 2 * K.L * K.L
+    for row, upper in zip(F, live):
+        for (i, j), s in upper.items():
+            row[col[i, j]] = (s if i == j else 2 * s) / den
+    return np.linalg.qr(F, mode="r"), B @ B.T
+
+
+def _scores(Z, R, G):
+    """Scale-free residual ||R w(z)|| / z^T G z per sample row: in exact
+    arithmetic sqrt(sum_k M_k^2) / ||P(z)||_F^2 over the live minors, at
+    O(D^2) per row whatever the shape m x n and the number of minors.  The
+    rows go in chunks of at most ``_SCORE_ENTRIES`` entries of w."""
+    iu, ju = np.triu_indices(Z.shape[1])
+    out = np.empty(len(Z))
+    rows = max(1, _SCORE_ENTRIES // len(iu))
+    for start in range(0, len(Z), rows):
+        z = Z[start : start + rows]
+        RW = (z[:, iu] * z[:, ju]) @ R.T
+        out[start : start + rows] = np.sqrt(np.einsum("ij,ij->i", RW, RW)) / np.einsum("ij,ij->i", z @ G, z)
+    return out
+
+
+def _block_residuals(Z, B, idx, R, G, k):
+    """(rows, res): ``_residuals`` of the rows of the block Z that can be
+    among its k least, ranked by ``_scores``.
+
+    When the k + 1 least scores lie more than ``_SCORE_TIE`` apart, the
+    residuals rank them alike, so only the k least are evaluated minor by
+    minor.  Otherwise every row is, and the k least are then the ones a
+    block scored minor by minor picks, exact ties (a pencil with no live
+    minor, or one whose residual is constant on the sphere) included.  A
+    block of at most k rows sends every row on, unscored.
+    """
+    if len(Z) > k:
+        score = _scores(Z, R, G)
+        lead = np.argpartition(score, k)[: k + 1]
+        lead = lead[np.argsort(score[lead])]
+        if np.all(np.diff(score[lead]) > _SCORE_TIE):
+            return lead[:k], _residuals(Z[lead[:k]], B, idx)
+    return np.arange(len(Z)), _residuals(Z, B, idx)
 
 
 def _sphere_samples(d, density, seed):
@@ -441,39 +502,45 @@ def find_rank_one(K: Subspace, density=20000, seed=0) -> RankOneResult:
     """Search for z != 0 with rank P(z) <= 1 by a numeric sweep.
 
     ``density`` points of the unit sphere of R^d (a seeded random draw
-    when d >= 4) are scored by the residual of the live order-2 minors,
-    the best are refined by Gauss-Newton, and a found direction is
-    polished to an exact rational witness where rounding gives one.  A
-    negative answer is only a numeric statement, never a proof.
+    when d >= 4) are scored in blocks, each block sends its 6 least scores
+    on, the 12 least of those are refined by Gauss-Newton, and a found
+    direction is polished to an exact rational witness where rounding gives
+    one.  A negative answer is only a numeric statement, never a proof.
+
+    The score is ``_scores``, the residual of the live order-2 minors read
+    off the factor of their exact forms, so a sample costs O(D^2),
+    D = d(d+1)/2, whatever m x n and the number of minors.  Only the samples
+    a block may send on are then evaluated minor by minor
+    (``_block_residuals``), and that residual ranks and is reported, so the
+    result is the one of a sweep that evaluated every sample so.  The
+    block size still counts all C(m,2) C(n,2) minors: the block count fixes
+    which samples go on.  Gauss-Newton stays on the live minors' index
+    arrays: it steps on the gradients of the single minors, which the
+    factor sums away.
     """
     B = K.basis_float()
     idx = _live_minor_index_arrays(K)
-    density = int(density)
-    best_overall = None
-    best_z = None
-    # sized by all C(m,2) C(n,2) minors, not the live ones: each block sends
-    # its 6 best samples on, so the block count fixes which candidates
-    # reach the Gauss-Newton refinement
+    R, G = _score_factor(K, B)
     block = max(1, int(4_000_000 // max(1, len(K.minor_forms().S))))
-    samples = _sphere_samples(K.d, density, seed)
+    samples = _sphere_samples(K.d, int(density), seed)
     top = []
+    best_overall = best_z = None
     for start in range(0, len(samples), block):
         Z = samples[start : start + block]
-        res = _residuals(Z, B, idx)
-        k = min(len(res), _REFINE_CANDIDATES // 2)
-        order = np.argpartition(res, k - 1)[:k]
-        for i in order:
-            top.append((float(res[i]), Z[i]))
+        k = min(len(Z), _REFINE_CANDIDATES // 2)
+        rows, res = _block_residuals(Z, B, idx, R, G, k)
+        for i in np.argpartition(res, k - 1)[:k]:
+            top.append((float(res[i]), Z[rows[i]]))
         i_min = int(np.argmin(res))
         if best_overall is None or res[i_min] < best_overall:
             best_overall = float(res[i_min])
-            best_z = Z[i_min]
+            best_z = Z[rows[i_min]]
     top.sort(key=lambda t: t[0])
     gn_steps = 0
     for _, z0 in top[:_REFINE_CANDIDATES]:
         z, res, steps = _gauss_newton(z0, B, idx)
         gn_steps += steps
-        if res is not None and res < best_overall:
+        if res < best_overall:
             best_overall, best_z = res, z
     witness_float = None if best_z is None else np.asarray(best_z)
     if best_overall is not None and best_overall < _FOUND_TOL:

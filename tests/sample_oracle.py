@@ -32,7 +32,7 @@ def evaluate_reference(K, z):
     """P(z) as d dense passes: acc + B_l scaled by z_l."""
     if len(z) != K.d:
         raise ValueError("point dimension mismatch")
-    acc = RationalMatrix.zeros(K.m, K.n)
+    acc = RationalMatrix([[0] * K.n] * K.m)
     for zl, b in zip(z, K.basis):
         acc = acc + b.scale(rat(zl))
     return acc

@@ -117,7 +117,7 @@ def test_enumerate_minors_lexicographic_and_errors():
 def test_det_sum_expansion_degenerate_cases():
     rng = random.Random(1)
     X = rand_matrix(rng, 3, 3)
-    Z = RationalMatrix.zeros(3, 3)
+    Z = RationalMatrix([[0] * 3] * 3)
     assert det_sum_expansion(Z, X) == X.det()
     assert det_sum_expansion(X, Z) == X.det()
 
@@ -137,7 +137,7 @@ def test_cofactor_identity_direct():
     # det([[1,1],[2,4]]) = 2, computed by direct subtraction
     assert cofactor_identity_2x2(A, B) == 2
     assert cofactor_identity_2x2(A, A) == 0
-    assert cofactor_identity_2x2(A, RationalMatrix.zeros(2, 2)) == A.det()
+    assert cofactor_identity_2x2(A, RationalMatrix([[0] * 2] * 2)) == A.det()
 
 
 def test_cofactor_identity_fuzz():
@@ -198,7 +198,7 @@ def _rref_case(rng, t):
     if kind == 2:  # rank-deficient: a product through k < min(m, n)
         k = rng.randint(0, min(m, n) - 1)
         if k == 0:
-            return RationalMatrix.zeros(m, n)
+            return RationalMatrix([[0] * n] * m)
         B, C = rand_matrix(rng, m, k, 4), rand_matrix(rng, k, n, 4)
         return B @ C
     span = 10**12 if kind == 4 else 9

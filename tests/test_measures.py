@@ -23,7 +23,7 @@ from nullag.measures import (
     subspace_value_fn,
     two_atom_measure,
 )
-from nullag.fixtures import kr_family
+from nullag.fixtures import kr_family, kr_measure
 from nullag.certify import reduce_chain
 from nullag.subspace import Subspace
 from poly_oracle import matvec
@@ -102,6 +102,29 @@ def test_measure_json_roundtrip_seeded():
         mu2 = DiscreteMeasure.from_json(json.loads(json.dumps(mu.to_json())))
         assert mu2.exact
         assert (mu2.atoms, mu2.weights, mu2.shape) == (mu.atoms, mu.weights, (m, n))
+
+
+def test_exact_barycenter_matches_the_atom_sum():
+    # one integer pass per entry gives the sum of the scaled atoms exactly
+    rng = random.Random(47)
+    mus = [kr_measure(r) for r in range(3)]
+    for _ in range(80):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        atoms, count = {}, rng.randint(1, 7)
+        while len(atoms) < count:
+            A = RationalMatrix([[rand_rat(rng, rng.choice((1, 5, 12))) for _ in range(n)]
+                                for _ in range(m)])
+            atoms[A.entries] = A
+        raw = [rng.randint(0, 9) for _ in atoms]
+        raw[0] += 1
+        mus.append(DiscreteMeasure(list(atoms.values()), [Fraction(w, sum(raw)) for w in raw]))
+    for mu in mus:
+        m, n = mu.shape
+        acc = RationalMatrix([[0] * n] * m)
+        for w, a in zip(mu.weights, mu.atoms):
+            acc = acc + a.scale(w)
+        assert mu.barycenter() == acc
+    assert all(mu.barycenter().is_zero() for mu in mus[:3])
 
 
 def test_translation_shift_keeps_commutation():

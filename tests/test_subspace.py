@@ -8,15 +8,18 @@ import pytest
 
 from nullag.algebra import MultiPoly, RationalMatrix
 from nullag.fixtures import kr_family
+from bench_inputs import sym3_open_pool
 from pencil_ops import PencilOp, apply_ops, random_pencil_ops
 from poly_oracle import poly_eval, span_basis_indices
 from rank_one_oracle import find_rank_one_exact, poly_divides
 from sample_oracle import evaluate_reference
+from sweep_oracle import find_rank_one_reference, residuals_reference
 from nullag.subspace import (
     Subspace,
     _live_minor_index_arrays,
     _minor_index_arrays,
-    _residuals,
+    _score_factor,
+    _scores,
     _sphere_samples,
     find_rank_one,
     minor_polys,
@@ -133,7 +136,7 @@ def test_evaluate_matches_dense_sum():
         with_denominators += K.L > 1
     assert with_denominators >= 100
     K = random_subspace(rng, 2, 3, 2)
-    assert K.evaluate((0, 0)) == RationalMatrix.zeros(2, 3)
+    assert K.evaluate((0, 0)) == RationalMatrix([[0] * 3] * 2)
     with pytest.raises(TypeError):
         K.evaluate((Fraction(1), 0.5))
     with pytest.raises(TypeError):
@@ -366,18 +369,77 @@ def sparse_pencil(rng, m, n, d):
 
 
 def test_live_minor_residuals_match_all_minors():
-    # a minor whose exact form is zero adds nothing to the residual
+    # a minor whose exact form is zero adds nothing to the residual, and the
+    # factor of the live forms gives the residual of every minor
     rng = random.Random(17)
     pencils = [kr_family(r) for r in range(3)] + [sparse_pencil(rng, 3, 5, 4) for _ in range(6)]
     dropped = 0
     for K in pencils:
-        live = _live_minor_index_arrays(K)
         full = _minor_index_arrays(K.m, K.n)
-        dropped += len(full[0]) - len(live[0])
+        dropped += len(full[0]) - len(_live_minor_index_arrays(K)[0])
         B = K.basis_float()
         Z = _sphere_samples(K.d, 2000, 3)
-        np.testing.assert_allclose(_residuals(Z, B, live), _residuals(Z, B, full), rtol=1e-12, atol=0)
+        R, G = _score_factor(K, B)
+        assert R.shape[1] == K.d * (K.d + 1) // 2 >= R.shape[0]
+        np.testing.assert_allclose(_scores(Z, R, G), residuals_reference(Z, B, full), rtol=1e-12, atol=0)
     assert dropped > 0
+
+
+def planted_pencil(rng, m, n, d):
+    """d sparse integer m x n matrices with P(z*) = u v^T at an integer
+    point z* off the axes: the first matrix is the dyad minus the rest."""
+    while True:
+        zs = [1] + [rng.choice((-2, -1, 1, 2)) for _ in range(d - 1)]
+        u = [rng.choice((-2, -1, 0, 1, 2)) for _ in range(m)]
+        v = [rng.choice((-2, -1, 0, 1, 2)) for _ in range(n)]
+        if not any(u) or not any(v):
+            continue
+        rest = [[[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n)]
+                 for _ in range(m)] for _ in range(d - 1)]
+        first = [[u[i] * v[j] - sum(z * b[i][j] for z, b in zip(zs[1:], rest)) for j in range(n)]
+                 for i in range(m)]
+        try:
+            return Subspace([first] + rest)
+        except ValueError:
+            continue
+
+
+def rank_one_fields(res):
+    """Every field of a RankOneResult, floats by their bits."""
+    wf = res.witness_float
+    return (res.found, res.witness, None if wf is None else (wf.dtype.str, wf.shape, wf.tobytes()),
+            None if res.residual is None else float(res.residual).hex(), res.mode, res.minors,
+            res.gauss_newton_steps)
+
+
+def test_factored_sweep_matches_minor_by_minor_sweep():
+    # scoring on the factor sends the same samples on as scoring every live
+    # minor, so every field of the result keeps its bits
+    cases = [(kr_family(r), {}) for r in range(5)]
+    cases += [(Subspace(b), {}) for b in sym3_open_pool(8)]
+    cases += [(k0_subspace(), {"density": 20000, "seed": 9}),
+              (quaternion_pencil(), {"density": 8000, "seed": 5}),
+              (diag_pencil_2(), {}), (rotation_pencil(), {"density": 500, "seed": 1}),
+              (Subspace([[[1, 2], [3, 5]]]), {}),  # d = 1, one sample
+              (Subspace([[[2, 4], [1, 2]]]), {}),  # d = 1, no live minor
+              (Subspace([[[1, 2, 0], [0, 0, 0]], [[0, 0, 3], [0, 0, 0]]]), {}),  # no live minor
+              (kr_family(1), {"density": 0}), (kr_family(1), {"density": 4})]
+    rng = random.Random(29)
+    for t in range(30):
+        cases.append((planted_pencil(rng, 3, rng.choice((3, 5)), 4), {"density": 2000, "seed": t}))
+    for t in range(110):
+        m, n = rng.randint(2, 4), rng.randint(2, 5)
+        d = rng.randint(1, min(6, m * n))
+        K = planted_pencil(rng, m, n, d) if t % 2 == 0 and d > 1 else sparse_pencil(rng, m, n, d)
+        cases.append((K, {"density": rng.choice((3, 200, 2000)), "seed": t}))
+    assert len(cases) >= 150
+    assert {K.d for K, _ in cases} >= {1, 2, 3, 4, 5, 6}
+    found = 0
+    for K, kw in cases:
+        res = find_rank_one(K, **kw)
+        assert rank_one_fields(res) == rank_one_fields(find_rank_one_reference(K, **kw)), (K, kw)
+        found += res.found
+    assert 30 <= found < len(cases)
 
 
 def test_numeric_sweep_counts_live_minors():
