@@ -373,8 +373,10 @@ def enumerate_minors(m, n, order="all"):
     """Deterministic lexicographic enumeration of minor index pairs.
 
     Minors are the determinants of p x p submatrices for p >= 2 ("all"
-    ranges over p = 2..min(m,n)).  The returned order fixes the meaning of
-    every coefficient-vector index used elsewhere.
+    ranges over p = 2..min(m,n)).  The order fixes only where a minor sits
+    in the float index arrays (``subspace._minor_index_arrays``) and among
+    the rows of the LP (``measures.subspace_value_fn``); the minor forms
+    and the certificates name a minor by its (rows, cols).
     """
     out = []
     for p in _minor_orders(m, n, order):

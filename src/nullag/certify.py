@@ -1,14 +1,15 @@
 """Triviality certificates for Null Lagrangian measures on subspaces.
 
-A certificate step is a vector beta over the fixed order-2 minor
-enumeration whose combination sum_k beta_k M_k(P(z)) is a PSD, non-zero
-quadratic form on the current cone.  For pencils of dimension d <= 3 and
-no rank-one directions such a beta always exists and is found
-constructively: locate a row or column whose coefficient vectors span a
-1-, 2- or 3-dimensional space, reduce the pencil by elementary operations
-to a canonical shape, read off an explicitly non-negative polynomial
-(a squared linear form, or a definite 2x2 determinant), and pull it back
-through the invariance of the minor span under pencil operations.
+A certificate step is a dict beta of non-zero coefficients, keyed by the
+(rows, cols) of order-2 minors, whose combination sum_k beta_k M_k(P(z)) is
+a PSD, non-zero quadratic form on the current cone.  For pencils of
+dimension d <= 3 and no rank-one directions such a beta always exists and
+is found constructively: locate a row or column whose coefficient vectors
+span a 1-, 2- or 3-dimensional space, reduce the pencil by elementary
+operations to a canonical shape, read off an explicitly non-negative
+polynomial (a squared linear form, or a definite 2x2 determinant), and
+pull it back through the invariance of the minor span under pencil
+operations.
 
 The reduction is built from two elimination steps.  Clearing the first
 row moves a row of span s to the top, its first s independent entries to
@@ -33,18 +34,21 @@ obstruction without a witness.  No floating point enters a chain step.
 
 Form convention.  Every minor form comes from ``Subspace.minor_forms``.
 With L = ``Subspace.L``, the lcm of the basis denominators, and the
-integer entry vectors A_ij = L a_ij of ``Subspace.int_grid``, the k-th
-minor of ``enumerate_minors(m, n, 2)`` (rows r1 < r2, columns c1 < c2) is
+integer entry vectors A_ij = L a_ij of ``Subspace.int_grid``, the minor k
+on rows r1 < r2 and columns c1 < c2, keyed ((r1, r2), (c1, c2)), is
 z^T Q_k z with Q_k = S_k / (2 L^2) and the integer symmetric matrix
 
     S_k = A11 A22^T + A22 A11^T - A12 A21^T - A21 A12^T,
 
-A11 = A_{r1 c1}, A22 = A_{r2 c2}, A12 = A_{r1 c2}, A21 = A_{r2 c1}.  A
-combination sum_k beta_k Q_k is summed over the support of beta in
-integers and divided once.  The d <= 3 reduction builds its targets, a
-square (v.z)^2 or a pencil determinant, with the same outer-product
-builder as S_k and halves once, so each target is an exact symmetric
-matrix that ``MinorForms.solve`` pulls back to a beta.
+A11 = A_{r1 c1}, A22 = A_{r2 c2}, A12 = A_{r1 c2}, A21 = A_{r2 c1}; only
+the minors with S_k != 0 have a form.  A combination sum_k beta_k Q_k is
+summed over the keys of beta in integers and divided once.  The d <= 3
+reduction builds its targets, a square (v.z)^2 or a pencil determinant,
+with the same outer-product builder as S_k and halves once, so each
+target is an exact symmetric matrix that ``MinorForms.solve`` pulls back
+to a beta.  In a certificate's JSON, beta is an object of its non-zero
+coefficients keyed "r1,r2|c1,c2" (0-based), so no artifact depends on the
+order in which minors are enumerated.
 
 Deciding a pencil.  ``decide`` runs the stages in this order and stops at
 the first that decides.  The exact chain decides first.  For d <= 2 it is
@@ -60,7 +64,7 @@ of ``measures.check_measure``.
 
 from __future__ import annotations
 
-import math
+import re
 import time
 from fractions import Fraction
 from typing import NamedTuple
@@ -70,9 +74,10 @@ import numpy as np
 from .algebra import (
     RationalMatrix,
     bad_json,
+    enumerate_minors,
     independent_indices,
+    minor_count,
     psd_analyze,
-    rat,
     rat_from_str,
     rat_to_str,
     vec_is_zero,
@@ -91,31 +96,39 @@ from .subspace import Subspace, _add_sym_outer, _minor_index_arrays, _rational_s
 # domain types
 # ---------------------------------------------------------------------------
 
-class MinorCombination:
-    """Coefficients beta over the order-2 minor enumeration.
+_MINOR_KEY = re.compile(r"([0-9]+),([0-9]+)\|([0-9]+),([0-9]+)")
 
-    Its form on a pencil K is ``K.minor_forms().combination(beta)``.
-    """
 
-    __slots__ = ("beta",)
+def _minor_key_json(key):
+    return "%d,%d|%d,%d" % (*key[0], *key[1])
 
-    def __init__(self, beta):
-        beta = tuple(rat(b) for b in beta)
-        if all(b == 0 for b in beta):
-            raise ValueError("combination must have a non-zero coefficient")
-        self.beta = beta
 
-    def __repr__(self):
-        nz = sum(1 for b in self.beta if b != 0)
-        return "MinorCombination(%d coefficients, %d non-zero)" % (len(self.beta), nz)
+def _beta_from_json(obj):
+    """The beta of a certificate step's JSON, a non-empty object of non-zero
+    coefficients keyed "r1,r2|c1,c2" (0-based, r1 < r2, c1 < c2), or a ValueError."""
+    if not isinstance(obj, dict) or not obj:
+        raise ValueError('beta must be a non-empty object keyed "r1,r2|c1,c2"')
+    beta = {}
+    for text, value in obj.items():
+        match = _MINOR_KEY.fullmatch(text)
+        r1, r2, c1, c2 = map(int, match.groups()) if match else (0, 0, 0, 0)
+        key = (r1, r2), (c1, c2)
+        if not (r1 < r2 and c1 < c2) or _minor_key_json(key) != text:
+            raise ValueError("bad minor key %r" % (text,))
+        b = beta[key] = rat_from_str(value)
+        if b == 0:
+            raise ValueError("zero beta coefficient at %r" % text)
+    return beta
 
 
 class TrivialityCertificate:
     """Chain of combinations with strictly descending cones.
 
-    ``cones[i]`` is the basis of the cone on which ``chain[i]`` is PSD and
-    non-zero; ``cones[i+1]`` spans its kernel there, and the last kernel
-    is the origin (the JSON marks this ``"terminal": true``).
+    ``chain[i]`` is a beta, the dict {(rows, cols): coefficient} of its
+    non-zero coefficients, and ``cones[i]`` the basis of the cone on which
+    its form is PSD and non-zero; ``cones[i+1]`` spans its kernel there,
+    and the last kernel is the origin (the JSON marks this
+    ``"terminal": true``).
     """
 
     __slots__ = ("chain", "cones")
@@ -131,10 +144,10 @@ class TrivialityCertificate:
             "terminal": True,
             "chain": [
                 {
-                    "beta": [rat_to_str(b) for b in comb.beta],
+                    "beta": {_minor_key_json(key): rat_to_str(b) for key, b in beta.items()},
                     "cone_basis": [[rat_to_str(x) for x in v] for v in cone],
                 }
-                for comb, cone in zip(self.chain, self.cones)
+                for beta, cone in zip(self.chain, self.cones)
             ],
             "subspace": K.to_json(),
         }
@@ -144,7 +157,7 @@ class TrivialityCertificate:
         try:
             chain = [
                 (
-                    tuple(rat_from_str(x) for x in entry["beta"]),
+                    _beta_from_json(entry["beta"]),
                     [tuple(rat_from_str(x) for x in v) for v in entry["cone_basis"]],
                 )
                 for entry in obj["chain"]
@@ -181,7 +194,8 @@ class GenericityReport:
 
 
 class CertificateOutcome:
-    """Result of the constructive search: a combination or a rank-one reason."""
+    """Result of the constructive search: a combination (its beta) or a
+    rank-one reason."""
 
     __slots__ = ("combination", "rank_one_witness", "note")
 
@@ -496,7 +510,7 @@ def find_certificate_d_le_3(K: Subspace) -> CertificateOutcome:
     beta = K.minor_forms().solve(rest[0])
     if beta is None:
         raise RuntimeError("target form left the minor span; reduction is broken")
-    return CertificateOutcome(combination=MinorCombination(beta))
+    return CertificateOutcome(combination=beta)
 
 
 def _identity_combination(K: Subspace, note="") -> CertificateOutcome:
@@ -508,7 +522,7 @@ def _identity_combination(K: Subspace, note="") -> CertificateOutcome:
     """
     beta = K.minor_forms().solve(RationalMatrix.identity(K.d))
     if beta is not None:
-        return CertificateOutcome(combination=MinorCombination(beta))
+        return CertificateOutcome(combination=beta)
     outside = "identity form is outside the span of the minor forms"
     return CertificateOutcome(note="%s; %s" % (note, outside) if note else outside)
 
@@ -542,14 +556,14 @@ class VerifyReport:
         return self.verdict == "psd-nontrivial"
 
 
-def verify_combination(K: Subspace, comb: MinorCombination) -> VerifyReport:
-    """Exact check that the combination is PSD and non-zero on all of R^d.
+def verify_combination(K: Subspace, beta) -> VerifyReport:
+    """Exact check that the combination beta is PSD and non-zero on all of R^d.
 
     The form is built from beta alone.  A chain step on a cone C is checked
     on ``K.restricted(C)``, whose minor forms are exactly C^T Q_k C; the
     kernel and the witnesses are then in coordinates on C.
     """
-    form = K.minor_forms().combination(comb.beta)
+    form = K.minor_forms().combination(beta)
     if form.is_zero():
         return VerifyReport("trivial")
     rep = psd_analyze(form.matrix)
@@ -565,17 +579,17 @@ def verify_combination(K: Subspace, comb: MinorCombination) -> VerifyReport:
 # descending chain
 # ---------------------------------------------------------------------------
 
-def _chain_step(K: Subspace, sub: Subspace, cone, comb: MinorCombination):
+def _chain_step(K: Subspace, sub: Subspace, cone, beta):
     """One chain step, as ``reduce_chain`` takes it and ``check_certificate``
     re-takes it.
 
     ``sub`` is the pencil of the cone with basis ``cone``: K itself on the
-    whole space, ``K.restricted(cone)`` below it.  The combination is
+    whole space, ``K.restricted(cone)`` below it.  The combination beta is
     verified exactly on ``sub``.  Returns the report and, when it passes,
     the next cone (the kernel lifted through ``cone``) with its pencil,
     None at the origin.
     """
-    report = verify_combination(sub, comb)
+    report = verify_combination(sub, beta)
     if not report.ok:
         return report, None, None
     kernel = [_lift(w, cone) for w in report.kernel]
@@ -660,7 +674,7 @@ def decide(K: Subspace, budget=256, seed=0) -> Decision:
             "residual": res.residual,
             "lower_bound": None if res.found else res.residual,
             "minors_evaluated": res.minors,
-            "minors_total": math.comb(K.m, 2) * math.comb(K.n, 2),
+            "minors_total": minor_count(K.m, K.n, 2),
             "gauss_newton_steps": res.gauss_newton_steps,
         }
         if res.witness_float is not None:
@@ -701,6 +715,10 @@ def check_certificate(obj):
     if "subspace" not in obj:
         raise bad_json("certificate", KeyError("subspace"))
     K = Subspace.from_json(obj["subspace"])
+    outside = [key for beta, _ in chain for key in beta if key[0][1] >= K.m or key[1][1] >= K.n]
+    if outside:
+        raise bad_json("certificate", ValueError("minor %r is outside the %dx%d pencil"
+                                                 % (_minor_key_json(outside[0]), K.m, K.n)))
     if not terminal:
         return False, [{"operation": "verify-cert", "error": "certificate is not marked terminal"}]
     entries = []
@@ -713,7 +731,7 @@ def check_certificate(obj):
             entries.append({"operation": "verify-cert", "step": step,
                             "error": "chain continues past the origin"})
             return False, entries
-        report, kernel, next_sub = _chain_step(K, sub, cone, MinorCombination(beta))
+        report, kernel, next_sub = _chain_step(K, sub, cone, beta)
         entry = {"operation": "verify_combination", "step": step, "verdict": report.verdict}
         entries.append(entry)
         if not report.ok:
@@ -857,7 +875,8 @@ def grassmann_genericity(k, m, n, charts, A) -> list:
     span_vecs = rows[:, :k] + T.transpose(0, 2, 1) @ rows[:, k:]  # rows: a_l + T(a_l)
     # h[c][s, t]: the coefficient vector in R^k of corner c (11, 22, 12, 21)
     # of minor t on chart s
-    h = span_vecs[:, :, np.array(_minor_index_arrays(m, n))].transpose(2, 0, 3, 1)
+    corners = np.array(_minor_index_arrays(n, enumerate_minors(m, n, 2)))
+    h = span_vecs[:, :, corners].transpose(2, 0, 3, 1)
     outer = lambda u, v, out=None: np.multiply(u[..., :, None], v[..., None, :], out=out, order="C")
     X = outer(h[0], h[1])
     term = np.empty_like(X)

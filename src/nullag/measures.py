@@ -266,38 +266,23 @@ class FarkasProblem:
 
     Column j of A is held cleared of denominators: a positive integer
     scale c_j (``scales[j]``) and the integer column c_j A_j
-    (``columns[j]``), which are all that ``farkas_solve`` reads of A.
-    ``FarkasProblem(A, b)`` clears the columns of a RationalMatrix once,
-    each by the lcm of its own denominators.  ``from_columns`` takes
-    columns cleared by the caller, with any positive scales, and builds
-    the RationalMatrix ``A`` only when it is read.
+    (``columns[j]``), each of length len(b), which are all that
+    ``farkas_solve`` reads of A.  The RationalMatrix ``A`` is built only
+    when it is read.
     """
 
     __slots__ = ("b", "scales", "columns", "_A")
 
-    def __init__(self, A: RationalMatrix, b):
-        b = tuple(rat(x) for x in b)
-        if len(b) != A.rows:
-            raise ValueError("right-hand side length mismatch")
-        self.b, self._A = b, A
-        self.scales, self.columns = zip(*(_integer_row(col) for col in zip(*A.entries)))
-
-    @classmethod
-    def from_columns(cls, scales, columns, b):
-        """The problem whose column j is ``columns[j] / scales[j]``: integer
-        columns, each of length len(b), and positive integer scales."""
+    def __init__(self, scales, columns, b):
         if any(c <= 0 for c in scales):
             raise ValueError("column scales must be positive")
-        problem = cls.__new__(cls)
-        problem.b, problem._A = tuple(rat(x) for x in b), None
-        problem.scales, problem.columns = tuple(scales), tuple(columns)
-        return problem
+        self.b, self._A = tuple(rat(x) for x in b), None
+        self.scales, self.columns = tuple(scales), tuple(columns)
 
     @property
     def A(self):
-        """A as a RationalMatrix (built here on first read for a problem
-        made by ``from_columns``).  ``farkas_solve`` never reads it; only
-        the tests and the benchmark's tracer do."""
+        """A as a RationalMatrix, built here on first read.  ``farkas_solve``
+        never reads it; only the tests and the benchmark's tracer do."""
         if self._A is None:
             self._A = RationalMatrix([[Fraction(a[i], c) for a, c in zip(self.columns, self.scales)]
                                       for i in range(len(self.b))])
@@ -590,7 +575,7 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
             for L, c in zip(scales[len(columns):], cleared[len(columns):]):
                 columns.append([c.get(r, 0) for r in keys] + [L])
             b = [_ZERO] * len(keys) + [Fraction(1)]
-            res = farkas_solve(FarkasProblem.from_columns(scales, columns, b),
+            res = farkas_solve(FarkasProblem(scales, columns, b),
                                start=checkpoint if resumed else None)
             stats["farkas_solves"] += 1
             stats["farkas_resumed"] += resumed

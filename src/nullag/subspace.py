@@ -7,6 +7,7 @@ to a_ij . z for coefficient vectors a_ij in Q^d.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from .algebra import (
     _integer_row,
     bad_json,
     enumerate_minors,
+    minor_count,
     rat,
     rat_from_str,
     rat_to_str,
@@ -182,52 +184,56 @@ class MinorForms:
     """The quadratic forms of the order-2 minors of a pencil, exactly.
 
     With L and the integer entry vectors A_ij = L a_ij of ``Subspace``
-    (``K.L`` and ``K.int_grid``), the k-th minor in
-    ``enumerate_minors(m, n, 2)`` order, rows r1 < r2 and columns c1 < c2,
-    is M_k(P(z)) = z^T Q_k z with
+    (``K.L`` and ``K.int_grid``), the minor on rows r1 < r2 and columns
+    c1 < c2 is M(P(z)) = z^T Q z with
 
-        Q_k = S_k / (2 L^2),
-        S_k = A11 A22^T + A22 A11^T - A12 A21^T - A21 A12^T,
+        Q = S / (2 L^2),
+        S = A11 A22^T + A22 A11^T - A12 A21^T - A21 A12^T,
 
     where A11 = A_{r1 c1}, A22 = A_{r2 c2}, A12 = A_{r1 c2}, A21 = A_{r2 c1}.
-    ``S[k]`` holds the non-zero upper-triangle entries of the integer matrix
-    S_k as ``{(i, j): s}`` with i <= j; the products run over the non-zero
-    coordinates of the entry vectors only.  A combination is its beta:
-    ``combination`` gives the form of sum_k beta_k M_k, and ``solve`` pulls
-    an exact symmetric target matrix back to a beta.
+    ``S`` maps the key ((r1, r2), (c1, c2)) of each minor with S != 0, in
+    ``enumerate_minors`` order, to the non-zero upper-triangle entries of
+    its S as ``{(i, j): s}``, i <= j; a minor with no key vanishes on K.
+    Only pairs of non-zero entries in two rows and two columns are
+    multiplied (sign -1 when their columns run against their rows), over
+    the non-zero coordinates of the entry vectors.  A combination is its
+    beta, a dict {key: coefficient}: ``combination`` gives its form, and
+    ``solve`` pulls an exact symmetric target matrix back to a beta.
     """
 
     __slots__ = ("d", "L", "S")
 
     def __init__(self, K: Subspace):
-        grid = K.int_grid
-        S = []
-        for (r1, r2), (c1, c2) in enumerate_minors(K.m, K.n, 2):
+        support = [[(j, a) for j, a in enumerate(row) if a] for row in K.int_grid]
+        S = {}
+        for r1, r2 in itertools.combinations(range(K.m), 2):
             acc = {}
-            _add_sym_outer(acc, grid[r1][c1], grid[r2][c2], 1)
-            _add_sym_outer(acc, grid[r1][c2], grid[r2][c1], -1)
-            S.append({key: s for key, s in acc.items() if s != 0})
+            for c1, a in support[r1]:
+                for c2, b in support[r2]:
+                    if c1 != c2:
+                        cols, sign = ((c1, c2), 1) if c1 < c2 else ((c2, c1), -1)
+                        _add_sym_outer(acc.setdefault(cols, {}), a, b, sign)
+            for cols in sorted(acc):
+                upper = {key: s for key, s in acc[cols].items() if s != 0}
+                if upper:
+                    S[(r1, r2), cols] = upper
         self.d = K.d
         self.L = K.L
-        self.S = tuple(S)
+        self.S = S
 
     def combination(self, beta) -> QuadraticForm:
-        """The form of sum_k beta_k M_k, summed over beta's support only.
+        """The form of sum_k beta_k M_k, for beta a dict {key: coefficient}.
 
         beta is scaled to integers by the lcm D of its denominators, the
         integer matrices are summed, and the sum is divided once by 2 L^2 D.
+        A key with no form in ``S`` names a minor that vanishes on K.
         """
-        if len(beta) != len(self.S):
-            raise ValueError("beta length %d != %d minors" % (len(beta), len(self.S)))
-        support = [(k, b) for k, b in enumerate(map(rat, beta)) if b != 0]
-        D = 1
-        for _, b in support:
-            D = math.lcm(D, b.denominator)
+        D = math.lcm(*(b.denominator for b in beta.values()))
         acc = {}
-        for k, b in support:
+        for key, b in beta.items():
             c = b.numerator * (D // b.denominator)
-            for key, s in self.S[k].items():
-                acc[key] = acc.get(key, 0) + c * s
+            for pos, s in self.S.get(key, {}).items():
+                acc[pos] = acc.get(pos, 0) + c * s
         den = 2 * self.L * self.L * D
         m = [[Fraction(0)] * self.d for _ in range(self.d)]
         for (i, j), s in acc.items():
@@ -236,38 +242,34 @@ class MinorForms:
         return QuadraticForm(RationalMatrix(m))
 
     def span_dim(self):
-        """Dimension of the span of the Q_k, by exact rank."""
-        live = [upper for upper in self.S if upper]
-        if not live:
+        """Dimension of the span of the forms, by exact rank."""
+        if not self.S:
             return 0
-        positions = sorted({key for upper in live for key in upper})
-        return RationalMatrix([[upper.get(key, 0) for key in positions] for upper in live]).rank()
+        positions = sorted({key for upper in self.S.values() for key in upper})
+        return RationalMatrix([[upper.get(key, 0) for key in positions]
+                               for upper in self.S.values()]).rank()
 
     def solve(self, target: RationalMatrix):
         """One exact beta with sum_k beta_k Q_k == target, or None.
 
         The system has one equation per upper-triangle position where some
         Q_k or the target is non-zero; beta is the rref basic solution,
-        whose free coefficients are zero.  A zero Q_k is never a pivot
-        column, so it is left out of the elimination; with no non-zero Q_k
-        there is no solution to report.
+        whose free coefficients are zero, returned as the dict of its
+        non-zero coefficients.  With no form there is no solution to report.
         """
-        live = [k for k, upper in enumerate(self.S) if upper]
-        if not live:
+        if not self.S:
             return None
         den = 2 * self.L * self.L
         d = self.d
-        positions = {key for k in live for key in self.S[k]}
+        forms = self.S.values()
+        positions = {key for upper in forms for key in upper}
         positions |= {(i, j) for i in range(d) for j in range(i, d) if target[i, j] != 0}
         positions = sorted(positions)
-        A = RationalMatrix([[self.S[k].get(key, 0) for k in live] for key in positions])
+        A = RationalMatrix([[upper.get(key, 0) for upper in forms] for key in positions])
         x = A.solve([target[i, j] * den for i, j in positions])
         if x is None:
             return None
-        beta = [Fraction(0)] * len(self.S)
-        for k, b in zip(live, x):
-            beta[k] = b
-        return tuple(beta)
+        return {key: b for key, b in zip(self.S, x) if b != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +287,8 @@ class RankOneResult:
     ``mode``           "numeric", or "numeric-inconclusive" when nothing
                        was found but the smallest residual is at most
                        ``_ABSENT_TOL``.
-    ``minors``         number of order-2 minors searched: those whose exact
-                       form ``Subspace.minor_forms().S[k]`` is not zero.
+    ``minors``         number of order-2 minors searched: the live ones,
+                       the keys of ``Subspace.minor_forms().S``.
     ``gauss_newton_steps`` Gauss-Newton iterations summed over the refined
                        candidates.
     """
@@ -338,20 +340,11 @@ _SCORE_ENTRIES = 1 << 20
 _SCORE_TIE = 1e-12
 
 
-def _minor_index_arrays(m, n):
-    pairs = enumerate_minors(m, n, 2)
-    a1 = np.array([r[0] * n + c[0] for r, c in pairs])
-    a2 = np.array([r[1] * n + c[1] for r, c in pairs])
-    b1 = np.array([r[0] * n + c[1] for r, c in pairs])
-    b2 = np.array([r[1] * n + c[0] for r, c in pairs])
-    return a1, a2, b1, b2
-
-
-def _live_minor_index_arrays(K: Subspace):
-    """``_minor_index_arrays`` of K's shape at the minors whose exact form
-    ``K.minor_forms().S[k]`` is not zero; the others vanish on all of K."""
-    live = [k for k, upper in enumerate(K.minor_forms().S) if upper]
-    return tuple(a[live] for a in _minor_index_arrays(K.m, K.n))
+def _minor_index_arrays(n, minors):
+    """Flat indices, row-major in an m x n matrix, of the corners 11, 22,
+    12 and 21 of each listed order-2 minor ((r1, r2), (c1, c2))."""
+    return tuple(np.array([r[i] * n + c[j] for r, c in minors], dtype=np.intp)
+                 for i, j in ((0, 0), (1, 1), (0, 1), (1, 0)))
 
 
 def _residuals(Z, B, idx):
@@ -367,7 +360,7 @@ def _score_factor(K: Subspace, B):
     """(R, G) with sqrt(sum_k M_k(P(z))^2) = ||R w(z)|| and ||P(z)||_F^2 = z^T G z.
 
     w(z) = (z_i z_j), i <= j in ``np.triu_indices`` order, has D = d(d+1)/2
-    entries.  Each live exact form ``K.minor_forms().S[k]`` is one row of F,
+    entries.  Each live exact form of ``K.minor_forms().S`` is one row of F,
     its coefficient of z_i z_j: s_ii / (2 L^2) on the diagonal and
     2 s_ij / (2 L^2) off it, so M_k(P(z)) = (F w(z))_k and the sum of the
     squared minors is ||F w||^2 = ||R w||^2 for R the triangular factor of F
@@ -375,10 +368,10 @@ def _score_factor(K: Subspace, B):
     """
     d = K.d
     col = {key: c for c, key in enumerate((i, j) for i in range(d) for j in range(i, d))}
-    live = [upper for upper in K.minor_forms().S if upper]
-    F = np.zeros((len(live), len(col)))
+    forms = K.minor_forms().S
+    F = np.zeros((len(forms), len(col)))
     den = 2 * K.L * K.L
-    for row, upper in zip(F, live):
+    for row, upper in zip(F, forms.values()):
         for (i, j), s in upper.items():
             row[col[i, j]] = (s if i == j else 2 * s) / den
     return np.linalg.qr(F, mode="r"), B @ B.T
@@ -513,15 +506,15 @@ def find_rank_one(K: Subspace, density=20000, seed=0) -> RankOneResult:
     a block may send on are then evaluated minor by minor
     (``_block_residuals``), and that residual ranks and is reported, so the
     result is the one of a sweep that evaluated every sample so.  The
-    block size still counts all C(m,2) C(n,2) minors: the block count fixes
-    which samples go on.  Gauss-Newton stays on the live minors' index
-    arrays: it steps on the gradients of the single minors, which the
-    factor sums away.
+    block size still counts all C(m,2) C(n,2) minors (``minor_count``), live
+    or not: the block count fixes which samples go on.  Gauss-Newton stays
+    on the live minors' index arrays: it steps on the gradients of the
+    single minors, which the factor sums away.
     """
     B = K.basis_float()
-    idx = _live_minor_index_arrays(K)
+    idx = _minor_index_arrays(K.n, K.minor_forms().S)
     R, G = _score_factor(K, B)
-    block = max(1, int(4_000_000 // max(1, len(K.minor_forms().S))))
+    block = max(1, 4_000_000 // minor_count(K.m, K.n, 2))
     samples = _sphere_samples(K.d, int(density), seed)
     top = []
     best_overall = best_z = None

@@ -10,9 +10,18 @@ return the same solution or certificate.
 import itertools
 from fractions import Fraction
 
-from nullag.algebra import RationalMatrix, vec_dot
-from nullag.measures import FarkasResult
+from nullag.algebra import RationalMatrix, _integer_row, vec_dot
+from nullag.measures import FarkasProblem, FarkasResult
 from poly_oracle import matvec
+
+
+def farkas_problem(A: RationalMatrix, b) -> FarkasProblem:
+    """The problem Ax = b, x >= 0, with each column of the RationalMatrix A
+    cleared by the lcm of its own denominators."""
+    if len(b) != A.rows:
+        raise ValueError("right-hand side length mismatch")
+    scales, columns = zip(*(_integer_row(col) for col in zip(*A.entries)))
+    return FarkasProblem(scales, columns, b)
 
 
 def farkas_feasible_bruteforce(problem) -> bool:

@@ -13,7 +13,7 @@ minor forms, the reference the float span dimension is checked against.
 
 import numpy as np
 
-from nullag.algebra import rat
+from nullag.algebra import enumerate_minors, rat
 from nullag.certify import LAMBDA_TOL, GenericityReport
 from nullag.subspace import Subspace, _minor_index_arrays
 
@@ -70,7 +70,7 @@ def genericity_reference(k, m, n, chart, A) -> GenericityReport:
     span_vecs = stack[:k] + A.T @ stack[k:]  # rows: a_l + T(a_l)
     # pencil coefficient vectors h_st in R^k, one row per flat entry s * n + t
     H = span_vecs.T
-    h11, h22, h12, h21 = (H[idx] for idx in _minor_index_arrays(m, n))
+    h11, h22, h12, h21 = (H[idx] for idx in _minor_index_arrays(n, enumerate_minors(m, n, 2)))
     outer = lambda u, v: u[:, :, None] * v[:, None, :]
     X_all = 0.5 * (((outer(h11, h22) + outer(h22, h11)) - outer(h12, h21)) - outer(h21, h12))
     upper = np.triu_indices(k)

@@ -16,10 +16,10 @@ that gives the cleared column ``(scale, {key: int})`` that
 import itertools
 from fractions import Fraction
 
+from farkas_oracle import farkas_problem
 from nullag.algebra import RationalMatrix, _integer_row, minor, nonvanishing_minor_candidates, rat
 from nullag.measures import (
     _BATCH,
-    FarkasProblem,
     VectorMeasure,
     _independent_value_rows,
     _verify_vector_measure,
@@ -94,7 +94,7 @@ def construct_nontrivial_reference(value_fn, d, budget=256, seed=0):
             + [[Fraction(1)] * ncols]
         )
         b = [Fraction(0)] * len(rows) + [Fraction(1)]
-        res = solves[ncols] = farkas_solve(FarkasProblem(Amat, b))
+        res = solves[ncols] = farkas_solve(farkas_problem(Amat, b))
         if res.feasible:
             support = [(lam, p) for lam, p in zip(res.x, points) if lam != 0]
             mu = VectorMeasure([p for _, p in support], [lam for lam, _ in support])

@@ -12,6 +12,7 @@ are checked against them.
 
 import numpy as np
 
+from nullag.algebra import minor_count
 from nullag.subspace import (
     _FOUND_TOL,
     _ABSENT_TOL,
@@ -19,7 +20,7 @@ from nullag.subspace import (
     RankOneResult,
     Subspace,
     _gauss_newton,
-    _live_minor_index_arrays,
+    _minor_index_arrays,
     _polish_witness,
     _sphere_samples,
 )
@@ -37,11 +38,11 @@ def residuals_reference(Z, B, idx):
 def find_rank_one_reference(K: Subspace, density=20000, seed=0) -> RankOneResult:
     """``find_rank_one`` with every sample scored by ``residuals_reference``."""
     B = K.basis_float()
-    idx = _live_minor_index_arrays(K)
+    idx = _minor_index_arrays(K.n, K.minor_forms().S)
     density = int(density)
     best_overall = None
     best_z = None
-    block = max(1, int(4_000_000 // max(1, len(K.minor_forms().S))))
+    block = max(1, 4_000_000 // minor_count(K.m, K.n, 2))
     samples = _sphere_samples(K.d, density, seed)
     top = []
     for start in range(0, len(samples), block):

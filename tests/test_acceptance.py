@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from farkas_oracle import farkas_feasible_bruteforce
+from farkas_oracle import farkas_feasible_bruteforce, farkas_problem
 from genericity_oracle import exact_span_dim
 from identity_oracle import cofactor_identity_2x2, det_sum_expansion
 from nullag.algebra import RationalMatrix, vec_dot
@@ -38,7 +38,6 @@ from nullag.conslaw import (
 )
 from nullag.fixtures import builtin, builtin_names, kr_family, kr_measure, sub_k0_random, v0_chart
 from nullag.measures import (
-    FarkasProblem,
     construct_nontrivial_for_subspace,
     farkas_solve,
     is_null_lagrangian,
@@ -303,7 +302,7 @@ def test_criterion_5_farkas_oracle():
             ]
         )
         b = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(m)]
-        prob = FarkasProblem(A, b)
+        prob = farkas_problem(A, b)
         res = farkas_solve(prob)
         assert res.feasible == farkas_feasible_bruteforce(prob)
         if res.feasible:

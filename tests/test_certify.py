@@ -16,7 +16,6 @@ from nullag.algebra import (
     rat_from_str,
 )
 from nullag.certify import (
-    MinorCombination,
     Obstruction,
     TrivialityCertificate,
     _certificate_target,
@@ -54,26 +53,24 @@ def test_certificate_diag_pencil():
     rep = verify_combination(K, out.combination)
     assert rep.ok
     # the two squared-coordinate minors give the identity form directly
-    pairs = enumerate_minors(4, 4, 2)
-    beta = [Fraction(0)] * len(pairs)
-    beta[pairs.index(((0, 1), (0, 1)))] = Fraction(1)  # y1^2
-    beta[pairs.index(((2, 3), (2, 3)))] = Fraction(1)  # y2^2
-    comb = MinorCombination(beta)
+    beta = {((0, 1), (0, 1)): Fraction(1),  # y1^2
+            ((2, 3), (2, 3)): Fraction(1)}  # y2^2
     form = K.minor_forms().combination(beta)
     assert form.matrix == RationalMatrix.identity(2)
     rep2 = psd_analyze(form.matrix)
     assert rep2.is_psd and rep2.rank == 2 and rep2.kernel == []
-    assert verify_combination(K, comb).ok
+    assert verify_combination(K, beta).ok
 
 
 def test_certificate_rotation_single_minor():
     K = rotation_pencil()
     out = find_certificate_d_le_3(K)
     assert out.found
-    beta = out.combination.beta
-    assert len(beta) == 1 and beta[0] != 0
+    beta = out.combination
+    (b,) = beta.values()
+    assert list(beta) == [((0, 1), (0, 1))] and b != 0
     form = K.minor_forms().combination(beta)
-    assert form.matrix == RationalMatrix.identity(2).scale(abs(beta[0]))
+    assert form.matrix == RationalMatrix.identity(2).scale(abs(b))
     assert verify_combination(K, out.combination).ok
 
 
@@ -130,18 +127,18 @@ def test_certificate_transport_invariance():
 # ---------------------------------------------------------------------------
 
 def test_zero_combination_rejected():
-    K = rotation_pencil()
-    with pytest.raises(ValueError):
-        MinorCombination([0])
+    # a certificate step with no non-zero coefficient is malformed
+    obj = reduce_chain(rotation_pencil()).to_json(rotation_pencil())
+    for beta in ({}, {"0,1|0,1": "0"}):
+        obj["chain"][0]["beta"] = beta
+        with pytest.raises(ValueError, match="bad certificate JSON"):
+            TrivialityCertificate.chain_from_json(obj)
 
 
 def test_indefinite_combination_witnesses():
     K = kr_family(0)
-    pairs = enumerate_minors(3, 3, 2)
-    beta = [Fraction(0)] * len(pairs)
-    beta[pairs.index(((0, 1), (0, 1)))] = Fraction(1)  # gamma^2 - alpha^2 on the pencil
-    comb = MinorCombination(beta)
-    rep = verify_combination(K, comb)
+    beta = {((0, 1), (0, 1)): Fraction(1)}  # gamma^2 - alpha^2 on the pencil
+    rep = verify_combination(K, beta)
     assert rep.verdict == "indefinite"
     form = K.minor_forms().combination(beta)
     assert form_value(form, rep.neg_witness) < 0
@@ -209,9 +206,12 @@ def test_chain_json_roundtrip():
     K = v0_subspace(2, 4, 4)
     cert = reduce_chain(K)
     obj = cert.to_json(K)
+    assert all(all(re.fullmatch(r"[0-3],[0-3]\|[0-3],[0-3]", key) for key in step["beta"])
+               for step in obj["chain"])
     chain, terminal = TrivialityCertificate.chain_from_json(obj)
     assert terminal is True
-    assert len(chain) == len(cert.chain)
+    assert [beta for beta, _ in chain] == cert.chain
+    assert [cone for _, cone in chain] == cert.cones
     K2 = Subspace.from_json(obj["subspace"])
     assert K2 == K
 
@@ -220,7 +220,7 @@ def _identity_in_minor_span(K):
     """Whether I lies in the span of the S_k, by the independence kernel."""
     d = K.d
     upper = [(i, j) for i in range(d) for j in range(i, d)]
-    vectors = [tuple(Fraction(S.get(key, 0)) for key in upper) for S in K.minor_forms().S]
+    vectors = [tuple(Fraction(S.get(key, 0)) for key in upper) for S in K.minor_forms().S.values()]
     vectors.append(tuple(Fraction(int(i == j)) for i, j in upper))
     return len(vectors) - 1 not in independent_indices(vectors)
 
@@ -274,7 +274,7 @@ def test_identity_step_is_exact_span_membership():
                 assert res.rank_one_witness is None and res.note == outside
         assert outcome.found == in_span
         if in_span:
-            form = K.minor_forms().combination(outcome.combination.beta)
+            form = K.minor_forms().combination(outcome.combination)
             assert form.matrix == RationalMatrix.identity(K.d)
         else:
             assert outcome.rank_one_witness is None
@@ -557,4 +557,4 @@ def test_solve_beta_consistency():
     polys = minor_polys(K, 2)
     g = polys[0]
     beta = K.minor_forms().solve(QuadraticForm.from_poly(g).matrix)
-    assert beta == (Fraction(1),)
+    assert beta == {((0, 1), (0, 1)): Fraction(1)}

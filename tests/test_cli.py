@@ -221,19 +221,18 @@ def test_verify_certificate_roundtrip_and_tamper(tmp_path, capsys):
     cert_path.write_text(json.dumps(report["certificate"]))
     code, _ = run_cli(capsys, "verify", str(cert_path))
     assert code == 0
-    # flip the sign of the first non-zero coefficient: the verifier must
-    # reject and name a witness
+    # flip the sign of the first coefficient: the verifier must reject and
+    # name a witness
     tampered = json.loads(cert_path.read_text())
     betas = tampered["chain"][0]["beta"]
-    for i, b in enumerate(betas):
-        if b not in ("0", "0/1"):
-            betas[i] = b[1:] if b.startswith("-") else "-" + b
-            break
+    key = next(iter(betas))
+    betas[key] = betas[key][1:] if betas[key].startswith("-") else "-" + betas[key]
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(tampered))
     code, report = run_cli(capsys, "verify", str(bad_path))
     assert code == 1
     assert any(v.get("verdict") not in (None, "psd-nontrivial", True) for v in report["verdicts"])
+    assert "witness_point" in report["verdicts"][-1]
 
 
 def test_verify_tampered_later_step_witness_in_cone(tmp_path, capsys):
@@ -247,8 +246,9 @@ def test_verify_tampered_later_step_witness_in_cone(tmp_path, capsys):
     for step in (1, 2):
         # the negated form is negative semidefinite and non-zero on the cone
         tampered = json.loads(json.dumps(cert))
-        beta = [-rat_from_str(b) for b in tampered["chain"][step]["beta"]]
-        tampered["chain"][step]["beta"] = [str(b) for b in beta]
+        negated = {key: str(-rat_from_str(b)) for key, b in tampered["chain"][step]["beta"].items()}
+        tampered["chain"][step]["beta"] = negated
+        beta = nullag.certify._beta_from_json(negated)
         code, verified = run_cli(capsys, "verify", write_subspace(tmp_path, tampered, "bad.json"))
         assert code == 1
         failed = verified["verdicts"][-1]
@@ -307,6 +307,37 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys, name, tamper, cod
         else:
             assert verified["conclusion"] == "verification failed"
             assert verified["verdicts"][-1] == last
+
+
+# a beta is a non-empty object of non-zero coefficients keyed "r1,r2|c1,c2";
+# sub-k0-random(seed=2208,d=3) is a pencil of 3 x 3 matrices
+@pytest.mark.parametrize(
+    "beta",
+    [
+        pytest.param({"0,1;0,1": "1"}, id="key-separator"),
+        pytest.param({"0,1|0": "1"}, id="key-short"),
+        pytest.param({"a,b|0,1": "1"}, id="key-text"),
+        pytest.param({"00,1|0,1": "1"}, id="key-leading-zero"),
+        pytest.param({"1,0|0,1": "1"}, id="rows-unsorted"),
+        pytest.param({"0,1|2,1": "1"}, id="cols-unsorted"),
+        pytest.param({"1,1|0,1": "1"}, id="row-repeated"),
+        pytest.param({"0,1|2,2": "1"}, id="col-repeated"),
+        pytest.param({"0,3|0,1": "1"}, id="row-outside-shape"),
+        pytest.param({"0,1|1,3": "1"}, id="col-outside-shape"),
+        pytest.param({}, id="empty"),
+        pytest.param({"0,1|0,1": "0"}, id="zero-coefficient"),
+        pytest.param(["1"] + ["0"] * 8, id="dense-list"),
+    ],
+)
+def test_verify_rejects_malformed_beta(tmp_path, capsys, beta):
+    sub = dump_fixture(capsys, "sub-k0-random(seed=2208,d=3)")["subspace"]
+    code, report = run_cli(capsys, "analyze", write_subspace(tmp_path, sub))
+    assert code == 0
+    cert = report["certificate"]
+    cert["chain"][0]["beta"] = beta
+    code, verified = run_cli(capsys, "verify", write_subspace(tmp_path, cert, "bad.json"))
+    assert code == 2
+    assert verified["error"].startswith("bad certificate JSON")
 
 
 def test_verify_kr_measure_dump(tmp_path, capsys):
@@ -413,7 +444,7 @@ def test_smoke_measures_verify_exactly(tmp_path, capsys):
         pytest.param("verify", {"kind": "measure", "shape": [2, 2], "atoms": [[["1", "0"], ["0", "0"]]],
                                 "weights": ["1/0"]}, (), None, id="verify-weight-zero-denominator"),
         pytest.param("verify", {"kind": "triviality-certificate", "terminal": True, "subspace": ROTATION,
-                                "chain": [{"beta": ["1/0"], "cone_basis": []}]}, (), None,
+                                "chain": [{"beta": {"0,1|0,1": "1/0"}, "cone_basis": []}]}, (), None,
                      id="verify-beta-zero-denominator"),
         pytest.param("analyze", dict(ROTATION, d=None), (), None, id="analyze-null-dimension"),
         pytest.param("analyze", dict(ROTATION, basis=[[["1/0", "0"], ["0", "1"]]], d=1), (), None,
@@ -427,7 +458,7 @@ def test_smoke_measures_verify_exactly(tmp_path, capsys):
         pytest.param("verify", {"kind": "triviality-certificate", "terminal": True}, (),
                      "bad certificate JSON: missing key 'chain'", id="verify-certificate-no-chain"),
         pytest.param("verify", {"kind": "triviality-certificate", "terminal": True, "subspace": ROTATION,
-                                "chain": [{"beta": ["1"]}]}, (),
+                                "chain": [{"beta": {"0,1|0,1": "1"}}]}, (),
                      "bad certificate JSON: missing key 'cone_basis'", id="verify-chain-entry-no-cone"),
         pytest.param("verify", {"kind": "triviality-certificate", "subspace": ROTATION, "chain": []}, (),
                      "bad certificate JSON: missing key 'terminal'", id="verify-certificate-no-terminal"),

@@ -323,7 +323,7 @@ def test_every_definition_is_reached_by_a_command(tmp_path):
             QuadraticForm.from_poly(p)
         with pytest.raises(ValueError):
             QuadraticForm.from_poly(minor_polys(K, 3)[0])
-        assert FarkasProblem.from_columns([1], [[1]], [1]).A == RationalMatrix([[1]])
+        assert FarkasProblem([1], [[1]], [1]).A == RationalMatrix([[1]])
 
     directory = Path(nullag.__file__).parent
     called = called_lines(directory, run)

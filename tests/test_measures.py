@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 from bench_inputs import sym3_open_pool
-from farkas_oracle import farkas_feasible_bruteforce, farkas_solve_reference
+from farkas_oracle import farkas_feasible_bruteforce, farkas_problem, farkas_solve_reference
 from float_k1_oracle import null_lagrangian_reference
 from nullag import measures
 from nullag.algebra import RationalMatrix, _integer_row, enumerate_minors, minor, vec_dot
@@ -179,12 +179,12 @@ def test_float_check_matches_per_minor_reference(monkeypatch, block_entries):
 # ---------------------------------------------------------------------------
 
 def test_farkas_identity_feasible():
-    res = farkas_solve(FarkasProblem(RationalMatrix.identity(2), [1, 1]))
+    res = farkas_solve(farkas_problem(RationalMatrix.identity(2), [1, 1]))
     assert res.feasible and res.x == (Fraction(1), Fraction(1))
 
 
 def test_farkas_identity_infeasible():
-    prob = FarkasProblem(RationalMatrix.identity(2), [-1, 0])
+    prob = farkas_problem(RationalMatrix.identity(2), [-1, 0])
     res = farkas_solve(prob)
     assert not res.feasible
     y = res.certificate
@@ -206,7 +206,7 @@ def test_farkas_five_atom_linear_system():
         ]
     )
     eps = Fraction(1, 10)
-    res = farkas_solve(FarkasProblem(A, [0, 0, 0, eps]))
+    res = farkas_solve(farkas_problem(A, [0, 0, 0, eps]))
     assert res.feasible
     assert res.x == (eps / 4, eps / 4, eps / 4, eps / 4)
 
@@ -218,7 +218,7 @@ def test_farkas_fuzz_against_bruteforce():
         n = rng.randint(1, 6)
         A = RationalMatrix([[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)])
         b = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
-        prob = FarkasProblem(A, b)
+        prob = farkas_problem(A, b)
         res = farkas_solve(prob)
         oracle = farkas_feasible_bruteforce(prob)
         assert res.feasible == oracle
@@ -261,13 +261,13 @@ def _reference_systems():
         else:
             A[-1] = [Fraction(1)] * n
             b = [Fraction(0)] * (m - 1) + [Fraction(1)]
-        yield FarkasProblem(RationalMatrix(A), b)
+        yield farkas_problem(RationalMatrix(A), b)
     for m, n, positive in ((12, 32, 0), (13, 64, 1), (12, 128, 0), (16, 48, 0), (24, 32, 1),
                            (12, 256, 2)):
         # non-negative first rows keep the origin out of the hull
         A = [[Fraction(rng.randint(0 if i < positive else -9, 9), rng.randint(1, 3)) for _ in range(n)]
              for i in range(m - 1)]
-        yield FarkasProblem(RationalMatrix(A + [[1] * n]), [0] * (m - 1) + [1])
+        yield farkas_problem(RationalMatrix(A + [[1] * n]), [0] * (m - 1) + [1])
 
 
 def test_farkas_matches_fraction_reference():
@@ -300,7 +300,7 @@ def test_farkas_resume_matches_cold_reference():
                 col = [Fraction(rng.randint(-4, 4), rng.randint(1, den)) if rng.random() < 0.7
                        else Fraction(0) for _ in range(m)]
                 cols.append(col[:-1] + [Fraction(1)] if k % 3 == 0 else col)
-            prob = FarkasProblem(RationalMatrix.from_columns(cols), b)
+            prob = farkas_problem(RationalMatrix.from_columns(cols), b)
             ref = farkas_solve_reference(prob)
             res = farkas_solve(prob, start=res.checkpoint if res else None)
             assert (res.x, res.certificate) == (ref.x, ref.certificate)
@@ -312,9 +312,9 @@ def test_farkas_resume_matches_cold_reference():
         assert (again.x, again.certificate) == (ref.x, ref.certificate)
         reentered += again.pivots > 0
         # a checkpoint is ignored on other rows, another b or another first column
-        other_rows = FarkasProblem(RationalMatrix([[1] * len(cols)] + [list(r) for r in prob.A.entries]), [1] + b)
-        other_b = FarkasProblem(prob.A, [x + 1 for x in b])
-        other_col = FarkasProblem(RationalMatrix.from_columns([[x + 1 for x in cols[0]]] + cols[1:]), b)
+        other_rows = farkas_problem(RationalMatrix([[1] * len(cols)] + [list(r) for r in prob.A.entries]), [1] + b)
+        other_b = farkas_problem(prob.A, [x + 1 for x in b])
+        other_col = farkas_problem(RationalMatrix.from_columns([[x + 1 for x in cols[0]]] + cols[1:]), b)
         for other in (other_rows, other_b, other_col):
             cold, ref = farkas_solve(other, start=res.checkpoint), farkas_solve_reference(other)
             assert (cold.x, cold.certificate, cold.pivots) == (ref.x, ref.certificate, ref.pivots)
@@ -330,7 +330,7 @@ def scaled_problem(cols, b, ratios, factors):
     cleared = [_integer_row(col) for col in zip(*A.entries)]
     scales = [t * c for t, (c, _) in zip(factors, cleared)]
     columns = [[t * v for v in a] for t, (_, a) in zip(factors, cleared)]
-    return A, FarkasProblem.from_columns(scales, columns, b)
+    return A, FarkasProblem(scales, columns, b)
 
 
 def test_farkas_column_scale_invariance():
@@ -354,12 +354,12 @@ def test_farkas_column_scale_invariance():
                 cols.append(col[:-1] + [Fraction(1)] if k % 2 == 0 else col)
                 ratios.append(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
                 factors.append(rng.randint(1, 6))
-            prob = FarkasProblem(RationalMatrix.from_columns(cols), b)
+            prob = farkas_problem(RationalMatrix.from_columns(cols), b)
             A_s, scaled = scaled_problem(cols, b, ratios, factors)
             res = farkas_solve(prob, start=res.checkpoint if res else None)
             res_s = farkas_solve(scaled, start=res_s.checkpoint if res_s else None)
             cold, cold_s = farkas_solve(prob), farkas_solve(scaled)
-            ref = farkas_solve_reference(FarkasProblem(A_s, b))
+            ref = farkas_solve_reference(farkas_problem(A_s, b))
             for got, want in ((res_s, res), (cold_s, cold)):
                 assert (got.certificate, got.pivots) == (want.certificate, want.pivots)
                 assert got.feasible == want.feasible
@@ -416,7 +416,7 @@ def test_farkas_feasibility_matches_highs():
             b[0] -= sum(y * v for y, v in zip(y0, b)) + 1  # y0.b = -1
         else:
             b = [rng.randint(-3, 3) for _ in range(m)]
-        res = farkas_solve(FarkasProblem(RationalMatrix(A), b))
+        res = farkas_solve(farkas_problem(RationalMatrix(A), b))
         lp = linprog(np.zeros(n), A_eq=np.array(A, dtype=float), b_eq=np.array(b, dtype=float),
                      bounds=(0, None), method="highs")
         assert lp.status in (0, 2)  # optimal or infeasible

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nullag.algebra import MultiPoly, RationalMatrix
+from nullag.algebra import MultiPoly, RationalMatrix, enumerate_minors
 from nullag.fixtures import kr_family
 from bench_inputs import sym3_open_pool
 from pencil_ops import PencilOp, apply_ops, random_pencil_ops
@@ -16,7 +16,6 @@ from sample_oracle import evaluate_reference
 from sweep_oracle import find_rank_one_reference, residuals_reference
 from nullag.subspace import (
     Subspace,
-    _live_minor_index_arrays,
     _minor_index_arrays,
     _score_factor,
     _scores,
@@ -375,8 +374,8 @@ def test_live_minor_residuals_match_all_minors():
     pencils = [kr_family(r) for r in range(3)] + [sparse_pencil(rng, 3, 5, 4) for _ in range(6)]
     dropped = 0
     for K in pencils:
-        full = _minor_index_arrays(K.m, K.n)
-        dropped += len(full[0]) - len(_live_minor_index_arrays(K)[0])
+        full = _minor_index_arrays(K.n, enumerate_minors(K.m, K.n, 2))
+        dropped += len(full[0]) - len(K.minor_forms().S)
         B = K.basis_float()
         Z = _sphere_samples(K.d, 2000, 3)
         R, G = _score_factor(K, B)
