@@ -5,6 +5,14 @@ Everything in this module is exact: scalars are `fractions.Fraction`
 Fractions, polynomials are sparse exponent-vector maps.  Floating point
 never enters here; numeric work lives in the modules that need it.
 
+The elimination kernels run on integer rows, cleared of denominators once.
+``RationalMatrix.det``, ``psd_analyze`` and the Farkas simplex share one
+fraction-free step, ``bareiss_step``: (p*x - f*r) // D, exact because each
+entry stays a minor of the cleared matrix (Bareiss 1968).  ``rref_rows``
+(behind ``rref``, ``solve``, ``nullspace`` and ``inverse``) and
+``independent_indices`` divide each new row by the gcd of its entries
+instead: under Bareiss a Gauss-Jordan row grows to the size of a minor.
+
 No command builds a polynomial: the library handles the minors as
 integer quadratic forms (``subspace.MinorForms``) and Laplace tables
 (``minor_table``).  ``MultiPoly`` stays only as the reference behind
@@ -19,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def rat(x) -> Fraction:
@@ -183,42 +192,31 @@ class RationalMatrix:
                 - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
                 + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
             )
-        return _det_bareiss(self)
+        # Bareiss on the rows cleared of denominators
+        cleared = [_integer_row(r) for r in e]
+        m = [w for _, w in cleared]
+        sign, D = 1, 1
+        for k in range(n - 1):
+            pr = next((i for i in range(k, n) if m[i][k]), None)
+            if pr is None:
+                return Fraction(0)
+            if pr != k:
+                m[k], m[pr] = m[pr], m[k]
+                sign = -sign
+            for i in range(k + 1, n):
+                m[i] = bareiss_step(m[i], m[k], m[i][k], m[k][k], D)
+            D = m[k][k]
+        return Fraction(sign * m[n - 1][n - 1], math.prod(l for l, _ in cleared))
 
     def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column tuple).
-
-        Gauss-Jordan on integer rows: each row is cleared of denominators
-        once, every other row is eliminated against the pivot row as
-        ``p*row - f*pivot_row`` with the gcd of its entries divided out,
-        and each pivot row is divided by its pivot at the end.  The reduced
-        form is unique, so this is the rref of the rational matrix.
-        """
+        """Reduced row echelon form; returns (matrix, pivot column tuple),
+        read off ``rref_rows`` of the rows cleared of denominators."""
         m = [_integer_row(r)[1] for r in self.entries]
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pr = next((i for i in range(r, nrows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            prow = m[r]
-            p = prow[c]
-            for i in range(nrows):
-                f = m[i][c]
-                if f and i != r:
-                    row = [p * a - f * b for a, b in zip(m[i], prow)]
-                    g = math.gcd(*row)
-                    m[i] = [a // g for a in row] if g > 1 else row
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
+        pivots = rref_rows(m)
         zero = Fraction(0)
         red = [[Fraction(a, row[c]) if a else zero for a in row] for row, c in zip(m, pivots)]
-        red += [[zero] * ncols for _ in range(nrows - r)]
-        return RationalMatrix(red), tuple(pivots)
+        red += [[zero] * self.cols for _ in range(self.rows - len(pivots))]
+        return RationalMatrix(red), pivots
 
     def rank(self):
         """Row rank, by the forward pass of ``independent_indices``."""
@@ -226,14 +224,14 @@ class RationalMatrix:
 
     def nullspace(self):
         """Basis of the right null space, as a list of vectors."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
+        m = [_integer_row(r)[1] for r in self.entries]
+        pivots = rref_rows(m)
         basis = []
-        for f in free:
+        for f in (c for c in range(self.cols) if c not in pivots):
             v = [Fraction(0)] * self.cols
             v[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -red.entries[r][f]
+            for row, p in zip(m, pivots):
+                v[p] = Fraction(-row[f], row[p])
             basis.append(tuple(v))
         return basis
 
@@ -241,26 +239,17 @@ class RationalMatrix:
         """One exact solution of ``self @ x = b``, or None if inconsistent."""
         if len(b) != self.rows:
             raise ValueError("right-hand side has wrong length")
-        aug = RationalMatrix([list(r) + [rat(x)] for r, x in zip(self.entries, b)])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [Fraction(0)] * self.cols
-        for r, p in enumerate(pivots):
-            x[p] = red.entries[r][self.cols]
-        return tuple(x)
+        return solve_rows([_integer_row(list(r) + [rat(x)])[1] for r, x in zip(self.entries, b)])
 
     def inverse(self):
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = RationalMatrix(
-            [list(self.entries[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-        red, pivots = aug.rref()
-        if pivots != tuple(range(n)):
+        m = [_integer_row(list(r) + [Fraction(int(i == j)) for j in range(n)])[1]
+             for i, r in enumerate(self.entries)]
+        if rref_rows(m) != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return RationalMatrix([list(red.entries[i][n:]) for i in range(n)])
+        return RationalMatrix([[Fraction(a, row[i]) for a in row[n:]] for i, row in enumerate(m)])
 
 
 def _integer_row(v):
@@ -269,34 +258,55 @@ def _integer_row(v):
     return l, [x.numerator * (l // x.denominator) for x in v]
 
 
-def _det_bareiss(A):
-    """Fraction-free Gaussian elimination on the integer-scaled matrix."""
-    n = A.rows
-    scale = Fraction(1)
-    m = []
-    for r in A.entries:
-        l, w = _integer_row(r)
-        scale /= l
-        m.append(w)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pr = None
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                return Fraction(0)
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * scale * m[n - 1][n - 1]
+def bareiss_step(row, prow, f, p, D):
+    """The Bareiss step of ``row``, whose pivot-column entry is f, on the
+    pivot row ``prow`` with pivot p, D the pivot before it."""
+    if f:
+        return [(p * x - f * r) // D for x, r in zip(row, prow)]
+    return row if p == D else [p * x // D for x in row]
+
+
+def rref_rows(m):
+    """Gauss-Jordan on the integer rows m, in place; the pivot columns.
+
+    Every other row is eliminated against the pivot row as
+    ``p*row - f*pivot_row`` with the gcd of its entries divided out.  Row
+    k, divided by its pivot ``m[k][pivots[k]]``, is then row k of the
+    (unique) reduced form of the rational rows, and later rows are zero.
+    """
+    nrows = len(m)
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(m[i], prow)]
+                g = math.gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(c)
+        if r + 1 == nrows:
+            break
+    return tuple(pivots)
+
+
+def solve_rows(m, scale=1):
+    """The rref basic solution x of the integer system whose rows ``m`` end
+    in the right-hand side, divided by ``scale``; None if inconsistent."""
+    n = len(m[0]) - 1
+    pivots = rref_rows(m)
+    if pivots and pivots[-1] == n:
+        return None
+    x = [Fraction(0)] * n
+    for row, p in zip(m, pivots):
+        x[p] = Fraction(row[n], row[p] * scale)
+    return tuple(x)
 
 
 def independent_indices(vectors):
@@ -636,7 +646,7 @@ class QuadraticForm:
         return "QuadraticForm(%r)" % (self.matrix,)
 
 
-class PSDReport:
+class PSDReport(NamedTuple):
     """Outcome of the exact semidefiniteness analysis of a symmetric matrix.
 
     ``is_psd``        exact verdict.
@@ -645,54 +655,52 @@ class PSDReport:
     ``rank``          number of strictly positive pivots found.
     """
 
-    __slots__ = ("is_psd", "kernel", "neg_witness", "rank")
-
-    def __init__(self, is_psd, kernel, neg_witness, rank):
-        self.is_psd = is_psd
-        self.kernel = kernel
-        self.neg_witness = neg_witness
-        self.rank = rank
+    is_psd: bool
+    kernel: list
+    neg_witness: tuple
+    rank: int
 
 
 def psd_analyze(M: RationalMatrix) -> PSDReport:
-    """Exact LDL^T-style analysis with diagonal pivoting.
+    """Exact LDL^T-style analysis with diagonal pivoting, fraction-free.
 
-    Maintains a congruence basis so that a negative diagonal entry (or a
-    zero diagonal with a non-zero off-diagonal residual, which forces
-    indefiniteness for symmetric matrices) yields an exact witness vector.
+    M is cleared once by the lcm of its denominators, which moves no sign.
+    Row i of the work array is [S_i | V_i]: S the symmetric Schur
+    complement on the active coordinates and V_i the congruence vector of
+    coordinate i (so that v_i^T M v_j is a positive multiple of S_ij), both
+    times the last pivot D; they start at M and the identity, with D = 1.
+    The largest positive active diagonal entry (a tie to the smaller index)
+    is the pivot p, every active row takes ``bareiss_step`` on row p, and D
+    becomes S_pp.  Every entry is then D times the one of the elimination
+    in fractions (``tests/psd_oracle.py``), so the pivots, the rank, the
+    kernel and the witnesses are its, read off as V_i / D.  A negative
+    diagonal entry, or a zero diagonal with a non-zero off-diagonal entry
+    (which forces indefiniteness), yields an exact witness vector.
     """
     if not M.is_symmetric():
         raise ValueError("psd_analyze needs a symmetric matrix")
     n = M.rows
-    S = [list(r) for r in M.entries]
-    vs = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    active = list(range(n))
-    rank = 0
-    while active:
-        neg = [i for i in active if S[i][i] < 0]
-        if neg:
-            return PSDReport(False, None, tuple(vs[neg[0]]), rank)
-        pos = [i for i in active if S[i][i] > 0]
+    l = math.lcm(*(x.denominator for r in M.entries for x in r))
+    W = [[x.numerator * (l // x.denominator) for x in r] + [int(i == j) for j in range(n)]
+         for i, r in enumerate(M.entries)]
+    D, active = 1, list(range(n))
+    while True:  # the rank is the number of pivots taken, n - len(active)
+        neg = next((i for i in active if W[i][i] < 0), None)
+        if neg is not None:
+            return PSDReport(False, None, tuple(Fraction(v, D) for v in W[neg][n:]), n - len(active))
+        pos = [i for i in active if W[i][i] > 0]
         if not pos:
-            for i in active:
-                for j in active:
-                    if i < j and S[i][j] != 0:
-                        # Q(v_i + t v_j) = 2 t S_ij with S_ii = S_jj = 0
-                        sgn = -1 if S[i][j] > 0 else 1
-                        w = [a + sgn * b for a, b in zip(vs[i], vs[j])]
-                        return PSDReport(False, None, tuple(w), rank)
-            kernel = [tuple(vs[i]) for i in active]
-            return PSDReport(True, kernel, None, rank)
-        p = max(pos, key=lambda i: (S[i][i], -i))
-        piv = S[p][p]
+            for i, j in itertools.combinations(active, 2):
+                if W[i][j]:
+                    # Q(v_i + t v_j) = 2 t S_ij with S_ii = S_jj = 0
+                    sgn = -1 if W[i][j] > 0 else 1
+                    w = tuple(Fraction(a + sgn * b, D) for a, b in zip(W[i][n:], W[j][n:]))
+                    return PSDReport(False, None, w, n - len(active))
+            kernel = [tuple(Fraction(v, D) for v in W[i][n:]) for i in active]
+            return PSDReport(True, kernel, None, n - len(active))
+        p = max(pos, key=lambda i: (W[i][i], -i))
         active.remove(p)
-        rank += 1
-        coeffs = {i: S[i][p] / piv for i in active}
+        prow, piv = W[p], W[p][p]
         for i in active:
-            f = coeffs[i]
-            if f != 0:
-                vs[i] = [a - f * b for a, b in zip(vs[i], vs[p])]
-        for i in active:
-            for j in active:
-                S[i][j] = S[i][j] - coeffs[i] * piv * coeffs[j]
-    return PSDReport(True, [], None, rank)
+            W[i] = bareiss_step(W[i], prow, W[i][p], piv, D)
+        D = piv

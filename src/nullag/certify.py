@@ -540,16 +540,13 @@ def _unit_basis(d):
     return [tuple(Fraction(int(i == k)) for i in range(d)) for k in range(d)]
 
 
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Exact verdict for one combination on one subspace."""
 
-    __slots__ = ("verdict", "neg_witness", "pos_witness", "kernel")
-
-    def __init__(self, verdict, neg_witness=None, pos_witness=None, kernel=None):
-        self.verdict = verdict
-        self.neg_witness = neg_witness
-        self.pos_witness = pos_witness
-        self.kernel = kernel
+    verdict: str
+    neg_witness: tuple = None
+    pos_witness: tuple = None
+    kernel: list = None
 
     @property
     def ok(self):
@@ -719,6 +716,8 @@ def check_certificate(obj):
     if outside:
         raise bad_json("certificate", ValueError("minor %r is outside the %dx%d pencil"
                                                  % (_minor_key_json(outside[0]), K.m, K.n)))
+    if any(len(v) != K.d for _, cone in chain for v in cone):
+        raise bad_json("certificate", ValueError("a cone vector is not of length d = %d" % K.d))
     if not terminal:
         return False, [{"operation": "verify-cert", "error": "certificate is not marked terminal"}]
     entries = []
@@ -747,8 +746,7 @@ def check_certificate(obj):
 def _same_span(c1, c2):
     if not c1 or not c2:
         return not c1 and not c2
-    m1, m2, both = (RationalMatrix([list(v) for v in c]) for c in (c1, c2, list(c1) + list(c2)))
-    return m1.rank() == m2.rank() == both.rank()
+    return _vector_rank(c1) == _vector_rank(c2) == _vector_rank(list(c1) + list(c2))
 
 
 # the artifacts a report may embed, in the order they are re-checked
@@ -800,6 +798,9 @@ def check(obj):
 
 # |Lambda| at or below this counts as zero
 LAMBDA_TOL = 1e-12
+# a chart whose mn rows have |det| below this is not transversal; the scan
+# draws a chart again until it clears this floor
+DET_FLOOR = 1e-8
 # a chart that alone needs more float entries than this is refused
 CHART_ENTRIES = 1 << 24
 # a scan report keeps every sample, about 1.4 KB each: a scan of more is refused
@@ -843,8 +844,9 @@ def grassmann_genericity(k, m, n, charts, A) -> list:
     coefficients gathered through the flat minor index map of the numeric
     rank-one search; column j of a chart's Pi lists the upper triangle of
     form j, row-major (``np.triu_indices(k)`` order).  X and Pi are built
-    over the whole block, and the transversality rank, det(Pi Pi^T), the
-    span rank and the eigenvalues are one stacked LAPACK call each; only
+    over the whole block, and the transversality test (|det| of the rows
+    at least ``DET_FLOOR``), det(Pi Pi^T), the span rank and the
+    eigenvalues are one stacked LAPACK call each; only
     ``lstsq`` and ``tensordot`` run per chart, and only on charts with a
     full span.  Every number equals the one the chart gives as a block of
     one, bit for bit: a stacked LAPACK or BLAS call runs the same routine
@@ -869,7 +871,7 @@ def grassmann_genericity(k, m, n, charts, A) -> list:
     T = np.asarray(A, dtype=float)
     if T.shape != (len(rows), p - k, k):
         raise ValueError("chart matrix must be (mn-k) x k")
-    if (np.linalg.matrix_rank(rows) < p).any():
+    if (np.abs(np.linalg.det(rows)) < DET_FLOOR).any():
         raise ValueError("chart subspaces are not transversal")
 
     span_vecs = rows[:, :k] + T.transpose(0, 2, 1) @ rows[:, k:]  # rows: a_l + T(a_l)

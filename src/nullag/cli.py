@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, certify
 from .certify import LAMBDA_TOL, SCAN_SAMPLES, check, decide, genericity_block, grassmann_genericity
 from .conslaw import (
     AtomConstructionError,
@@ -211,15 +211,12 @@ def cmd_verify(args):
 # grassmann scan
 # ---------------------------------------------------------------------------
 
-# a drawn chart whose W0/W1 rows have |det| below this is drawn again
-_DET_FLOOR = 1e-8
-
-
 def _draw_charts(k, p, seeds):
     """The scan's charts at ``seeds``, as a kernel block.
 
     Chart i is drawn from its own ``default_rng(seeds[i])``: its p x p
-    W0/W1 rows, drawn again while their |det| is below ``_DET_FLOOR``,
+    W0/W1 rows, drawn again while their |det| is below
+    ``certify.DET_FLOOR``, the floor of the kernel's transversality test,
     then its (p - k) x k matrix A.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -227,8 +224,8 @@ def _draw_charts(k, p, seeds):
     A = np.empty((len(rngs), p - k, k))
     for rng, chart in zip(rngs, rows):
         rng.standard_normal(out=chart)
-    for i in np.flatnonzero(np.abs(np.linalg.det(rows)) < _DET_FLOOR):
-        while abs(np.linalg.det(rows[i])) < _DET_FLOOR:
+    for i in np.flatnonzero(np.abs(np.linalg.det(rows)) < certify.DET_FLOOR):
+        while abs(np.linalg.det(rows[i])) < certify.DET_FLOOR:
             rngs[i].standard_normal(out=rows[i])
     for rng, chart_A in zip(rngs, A):
         rng.standard_normal(out=chart_A)

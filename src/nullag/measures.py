@@ -20,11 +20,11 @@ value function of the measure constructor, whose row basis and certificate
 screening read the same integer columns.  The solver keeps
 D * B^-1 (D the determinant of the basis B) and the right-hand side in
 integers, prices each column when it needs it, and a pivot is the Bareiss
-step (p*x - f*r) // D.  A positive column scale cancels in each pivot
-decision, so Bland's rule takes the rational tableau's pivots.  A problem
-with columns appended resumes from the checkpoint of its last solve, the
-first basis where no old column could enter, on a cold solve's pivots
-(see ``farkas_solve``).
+step (p*x - f*r) // D, ``algebra.bareiss_step``.  A positive column scale
+cancels in each pivot decision, so Bland's rule takes the rational
+tableau's pivots.  A problem with columns appended resumes from the
+checkpoint of its last solve, the first basis where no old column could
+enter, on a cold solve's pivots (see ``farkas_solve``).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .algebra import (
     RationalMatrix,
     _integer_row,
     bad_json,
+    bareiss_step,
     enumerate_minors,
     independent_indices,
     minor,
@@ -62,12 +63,12 @@ from .subspace import Subspace
 class DiscreteMeasure:
     """Finite atomic probability measure.
 
-    Atoms are RationalMatrix (exact) or float arrays (numeric); weights
-    follow the same split.  Weights are non-negative and sum to one;
-    atoms are pairwise distinct.
+    Atoms are RationalMatrix (exact) or float arrays (numeric) of one
+    ``shape``; weights follow the same split.  Weights are non-negative and
+    sum to one; atoms are pairwise distinct.
     """
 
-    __slots__ = ("atoms", "weights", "exact")
+    __slots__ = ("atoms", "weights", "exact", "shape")
 
     def __init__(self, atoms, weights):
         atoms = list(atoms)
@@ -91,16 +92,10 @@ class DiscreteMeasure:
                 raise ValueError("weights must sum to one")
         if len(atoms) != len(weights):
             raise ValueError("atom and weight counts differ")
-        self.atoms = atoms
-        self.weights = weights
-        self.exact = exact
-
-    @property
-    def shape(self):
-        a = self.atoms[0]
-        if self.exact:
-            return (a.rows, a.cols)
-        return tuple(a.shape)
+        shapes = list(dict.fromkeys((a.rows, a.cols) if exact else a.shape for a in atoms))
+        if len(shapes) > 1:
+            raise ValueError("atoms differ in shape: %s" % ", ".join("x".join(map(str, s)) for s in shapes))
+        self.atoms, self.weights, self.exact, self.shape = atoms, weights, exact, shapes[0]
 
     def barycenter(self):
         if self.exact:
@@ -396,8 +391,8 @@ def farkas_solve(problem: FarkasProblem, start=None) -> FarkasResult:
                 leave = i
         prow, p = M[leave], column[leave]
         # M is replaced, never changed in place, so the checkpoint keeps its own
-        M = [row if row is prow else _pivoted(row, prow, f_r, p, D) for row, f_r in zip(M, column)]
-        cost_row = _pivoted(cost_row, prow, f, p, D)
+        M = [row if row is prow else bareiss_step(row, prow, f_r, p, D) for row, f_r in zip(M, column)]
+        cost_row = bareiss_step(cost_row, prow, f, p, D)
         basis[leave] = enter
         D = p
         pivots += 1
@@ -422,14 +417,6 @@ def farkas_solve(problem: FarkasProblem, start=None) -> FarkasResult:
     if vec_dot(y, b) >= 0 or any(sum(map(operator.mul, Y, a)) < 0 for a in columns):
         raise RuntimeError("simplex produced an invalid infeasibility certificate")
     return FarkasResult(certificate=y, pivots=pivots, checkpoint=checkpoint)
-
-
-def _pivoted(row, prow, f, p, D):
-    """The Bareiss step of ``row``, whose entering-column entry is f, on the
-    pivot row ``prow`` with pivot p."""
-    if f:
-        return [(p * x - f * r) // D for x, r in zip(row, prow)]
-    return row if p == D else [p * x // D for x in row]
 
 
 # ---------------------------------------------------------------------------

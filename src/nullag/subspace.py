@@ -20,10 +20,12 @@ from .algebra import (
     _integer_row,
     bad_json,
     enumerate_minors,
+    independent_indices,
     minor_count,
     rat,
     rat_from_str,
     rat_to_str,
+    solve_rows,
 )
 
 
@@ -47,9 +49,9 @@ class Subspace:
         d = len(basis)
         if d > m * n:
             raise ValueError("dimension %d exceeds %d x %d" % (d, m, n))
-        stacked = RationalMatrix([[b[i, j] for i in range(m) for j in range(n)] for b in basis])
-        if stacked.rank() != d:
-            dep = stacked.transpose().nullspace()[0] if d > 1 else (Fraction(1),)
+        flat = [[x for row in b.entries for x in row] for b in basis]
+        if len(independent_indices(flat)) != d:
+            dep = RationalMatrix.from_columns(flat).nullspace()[0] if d > 1 else (Fraction(1),)
             # surface one explicit vanishing combination of the basis
             combo = " + ".join(
                 "(%s)*B%d" % (rat_to_str(c), l + 1) for l, c in enumerate(dep) if c != 0
@@ -243,30 +245,32 @@ class MinorForms:
 
     def span_dim(self):
         """Dimension of the span of the forms, by exact rank."""
-        if not self.S:
-            return 0
         positions = sorted({key for upper in self.S.values() for key in upper})
-        return RationalMatrix([[upper.get(key, 0) for key in positions]
-                               for upper in self.S.values()]).rank()
+        return len(independent_indices([[upper.get(key, 0) for key in positions]
+                                        for upper in self.S.values()]))
 
     def solve(self, target: RationalMatrix):
         """One exact beta with sum_k beta_k Q_k == target, or None.
 
         The system has one equation per upper-triangle position where some
-        Q_k or the target is non-zero; beta is the rref basic solution,
-        whose free coefficients are zero, returned as the dict of its
-        non-zero coefficients.  With no form there is no solution to report.
+        S_k or the target is non-zero, in integers: sum_k y_k S_k = 2 L^2 T
+        target, T the lcm of the target's denominators.  beta = y / T is
+        the rref basic solution (free coefficients zero) of
+        ``algebra.solve_rows``, returned as the dict of its non-zero
+        coefficients.  With no form there is no solution to report.
         """
         if not self.S:
             return None
-        den = 2 * self.L * self.L
         d = self.d
         forms = self.S.values()
         positions = {key for upper in forms for key in upper}
         positions |= {(i, j) for i in range(d) for j in range(i, d) if target[i, j] != 0}
         positions = sorted(positions)
-        A = RationalMatrix([[upper.get(key, 0) for upper in forms] for key in positions])
-        x = A.solve([target[i, j] * den for i, j in positions])
+        T = math.lcm(*(target[key].denominator for key in positions))
+        den = 2 * self.L * self.L * T
+        x = solve_rows([[upper.get(key, 0) for upper in forms]
+                        + [target[key].numerator * (den // target[key].denominator)]
+                        for key in positions], T)
         if x is None:
             return None
         return {key: b for key, b in zip(self.S, x) if b != 0}

@@ -20,6 +20,7 @@ from nullag.algebra import (
 
 from identity_oracle import cofactor_identity_2x2, det_sum_expansion
 from poly_oracle import form_value, matvec, poly_eval, span_basis_indices, to_poly
+from psd_oracle import psd_analyze_reference
 from rref_oracle import inverse_reference, nullspace_reference, rref_reference, solve_reference
 
 
@@ -351,6 +352,51 @@ def test_psd_analyze_fuzz():
         if not rep2.is_psd:
             w = rep2.neg_witness
             assert vec_dot(w, matvec(shifted, w)) < 0
+
+
+def _symmetric_case(rng, kind):
+    """A symmetric matrix of size 1-7: a Gram matrix of rank below its size
+    (PSD with a kernel), a sparse one with a zero diagonal (indefinite
+    through the v_i + v_j witness), one with sparse mixed diagonal, a Gram
+    matrix minus a multiple of the identity, or a dense one."""
+    n = rng.randint(1, 7)
+    if kind == 0:
+        k = rng.randint(0, n - 1)
+        if k == 0:
+            return RationalMatrix([[0] * n] * n)
+        B = rand_matrix(rng, k, n, 4)
+        return B.transpose() @ B
+    if kind == 3:
+        B = rand_matrix(rng, rng.randint(1, n), n, 4)
+        return B.transpose() @ B - RationalMatrix.identity(n).scale(Fraction(rng.randint(0, 4), 8))
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if kind == 4 or (i != j and rng.random() < 0.4) or (kind == 2 and i == j and rng.random() < 0.5):
+                m[i][j] = m[j][i] = rand_rat(rng, 10**6 if kind == 4 and rng.random() < 0.3 else 9)
+    return RationalMatrix(m)
+
+
+def test_psd_analyze_matches_fraction_reference():
+    rng = random.Random(31)
+    cases = [RationalMatrix([[0] * n] * n) for n in range(1, 8)]
+    cases += [_symmetric_case(rng, t % 5) for t in range(2100)]
+    outcomes = {"kernel": 0, "pair": 0, "negative": 0}
+    for M in cases:
+        rep = psd_analyze(M)
+        assert rep == psd_analyze_reference(M)
+        vectors = rep.kernel if rep.is_psd else [rep.neg_witness]
+        assert all(type(x) is Fraction for v in vectors for x in v)
+        if rep.is_psd:
+            assert all(not any(matvec(M, v)) for v in rep.kernel)
+            assert rep.rank + len(rep.kernel) == M.rows
+            outcomes["kernel"] += bool(rep.kernel)
+        else:
+            assert vec_dot(rep.neg_witness, matvec(M, rep.neg_witness)) < 0
+            # no positive pivot and a zero diagonal: the v_i + v_j branch
+            outcomes["pair" if rep.rank == 0 and not any(M[i, i] for i in range(M.rows))
+                     else "negative"] += 1
+    assert min(outcomes.values()) > 300, outcomes
 
 
 def test_nonvanishing_candidates_filter():

@@ -429,6 +429,10 @@ def test_smoke_measures_verify_exactly(tmp_path, capsys):
     assert all(any(len(key) == 3 and key[0] == 3 for key in value(p)[1]) for p in points)
 
 
+ATOM_2X2 = [["1", "2"], ["3", "4"]]
+ATOM_3X3 = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]
+
+
 @pytest.mark.parametrize(
     "command, payload, extra, error",
     [
@@ -467,6 +471,18 @@ def test_smoke_measures_verify_exactly(tmp_path, capsys):
         pytest.param("verify", {"kind": "measure", "atoms": [[["1", "0"], ["0", "0"]]]}, (),
                      "bad measure JSON: missing key 'weights'", id="verify-measure-no-weights"),
         pytest.param("analyze", {}, (), "bad subspace JSON: missing key 'basis'", id="analyze-no-basis"),
+        pytest.param("verify", {"kind": "triviality-certificate", "terminal": True, "subspace": ROTATION,
+                                "chain": [{"beta": {"0,1|0,1": "1"}, "cone_basis": [["1"], ["0"]]}]}, (),
+                     "bad certificate JSON: a cone vector is not of length d = 2", id="verify-cone-vector-length"),
+        # atoms of different shapes, exact in either order and float, are
+        # refused with the shapes named
+        pytest.param("verify", {"kind": "measure", "atoms": [ATOM_2X2, ATOM_3X3], "weights": ["1/2", "1/2"]},
+                     (), "atoms differ in shape: 2x2, 3x3", id="verify-exact-atoms-2x2-then-3x3"),
+        pytest.param("verify", {"kind": "measure", "atoms": [ATOM_3X3, ATOM_2X2], "weights": ["1/2", "1/2"]},
+                     (), "atoms differ in shape: 3x3, 2x2", id="verify-exact-atoms-3x3-then-2x2"),
+        pytest.param("verify", {"kind": "measure", "weights": [0.5, 0.5],
+                                "atoms": [[[float(x) for x in row] for row in a] for a in (ATOM_2X2, ATOM_3X3)]},
+                     (), "atoms differ in shape: 2x2, 3x3", id="verify-float-atoms-2x2-then-3x3"),
     ],
 )
 def test_malformed_input_exits_schema(tmp_path, capsys, command, payload, extra, error):
@@ -675,7 +691,7 @@ def test_grassmann_scan_default_blocks_match_oracle(capsys, k, m, n):
 def test_grassmann_scan_redraws_like_the_oracle(capsys, monkeypatch):
     # a determinant floor that many 4 x 4 Gaussian draws miss: the redrawn
     # charts come from the same generator state as the oracle's
-    monkeypatch.setattr(nullag.cli, "_DET_FLOOR", 0.5)
+    monkeypatch.setattr(nullag.certify, "DET_FLOOR", 0.5)
     expected = scan_samples_reference(1, 2, 2, 30, 3, det_floor=0.5)
     assert scan_samples(capsys, 1, 2, 2, 30, 3) == json.dumps(expected, sort_keys=True)
     assert expected != scan_samples_reference(1, 2, 2, 30, 3)

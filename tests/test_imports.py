@@ -324,6 +324,7 @@ def test_every_definition_is_reached_by_a_command(tmp_path):
         with pytest.raises(ValueError):
             QuadraticForm.from_poly(minor_polys(K, 3)[0])
         assert FarkasProblem([1], [[1]], [1]).A == RationalMatrix([[1]])
+        assert RationalMatrix([[2, 4]]).rref() == (RationalMatrix([[1, 2]]), (0,))
 
     directory = Path(nullag.__file__).parent
     called = called_lines(directory, run)

@@ -14,8 +14,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from nullag.algebra import MultiPoly, QuadraticForm, RationalMatrix, enumerate_minors
+from nullag.fixtures import kr_family
 from nullag.subspace import Subspace, minor_polys
 from poly_oracle import coefficient_vector, to_poly
+from rref_oracle import solve_reference
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -150,3 +152,43 @@ def test_restricted_forms_are_pulled_back(case):
         beta = sparse_beta(rng, keys)
         Q = K.minor_forms().combination(beta).matrix
         assert sub.minor_forms().combination(beta).matrix == C.transpose() @ Q @ C
+
+
+def fraction_path_solve(forms, target):
+    """``MinorForms.solve`` through Fraction matrices: the system
+    sum_k beta_k S_k = 2 L^2 target as a RationalMatrix, solved by the
+    Fraction Gauss-Jordan reference."""
+    d = forms.d
+    positions = sorted({key for upper in forms.S.values() for key in upper}
+                       | {(i, j) for i in range(d) for j in range(i, d) if target[i, j]})
+    A = RationalMatrix([[upper.get(key, 0) for upper in forms.S.values()] for key in positions])
+    x = solve_reference(A, [target[key] * 2 * forms.L ** 2 for key in positions])
+    return None if x is None else {key: b for key, b in zip(forms.S, x) if b}
+
+
+def test_solve_matches_fraction_path():
+    # on Kr(2)..Kr(10), the identity target of the exact chain step (outside
+    # the span: Kr carries a non-trivial measure) and a combination of four
+    # forms; on seeded dense pencils, those two and a generic symmetric target
+    rng = random.Random(3)
+    for r in range(2, 11):
+        forms = kr_family(r).minor_forms()
+        identity = RationalMatrix.identity(forms.d)
+        assert forms.solve(identity) is None and fraction_path_solve(forms, identity) is None, r
+        target = forms.combination(sparse_beta(rng, list(forms.S))).matrix
+        beta = forms.solve(target)
+        assert beta == fraction_path_solve(forms, target) and forms.combination(beta).matrix == target, r
+    for seed in range(40):
+        rng = random.Random(seed)
+        m, n, d = rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 6)
+        _, K = random_pencil(rng.randrange(10**6), m, n, d, 0.0)
+        forms = K.minor_forms()
+        sym = [[Fraction(0)] * K.d for _ in range(K.d)]
+        for i in range(K.d):
+            for j in range(i, K.d):
+                sym[i][j] = sym[j][i] = rand_rat(rng)
+        targets = [RationalMatrix.identity(K.d), RationalMatrix(sym)]
+        if forms.S:
+            targets.append(forms.combination(sparse_beta(rng, list(forms.S))).matrix)
+        for target in targets:
+            assert forms.solve(target) == fraction_path_solve(forms, target), seed
