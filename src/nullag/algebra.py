@@ -10,8 +10,9 @@ The elimination kernels run on integer rows, cleared of denominators once.
 fraction-free step, ``bareiss_step``: (p*x - f*r) // D, exact because each
 entry stays a minor of the cleared matrix (Bareiss 1968).  ``rref_rows``
 (behind ``rref``, ``solve``, ``nullspace`` and ``inverse``) and
-``independent_indices`` divide each new row by the gcd of its entries
-instead: under Bareiss a Gauss-Jordan row grows to the size of a minor.
+``echelon_pivots`` (behind ``independent_indices``) divide each new row by
+the gcd of its entries instead: under Bareiss a Gauss-Jordan row grows to
+the size of a minor.
 
 No command builds a polynomial: the library handles the minors as
 integer quadratic forms (``subspace.MinorForms``) and Laplace tables
@@ -310,14 +311,24 @@ def solve_rows(m, scale=1):
 
 
 def independent_indices(vectors):
-    """Indices of the rational vectors independent of those before them.
+    """Indices of the rational vectors independent of those before them:
+    the pivot columns of the matrix with the vectors as columns, by the
+    forward pass of ``echelon_pivots``."""
+    return echelon_pivots(vectors)[0]
 
-    These are the pivot columns of the matrix with the vectors as columns.
+
+def echelon_pivots(vectors):
+    """``(chosen, pivots)``: the indices of the rational vectors independent
+    of those before them, and the pivot positions of their echelon form.
+
     One forward-elimination pass in integers: each vector is cleared of
     denominators and reduced against the stored (pivot, row) pairs, with
     the gcd of its entries divided out after each step; a non-zero
     remainder is stored with its first non-zero position as the next pair.
     Once the pivots fill the dimension no later vector can be independent.
+    A stored row is zero at every earlier pivot, so the chosen vectors'
+    entries at the pivot positions form a non-singular matrix: those
+    coordinates alone tell the vectors' dependencies apart.
     """
     chosen = []
     basis = []
@@ -337,7 +348,7 @@ def independent_indices(vectors):
         chosen.append(idx)
         if len(basis) == len(r):
             break
-    return chosen
+    return chosen, [p for p, _ in basis]
 
 
 # ---------------------------------------------------------------------------

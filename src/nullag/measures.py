@@ -42,7 +42,7 @@ from .algebra import (
     bad_json,
     bareiss_step,
     enumerate_minors,
-    independent_indices,
+    echelon_pivots,
     minor,
     minor_count,
     minor_table,
@@ -507,6 +507,11 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
     pivot (``farkas_solve``), so the rows, pivots, certificates and measure
     are those of the rational columns, whatever positive scale clears each.
 
+    Each solve's row basis reads only the pivot columns of the last one
+    and the points drawn since, screened steps' included
+    (``_carried_value_rows``); its keys are those of the whole value
+    matrix.
+
     An infeasible solve leaves its certificate y on its row keys and the
     ones row.  If y . a_c >= 0 on every new column c of the next step
     (with y = 0 on rows new at that step), y certifies the enlarged
@@ -539,6 +544,8 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
     # row keys, certificate (cleared of denominators) and checkpoint of the
     # last infeasible solve, and the LP columns on those keys
     keys, Y, checkpoint, columns = (), None, None, []
+    # points whose value columns span those of the first ``covered`` points
+    spanning, covered = [], 0
     while True:
         want = min(max(_BATCH, 2 * d) if not points else _BATCH, budget - len(points))
         start = len(points)
@@ -555,7 +562,8 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
         ):
             stats["farkas_screened"] += 1
         else:
-            rows = _independent_value_rows(cleared)
+            rows, spanning = _carried_value_rows(cleared, spanning, covered)
+            covered = len(points)
             resumed, keys = rows == keys, rows
             if not resumed:
                 columns = []
@@ -579,19 +587,39 @@ def construct_nontrivial(value_fn, d, budget=256, seed=0, stats=None):
 
 
 def _independent_value_rows(values):
-    """Keys of a row basis of the (functions x points) value matrix.
+    """``(keys, pivots)``: the keys of a row basis of the (functions x
+    points) value matrix, and the pivot columns of its echelon form.
 
     Values are sparse per-point maps {key: value}; rows that vanish on
     every point never appear.  A point's map times a positive scale (its
-    values cleared of denominators) keeps the row basis, as it scales a
-    column of the matrix.  The rows are taken in sorted key order and
-    a row is kept when ``independent_indices`` finds it independent of the
-    rows before it: dependent rows, repeated ones included, do not change
-    the solution set, so the Farkas instance only needs this basis.
+    values cleared of denominators) keeps the row basis and the pivots, as
+    it scales a column of the matrix.  The rows are taken in sorted key
+    order and a row is kept when ``echelon_pivots`` finds it independent
+    of the rows before it: dependent rows, repeated ones included, do not
+    change the solution set, so the Farkas instance only needs this basis.
+    The pivot columns span the matrix's column space.
     """
     live = sorted(set().union(*values)) if values else []
-    rows = ([v.get(r, 0) for v in values] for r in live)
-    return [live[i] for i in independent_indices(rows)]
+    chosen, pivots = echelon_pivots([v.get(r, 0) for v in values] for r in live)
+    return [live[i] for i in chosen], pivots
+
+
+def _carried_value_rows(cleared, spanning, covered):
+    """``(keys, spanning)`` of the value matrix of every point of
+    ``cleared``: its row basis keys, and points whose columns span its
+    column space (the pivot columns of the row basis).
+
+    The row basis reads only the points ``spanning``, whose columns span
+    those of the first ``covered`` points, and the points after them.  Any
+    columns spanning the matrix's column space have its left null space,
+    so a row is independent of the rows before it on them exactly when it
+    is on every column (a row that vanishes on them vanishes on every
+    column), and the keys are those of ``_independent_value_rows`` on
+    every point.
+    """
+    read = spanning + list(range(covered, len(cleared)))
+    keys, pivots = _independent_value_rows([cleared[c] for c in read])
+    return keys, [read[c] for c in pivots]
 
 
 def _verify_vector_measure(mu: VectorMeasure, scales, cleared, x):

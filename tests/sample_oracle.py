@@ -87,7 +87,7 @@ def construct_nontrivial_reference(value_fn, d, budget=256, seed=0):
             values.append(value_fn(p))
         if not points:
             return None, solves
-        rows = _independent_value_rows(values)
+        rows = _independent_value_rows(values)[0]
         ncols = len(points)
         Amat = RationalMatrix(
             [[values[c].get(r, Fraction(0)) for c in range(ncols)] for r in rows]

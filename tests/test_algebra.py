@@ -7,6 +7,7 @@ from nullag.algebra import (
     MultiPoly,
     QuadraticForm,
     RationalMatrix,
+    echelon_pivots,
     enumerate_minors,
     independent_indices,
     minor,
@@ -293,6 +294,19 @@ def test_independent_indices_are_the_pivot_columns():
         vs = _vectors_with_dependencies(rng)
         expected = list(RationalMatrix.from_columns(vs).rref()[1]) if vs else []
         assert independent_indices(vs) == expected
+
+
+def test_echelon_pivots_pick_coordinates_that_separate_the_chosen_vectors():
+    # the chosen vectors' entries at the pivot positions form a
+    # non-singular square matrix, so their columns span the column space
+    rng = random.Random(19)
+    for _ in range(400):
+        vs = _vectors_with_dependencies(rng)
+        chosen, pivots = echelon_pivots(vs)
+        assert chosen == independent_indices(vs)
+        assert len(set(pivots)) == len(pivots) == len(chosen)
+        if chosen:
+            assert RationalMatrix([[vs[i][p] for p in pivots] for i in chosen]).det() != 0
 
 
 # ---------------------------------------------------------------------------

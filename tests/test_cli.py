@@ -627,6 +627,24 @@ def test_k1_bad_flux(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # the pole at 0.5 lies inside [0, 0.7], where the primitive is
+        # checked: the flux is malformed input
+        pytest.param(("--flux=0-1/(v-0.5)",), 2, id="pole-inside-the-check"),
+        # the pole at 1.5 lies between 0 and the base state only: F(2.1)
+        # of the atoms is a failed precondition
+        pytest.param(("--flux=0-1/(v-1.5)", "--alpha2", "2"), 3, id="pole-before-the-base-state"),
+    ],
+)
+def test_k1_divergent_primitive_is_an_error(capsys, argv, code):
+    assert main(["k1", *argv]) == code
+    out, err = capsys.readouterr()
+    assert "does not converge" in json.loads(out)["error"]
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # grassmann scan and fixtures
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import flux_parser_oracle as oracle
 from bench_inputs import k1_draws
@@ -22,6 +24,7 @@ from nullag.conslaw import (
     support_radius,
     _defined_evaluator,
     _flux_functions,
+    _integral,
 )
 from nullag.measures import DiscreteMeasure, is_null_lagrangian
 
@@ -129,6 +132,75 @@ def test_flux_expressions_agree_with_reference_parser():
                 for v in FLUX_POINTS:
                     assert outcome(ref, v) == outcome(new, v), (text, v)
     assert 15000 < accepted < len(corpus) - 5000
+
+
+def test_primitive_agrees_with_quad_on_random_expressions():
+    # seeded flux expressions that scipy's quad integrates on [-0.9, 1.1]
+    # without a warning: F(v) = int_0^v a agrees with quad from 0
+    rng = random.Random(32)
+    kept = 0
+    while kept < 400:
+        text = random_flux_expression(rng, rng.randint(1, 4))
+        try:
+            a = _flux_functions(text)[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                quad(a, -0.9, 1.1, limit=200)
+        except (ValueError, ArithmeticError, Warning):
+            continue
+        kept += 1
+        F = FluxFunction.from_expression(text).primitive
+        for v in (-0.9, -0.35, 0.4, 0.77, 1.1):
+            reference = quad(a, 0.0, v, limit=200)[0]
+            assert abs(F(v) - reference) <= 1e-10 * max(1.0, abs(reference)), (text, v)
+    # fluxes near a pole, a branch point or a narrow peak, which take
+    # bisections
+    evaluations = []
+    for _ in range(60):
+        c, e = round(rng.uniform(0.91, 1.3), 3), round(rng.uniform(0.0005, 0.01), 4)
+        for text in ("1/(v+%r)" % c, "(v+%r)^0.5 - v^2" % c, "1/((v-%r)^2 + %r)" % (c - 0.9, e)):
+            a = _flux_functions(text)[0]
+            for v in (-0.9, 0.4, 1.1):
+                calls = []
+                value = _integral(lambda x: calls.append(x) or a(x), 0.0, v, text)
+                reference = quad(a, 0.0, v, limit=200)[0]
+                assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference)), (text, v)
+                evaluations.append(len(calls))
+    assert max(evaluations) > 20 and sorted(evaluations)[len(evaluations) // 2] > 1
+
+
+def test_cubic_primitive_matches_the_closed_form_in_one_evaluation():
+    # the 10-point rule is exact to degree 19, so a polynomial flux takes
+    # one 31-point evaluation; the error is relative to the terms of the
+    # closed form 1/2 v^2 - c v^4 / 4, which cancel at its roots
+    rng = random.Random(41)
+    for _ in range(200):
+        c = round(rng.uniform(-3.0, 3.0), 3)
+        v = rng.uniform(-1.2, 1.2)
+        a = _flux_functions("v - %r*v^3" % c)[0]
+        calls = []
+        counted = lambda x: calls.append(x) or a(x)
+        exact = 0.5 * v * v - c * v**4 / 4
+        assert abs(_integral(counted, 0.0, v, "cubic") - exact) <= 1e-14 * (0.5 * v * v + abs(c) * v**4 / 4)
+        assert len(calls) == 1 and calls[0].shape == (31,)
+    a = _flux_functions("v^19 - 3*v^7 + 2")[0]
+    calls = []
+    assert _integral(lambda x: calls.append(x) or a(x), 0.0, 1.1, "degree 19") == pytest.approx(
+        1.1**20 / 20 - 3 * 1.1**8 / 8 + 2.2, rel=1e-14)
+    assert len(calls) == 1
+
+
+def test_integral_that_does_not_converge_is_an_error():
+    # the 200-subinterval limit, on a flux oscillating faster than the
+    # bisections resolve; and a pole that a bisection finds
+    with pytest.raises(ValueError, match=r"the integral of flux 'fast' does not converge on \[0.0, 1.0\]: "
+                                         r"200 subintervals miss the error bound"):
+        _integral(lambda v: np.cos(1e6 * v), 0.0, 1.0, "fast")
+    with pytest.raises(ValueError, match=r"does not converge on \[0.0, 0.7\]: flux '0-1/\(v-0.5\)' "
+                                         r"is undefined at v = 0.5"):
+        FluxFunction.named("0-1/(v-0.5)")
+    # an empty interval is 0 without evaluating a, as with quad
+    assert FluxFunction.named("v/v").primitive(0.0) == 0.0
 
 
 class K1Point:

@@ -28,6 +28,7 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -332,3 +333,27 @@ def test_every_definition_is_reached_by_a_command(tmp_path):
     missing = [name for name in unreached(sorted(directory.glob("*.py")), called)
                if name != "cli.py:build_parser"]
     assert missing == []
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # a fresh interpreter runs k1 on a flux expression, a grassmann-scan and
+    # an analyze; no scipy module is loaded on the way (scipy is a test
+    # dependency only)
+    script = """
+import contextlib, io, json, sys
+from nullag.cli import main
+path = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["k1", "--flux", "v - 0.5*v^3"]),
+             main(["grassmann-scan", "2", "4", "4", "--samples", "4"]),
+             main(["fixtures", "dump", "Kr(r=2)", "--json-out", path])]
+    json.dump(json.load(open(path))["subspace"], open(path + ".sub", "w"))
+    codes.append(main(["analyze", path + ".sub"]))
+print(json.dumps([codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]))
+"""
+    paths = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "kr2.json")],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0, 10], []]

@@ -13,6 +13,7 @@ from float_k1_oracle import null_lagrangian_reference
 from nullag import measures
 from nullag.algebra import RationalMatrix, _integer_row, enumerate_minors, minor, vec_dot
 from nullag.measures import (
+    _carried_value_rows,
     _independent_value_rows,
     DiscreteMeasure,
     FarkasProblem,
@@ -599,6 +600,61 @@ def test_screening_matches_solving_every_step_on_pencils(solve_results):
     assert counters == [(5, 3, 4, 15, 12, 256), (6, 0, 5, 76, 13, 192), (6, 2, 5, 53, 12, 224),
                         (2, 0, 1, 42, 13, 64), (4, 4, 3, 32, 12, 192), (6, 0, 5, 188, 13, 192),
                         (4, 0, 3, 90, 12, 128), (3, 0, 2, 55, 13, 96)]
+
+
+def test_row_basis_on_carried_columns_matches_all_columns(monkeypatch):
+    # at every growth step that solves, the row basis read on the carried
+    # spanning columns and the points drawn since has the keys of the row
+    # basis read on every point drawn so far: the open symmetric 3x3 pool
+    # and seeded dense 3x3 pencils with d = 4 and 5
+    rng = random.Random(67)
+    dense = [[[[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)] for _ in range(d)]
+             for d in (4, 4, 5, 5)]
+    carry = measures._carried_value_rows
+    steps = []
+
+    def checked(cleared, spanning, covered):
+        keys, carried = carry(cleared, spanning, covered)
+        assert keys == _independent_value_rows(cleared)[0]
+        steps.append((len(spanning) + len(cleared) - covered, len(cleared)))
+        return keys, carried
+
+    monkeypatch.setattr(measures, "_carried_value_rows", checked)
+    for basis in sym3_open_pool(8) + dense:
+        K = Subspace(basis)
+        construct_nontrivial(subspace_value_fn(K), K.d)
+    assert len(steps) > 40
+    assert sum(read < total for read, total in steps) > 20
+
+
+def test_carried_value_rows_on_batches_that_do_not_span():
+    # later batches that do not span the columns on their own: zero
+    # columns, combinations of earlier columns and columns on a few rows;
+    # rows that only earlier batches light up stay in the keys
+    rng = random.Random(71)
+    for _ in range(200):
+        nrows = rng.randint(1, 10)
+        table, spanning, covered = [], [], 0
+        for step in range(rng.randint(2, 5)):
+            for _ in range(rng.randint(1, 8)):
+                kind = rng.random()
+                if not table or (step == 0 and kind < 0.7):
+                    column = {k: rng.randint(-3, 3) for k in range(nrows)}
+                elif kind < 0.2:
+                    column = {}
+                elif kind < 0.7:
+                    column = {}
+                    for earlier in rng.sample(table, min(len(table), rng.randint(1, 3))):
+                        c = rng.randint(-2, 2)
+                        for k, v in earlier.items():
+                            column[k] = column.get(k, 0) + c * v
+                else:
+                    column = {k: rng.randint(-3, 3) for k in rng.sample(range(nrows), rng.randint(1, nrows))}
+                table.append({k: v for k, v in column.items() if v})
+            keys, spanning = _carried_value_rows(table, spanning, covered)
+            covered = len(table)
+            assert keys == _independent_value_rows(table)[0]
+            assert len(spanning) == len(keys)
 
 
 def test_screening_matches_solving_every_step_on_polynomial_families(solve_results):
