@@ -3,10 +3,10 @@
 Subcommands: analyze, k1, verify, grassmann-scan, fixtures.  A command
 only parses its arguments, loads its input, calls the library and emits:
 ``analyze`` is one ``certify.decide`` and ``verify`` one ``certify.check``.
-Every command prints one machine-readable JSON report to stdout (and
-optionally to --json-out); timing lives in a dedicated "timings" field so
-reports are byte-identical across runs with the same seed once that field
-is dropped.
+Every command prints one machine-readable JSON report, on one line, to
+stdout (and optionally to --json-out); timing lives in a dedicated
+"timings" field so reports are byte-identical across runs with the same
+seed once that field is dropped.
 
 Exit codes: 0 trivial certified (or artifact verified), 10 non-trivial
 measure found, 20 inconclusive, 2 input/schema violation, 3 construction
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -54,11 +55,23 @@ def _digest(obj):
 
 
 def _emit(report, json_out=None):
-    text = json.dumps(report, sort_keys=True, indent=2, default=str)
-    print(text)
+    """One line of JSON to --json-out and then to stdout.
+
+    With no indent ``json`` takes its C encoder.  The file is written
+    first, so a reader that has closed stdout does not cost it; a broken
+    pipe on stdout is not an error of the command, and stdout is pointed
+    at os.devnull so that the flush at exit does not raise it again.
+    """
+    text = json.dumps(report, sort_keys=True, default=str)
     if json_out:
         with open(json_out, "w") as fh:
             fh.write(text + "\n")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _report(command, inputs, seed=None):

@@ -25,6 +25,7 @@ not converge on the interval.
 from __future__ import annotations
 
 import ast
+import functools
 import heapq
 import itertools
 import math
@@ -62,9 +63,12 @@ class FluxFunction:
         if check:
             self._check_primitive()
 
-    def _check_primitive(self):
+    def _check_primitive(self, quadrature=None):
+        """F(x1) - F(x0) against the quadrature of a on three intervals:
+        ``_integral``, or the flux's own cached copy of it."""
+        quadrature = quadrature or _integral
         for x0, x1 in ((0.0, 0.7), (-0.9, 0.3), (0.2, 1.1)):
-            integral = _integral(self.a, x0, x1, self.name)
+            integral = quadrature(self.a, x0, x1, self.name)
             diff = self.primitive(x1) - self.primitive(x0)
             scale = max(1.0, abs(integral))
             if abs(diff - integral) > _PRIMITIVE_TOL * scale:
@@ -91,7 +95,11 @@ class FluxFunction:
         min(1e-13 int_0^v |a|, 1.49e-8 max(1, |F|)); a polynomial of degree
         at most 19 is integrated by one 31-point evaluation.  Past 200
         subintervals F(v) raises a ValueError that the integral of the flux
-        does not converge on [0, v], as it does across a pole.
+        does not converge on [0, v], as it does across a pole.  Each
+        interval is integrated once per flux (the construction reads
+        F(alpha_2) at every atom, and the primitive check integrates
+        [0, 0.7] as F(0.7) does); an error is not kept, so it is raised
+        again on every call.
 
         Grammar: ``str.isdigit`` digits, ``.``, ``+ - * / ^ ( )``, ``v``
         and whitespace; each maximal run of digits and dots is one
@@ -102,8 +110,10 @@ class FluxFunction:
         is not a finite real number.
         """
         a, a_prime = _flux_functions(text)
-        primitive = lambda v: _integral(a, 0.0, v, text)
-        return FluxFunction(a, primitive, a_prime, name=text, check=True)
+        integral = functools.lru_cache(maxsize=None)(_integral)
+        flux = FluxFunction(a, lambda v: integral(a, 0.0, v, text), a_prime, name=text, check=False)
+        flux._check_primitive(integral)
+        return flux
 
     @staticmethod
     def named(spec):
@@ -120,9 +130,9 @@ class FluxFunction:
             if spec == prefix or spec.startswith(prefix + ":"):
                 c = float(spec.split(":", 1)[1]) if ":" in spec else 1.0
                 return FluxFunction(
-                    lambda v, c=c, p=power: v + c * v**p,
-                    lambda v, c=c, p=power: 0.5 * v * v + c * v ** (p + 1) / (p + 1),
-                    lambda v, c=c, p=power: 1.0 + p * c * v ** (p - 1),
+                    lambda v, c=c, p=power: v + c * _power(v, p),
+                    lambda v, c=c, p=power: 0.5 * v * v + c * _power(v, p + 1) / (p + 1),
+                    lambda v, c=c, p=power: 1.0 + p * c * _power(v, p - 1),
                     name=spec,
                     check=False,
                 )
@@ -163,9 +173,9 @@ def _flux_functions(text):
 
 
 def _checked(node, names, text):
-    """A copy of ``node`` made of v, float constants, + - * / and powers
-    with a constant exponent.  Unary plus is dropped and unary minus
-    becomes 0.0 - x, so -v is +0.0 at v = 0."""
+    """A copy of ``node`` made of v, float constants, + - * / and
+    ``_power`` calls with a constant exponent.  Unary plus is dropped and
+    unary minus becomes 0.0 - x, so -v is +0.0 at v = 0."""
     if isinstance(node, ast.Name) and node.id in names:
         return names[node.id]
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
@@ -173,9 +183,11 @@ def _checked(node, names, text):
         return operand if isinstance(node.op, ast.UAdd) else _op(_const(0.0), ast.Sub, operand)
     if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
         left, right = _checked(node.left, names, text), _checked(node.right, names, text)
-        if isinstance(node.op, ast.Pow) and not isinstance(right, ast.Constant):
+        if not isinstance(node.op, ast.Pow):
+            return _op(left, type(node.op), right)
+        if not isinstance(right, ast.Constant):
             raise ValueError("exponent must be a constant in %r" % text)
-        return _op(left, type(node.op), right)
+        return _power_node(left, right.value)
     raise ValueError("malformed flux expression %r" % text)
 
 
@@ -189,6 +201,26 @@ def _op(left, op, right):
     return ast.BinOp(left, op(), right, lineno=1, col_offset=0)
 
 
+def _power_node(base, c):
+    """The call ``_power(base, c)``, the tree's only power node."""
+    return ast.Call(ast.Name("_power", ast.Load(), lineno=1, col_offset=0), [base, _const(c)], [],
+                    lineno=1, col_offset=0)
+
+
+def _power(x, c):
+    """x ** c, with Python's ** on a scalar.  numpy's array pow takes a
+    slow path at a negative base (35 times the time at a positive one, in
+    numpy 2.4 on AVX-512), so on an array and an integral c other than
+    numpy's own fast exponents -1, 0, 1 and 2 this is sign(x)^c |x|^c: it
+    keeps the bits of x ** c at every entry >= 0 and is within 1 ulp of
+    Python's pow at the others.  A non-integral c is left to ** (nan and
+    numpy's invalid error at a negative entry)."""
+    if isinstance(x, np.ndarray) and c not in (-1, 0, 1, 2) and float(c).is_integer():
+        power = np.abs(x) ** c
+        return np.copysign(power, x) if c % 2 else power
+    return x ** c
+
+
 def _diff(node):
     """d/dv of a ``_checked`` tree by the sum, product, quotient and
     constant-power rules; subtrees are shared, not copied."""
@@ -196,24 +228,28 @@ def _diff(node):
         return _const(0.0)
     if isinstance(node, ast.Name):
         return _const(1.0)
+    if isinstance(node, ast.Call):
+        base, c = node.args[0], node.args[1].value
+        power = _power_node(base, c - 1.0)
+        return _op(_op(_const(c), ast.Mult, power), ast.Mult, _diff(base))
     left, op, right = node.left, type(node.op), node.right
     if op in (ast.Add, ast.Sub):
         return _op(_diff(left), op, _diff(right))
     if op is ast.Mult:
         return _op(_op(_diff(left), ast.Mult, right), ast.Add, _op(left, ast.Mult, _diff(right)))
-    if op is ast.Div:
-        num = _op(_op(_diff(left), ast.Mult, right), ast.Sub, _op(left, ast.Mult, _diff(right)))
-        return _op(num, ast.Div, _op(right, ast.Mult, right))
-    c = right.value
-    power = _op(left, ast.Pow, _const(c - 1.0))
-    return _op(_op(_const(c), ast.Mult, power), ast.Mult, _diff(left))
+    num = _op(_op(_diff(left), ast.Mult, right), ast.Sub, _op(left, ast.Mult, _diff(right)))
+    return _op(num, ast.Div, _op(right, ast.Mult, right))
+
+
+# the arguments of ``lambda v:``, parsed once; compile only reads them
+_LAMBDA_ARGS = ast.parse("lambda v: 0", mode="eval").body.args
 
 
 def _compiled(body):
-    """``lambda v: body``, compiled with no builtins."""
-    tree = ast.parse("lambda v: 0", mode="eval")
-    tree.body.body = body
-    return eval(compile(tree, "<flux>", "eval"), {"__builtins__": {}})
+    """``lambda v: body``, compiled with no builtins and ``_power`` its
+    only global."""
+    tree = ast.Expression(ast.Lambda(_LAMBDA_ARGS, body, lineno=1, col_offset=0))
+    return eval(compile(tree, "<flux>", "eval"), {"__builtins__": {}, "_power": _power})
 
 
 def _defined_evaluator(f, label):

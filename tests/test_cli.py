@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -833,3 +834,49 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     json.loads(proc.stdout)
+
+
+def test_closed_stdout_keeps_the_report_and_the_exit_code(tmp_path):
+    # stdout is a pipe whose read end is closed before the child starts, so
+    # its first write meets a broken pipe: the --json-out file is written
+    # before it, stderr stays empty and the exit code is k1's own
+    out = tmp_path / "k1.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nullag.cli", "k1", "--flux", "v - 0.5*v^3", "--json-out", str(out)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(["verify", str(out)]) == 0
+
+
+def test_reports_use_the_c_encoder(tmp_path, capsys, monkeypatch):
+    # json's pure-Python encoder, which an indent selects, is never reached:
+    # every command prints one line of JSON, the --json-out file's text
+    sub = dump_fixture(capsys, "Kr(r=0)")["subspace"]
+    path = write_subspace(tmp_path, sub)
+
+    def no_python_encoder(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", no_python_encoder)
+    runs = [
+        (("analyze", path), 10),
+        (("k1", "--flux", "v - 0.5*v^3"), 0),
+        (("verify", str(tmp_path / "report-0.json")), 0),
+        (("grassmann-scan", "2", "4", "4", "--samples", "4"), 0),
+        (("fixtures", "dump", "Kr(r=1)"), 0),
+    ]
+    for i, (argv, code) in enumerate(runs):
+        out = tmp_path / ("report-%d.json" % i)
+        assert main([*argv, "--json-out", str(out)]) == code, argv
+        printed = capsys.readouterr().out
+        text = out.read_text()
+        assert printed == text and text.count("\n") == 1 and text.endswith("\n"), argv
+        assert json.loads(printed) == json.loads(text), argv

@@ -1,3 +1,7 @@
+import ast
+import collections
+import contextlib
+import io
 import math
 import random
 import warnings
@@ -9,7 +13,8 @@ from scipy.integrate import quad
 import flux_parser_oracle as oracle
 from bench_inputs import k1_draws
 from float_k1_oracle import five_atom_constants_reference, negative_branch_evidence_reference
-from nullag.cli import _build_atoms_halving
+import nullag.conslaw
+from nullag.cli import _build_atoms_halving, main
 from nullag.conslaw import (
     AtomConstructionError,
     FluxFunction,
@@ -22,9 +27,13 @@ from nullag.conslaw import (
     push_forward_to_K1,
     solve_linear_weights,
     support_radius,
+    _checked,
     _defined_evaluator,
+    _diff,
     _flux_functions,
+    _flux_values,
     _integral,
+    _power,
 )
 from nullag.measures import DiscreteMeasure, is_null_lagrangian
 
@@ -201,6 +210,81 @@ def test_integral_that_does_not_converge_is_an_error():
         FluxFunction.named("0-1/(v-0.5)")
     # an empty interval is 0 without evaluating a, as with quad
     assert FluxFunction.named("v/v").primitive(0.0) == 0.0
+
+
+def test_one_quadrature_per_primitive_point(monkeypatch):
+    # one k1 at a positive slope reads F(alpha_2) at every atom, and the
+    # primitive check integrates [0, 0.7] as F(0.7) does: each interval is
+    # integrated once
+    calls = collections.Counter()
+
+    def counted(a, x0, x1, name):
+        calls[x0, x1] += 1
+        return _integral(a, x0, x1, name)
+
+    monkeypatch.setattr(nullag.conslaw, "_integral", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["k1", "--flux", "v - 1.492*v^3", "--alpha1", "0.1", "--alpha2", "-0.182"]) == 0
+    assert calls[0.0, -0.182] == calls[0.0, 0.7] == 1
+    assert len(calls) == 11 and set(calls.values()) == {1}
+    # an error is not kept: F past a pole raises on every call
+    F = FluxFunction.named("0-1/(v-1.5)").primitive
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"does not converge on \[0.0, 2.1\]"):
+            F(2.1)
+
+
+def test_power_keeps_python_pow_on_scalars():
+    # Python's ** itself: a complex at a negative Python float under a
+    # fractional power, numpy's nan at a negative np.float64
+    for x in (0.0, -0.0, 0.5, -0.5, 1.5, -2.0, np.float64(-0.75), np.float64(-0.0)):
+        for c in (0, 1, 2, 3, 4, 0.0, 2.0, 3.0, 5.0, 0.5, 1.25):
+            with np.errstate(invalid="ignore"):
+                expected = x ** c
+                value = _power(x, c)
+            assert type(value) is type(expected), (x, c)
+            assert value == expected or (value != value and expected != expected), (x, c)
+            if not isinstance(value, complex):
+                assert math.copysign(1.0, value) == math.copysign(1.0, expected), (x, c)
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_on_arrays_against_python_pow():
+    # entries >= 0 keep numpy's x ** c bits, -0.0 included; negative entries
+    # are +-|x| ** c, within 1 ulp of Python's pow and differing from it no
+    # more often than the entries >= 0 already do
+    rng = np.random.default_rng(33)
+    for c, draws in ((3, 10**6), (3.0, 10**5), (2, 10**5), (4.0, 10**5), (7, 10**5), (1.0, 10**4)):
+        x = np.concatenate([[0.0, -0.0], rng.uniform(-2.0, 2.0, draws)])
+        value = _power(x, c)
+        python = np.array([v ** c for v in x.tolist()])
+        kept = x >= 0
+        assert np.array_equal(value[kept], x[kept] ** c), c
+        assert np.array_equal(np.signbit(value[kept]), np.signbit(x[kept] ** c)), c
+        assert np.array_equal(value[~kept], (-1.0) ** c * np.abs(x[~kept]) ** c), c
+        assert (np.abs(value - python) <= np.spacing(np.abs(python))).all(), c
+        differ = value != python
+        assert abs(differ[kept].mean() - differ[~kept].mean()) <= 0.005, c
+    # a non-integral exponent at a negative entry is numpy's nan and invalid
+    # error, so the array evaluation falls back to the scalar loop, which
+    # names the first v where the flux is undefined
+    with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
+        _power(np.array([0.25, -0.5]), 0.5)
+    a = _flux_functions("v^0.5")[0]
+    with pytest.raises(ValueError, match=r"flux 'v\^0.5' is undefined at v = -0.5"):
+        _flux_values(a, np.array([0.25, -0.5, -1.0]))
+
+
+def test_power_nodes_are_read_in_place():
+    # a power is a _power call in the checked tree, and the derivative
+    # calls _power on the same base node: nothing is copied
+    names = {"v": ast.Name("v", ast.Load()), "_1": ast.Constant(1.0), "_2": ast.Constant(3.0)}
+    tree = _checked(ast.parse("(v + _1) ** _2", mode="eval").body, names, "(v + 1)^3")
+    assert isinstance(tree, ast.Call) and tree.func.id == "_power"
+    base = tree.args[0]
+    derivative = _diff(tree)
+    power = derivative.left.right
+    assert power.func.id == "_power" and power.args[0] is base and power.args[1].value == 2.0
 
 
 class K1Point:
