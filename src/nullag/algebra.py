@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -42,13 +44,38 @@ def rat(x) -> Fraction:
 
 def rat_to_str(x: Fraction) -> str:
     """Serialize as ``p/q`` (or just ``p`` when q == 1)."""
-    return str(Fraction(x))
+    return str(x if isinstance(x, Fraction) else Fraction(x))
+
+
+# the exponent of a decimal spelling, as ``Fraction`` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def rat_from_str(s) -> Fraction:
     """Parse an input rational; anything else, ``"1/0"`` included, is a
-    ValueError."""
-    if isinstance(s, bool) or not isinstance(s, (int, str, Fraction)):
+    ValueError.
+
+    The two spellings ``rat_to_str`` writes, ``p`` and ``p/q`` in ASCII
+    digits with an optional ``-`` on p, are read by ``int``; every other
+    string goes to ``Fraction``.  An exponent larger in magnitude than the
+    interpreter's limit on integer digits is refused before ``Fraction``
+    computes its power of ten.
+    """
+    if isinstance(s, str):
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            if not slash:
+                return Fraction(int(num))
+            q = int(den)
+            if q == 0:
+                raise ValueError("zero denominator: %r" % (s,))
+            return Fraction(int(num), q)
+        exponent = _EXPONENT.search(s)
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent.group(1))) > limit:
+            raise ValueError("exponent beyond %d digits: %r" % (limit, s))
+    elif isinstance(s, bool) or not isinstance(s, (int, Fraction)):
         raise ValueError("not a rational: %r" % (s,))
     try:
         return Fraction(s)

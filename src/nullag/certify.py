@@ -32,19 +32,17 @@ found there is a positive definite step that ends the chain; no beta
 means the identity form lies outside the minor span, and the cone is an
 obstruction without a witness.  No floating point enters a chain step.
 
-Form convention.  Every minor form comes from ``Subspace.minor_forms``.
-With L = ``Subspace.L``, the lcm of the basis denominators, and the
-integer entry vectors A_ij = L a_ij of ``Subspace.int_grid``, the minor k
-on rows r1 < r2 and columns c1 < c2, keyed ((r1, r2), (c1, c2)), is
-z^T Q_k z with Q_k = S_k / (2 L^2) and the integer symmetric matrix
-
-    S_k = A11 A22^T + A22 A11^T - A12 A21^T - A21 A12^T,
-
-A11 = A_{r1 c1}, A22 = A_{r2 c2}, A12 = A_{r1 c2}, A21 = A_{r2 c1}; only
-the minors with S_k != 0 have a form.  A combination sum_k beta_k Q_k is
-summed over the keys of beta in integers and divided once.  The d <= 3
-reduction builds its targets, a square (v.z)^2 or a pencil determinant,
-with the same outer-product builder as S_k and halves once, so each
+Form convention.  Every minor form is a ``subspace.minor_form``.  With
+L = ``Subspace.L``, the lcm of the basis denominators, and the integer
+entry vectors of ``Subspace.int_grid``, the minor k on rows r1 < r2 and
+columns c1 < c2, keyed ((r1, r2), (c1, c2)), is z^T Q_k z with
+Q_k = S_k / (2 L^2) and S_k its integer symmetric ``minor_form``; only
+the minors with S_k != 0 have a form.  ``Subspace.combination`` builds
+the forms of a beta's keys and sums sum_k beta_k Q_k in integers,
+dividing once; ``Subspace.minor_forms`` holds the table of every live
+form, which ``MinorForms.solve`` reads.  The d <= 3 reduction builds its
+targets, a square (v.z)^2 with the outer-product builder of S_k or the
+2x2 pencil determinant as a ``minor_form``, and halves once, so each
 target is an exact symmetric matrix that ``MinorForms.solve`` pulls back
 to a beta.  In a certificate's JSON, beta is an object of its non-zero
 coefficients keyed "r1,r2|c1,c2" (0-based), so no artifact depends on the
@@ -89,7 +87,7 @@ from .measures import (
     is_null_lagrangian,
     two_atom_measure,
 )
-from .subspace import Subspace, _add_sym_outer, _minor_index_arrays, _rational_sqrt, find_rank_one
+from .subspace import Subspace, _add_sym_outer, _minor_index_arrays, _rational_sqrt, find_rank_one, minor_form
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +331,9 @@ def _case_min_two(E, d):
             "pencil reduces to a three-dimensional subspace of 3x2 matrices, "
             "which always carries a rank-one direction",
         )
-    # d == 2: the pencil determinant decides everything
-    acc = {}
-    _add_sym_outer(acc, _sparse(E[0][0]), _sparse(E[1][1]), 1)
-    _add_sym_outer(acc, _sparse(E[0][1]), _sparse(E[1][0]), -1)
-    return _decide_binary_form(_half_matrix(d, acc))
+    # d == 2: the pencil determinant, the 2x2 minor, decides everything
+    grid = [[_sparse(v) for v in row] for row in E[:2]]
+    return _decide_binary_form(_half_matrix(d, minor_form(grid, ((0, 1), (0, 1)))))
 
 
 def _decide_binary_form(H: RationalMatrix):
@@ -560,7 +556,7 @@ def verify_combination(K: Subspace, beta) -> VerifyReport:
     on ``K.restricted(C)``, whose minor forms are exactly C^T Q_k C; the
     kernel and the witnesses are then in coordinates on C.
     """
-    form = K.minor_forms().combination(beta)
+    form = K.combination(beta)
     if form.is_zero():
         return VerifyReport("trivial")
     rep = psd_analyze(form.matrix)

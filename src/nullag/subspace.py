@@ -33,7 +33,8 @@ class Subspace:
     """Basis presentation of a subspace of m x n matrices, cleared of
     denominators once: ``L`` is the lcm of those of the basis entries, and
     ``int_grid[i][j]`` the pairs (l, L B_l[i][j]) of the non-zero entries,
-    which ``evaluate``, ``MinorForms`` and ``subspace_value_fn`` read."""
+    which ``evaluate``, ``combination``, ``MinorForms`` and
+    ``subspace_value_fn`` read."""
 
     __slots__ = ("m", "n", "d", "basis", "L", "int_grid", "_minor_forms")
 
@@ -89,6 +90,27 @@ class Subspace:
         if self._minor_forms is None:
             object.__setattr__(self, "_minor_forms", MinorForms(self))
         return self._minor_forms
+
+    def combination(self, beta) -> QuadraticForm:
+        """The form of sum_k beta_k M_k, for beta a dict {key: coefficient}.
+
+        Each key, inside the pencil's shape, has its ``minor_form`` built
+        from ``int_grid``; no table of the pencil's forms is read.  beta is
+        scaled to integers by the lcm D of its denominators, the integer
+        matrices are summed, and the sum is divided once by 2 L^2 D.
+        """
+        D = math.lcm(*(b.denominator for b in beta.values()))
+        acc = {}
+        for key, b in beta.items():
+            c = b.numerator * (D // b.denominator)
+            for pos, s in minor_form(self.int_grid, key).items():
+                acc[pos] = acc.get(pos, 0) + c * s
+        den = 2 * self.L * self.L * D
+        m = [[Fraction(0)] * self.d for _ in range(self.d)]
+        for (i, j), s in acc.items():
+            if s != 0:
+                m[i][j] = m[j][i] = Fraction(s, den)
+        return QuadraticForm(RationalMatrix(m))
 
     def evaluate(self, z):
         """P(z) = sum_l z_l B_l, exactly: with (L_z, q) the point cleared of
@@ -182,66 +204,56 @@ def _add_sym_outer(acc, u, v, sign):
             acc[key] = acc.get(key, 0) + (2 * sign * x * y if l == t else sign * x * y)
 
 
-class MinorForms:
-    """The quadratic forms of the order-2 minors of a pencil, exactly.
+def minor_form(grid, key):
+    """The form S of the minor keyed ((r1, r2), (c1, c2)) of a grid of
+    sparse entry vectors, ``Subspace.int_grid`` or one like it, as the dict
+    ``{(i, j): s}`` of the non-zero entries of its upper triangle, i <= j:
 
-    With L and the integer entry vectors A_ij = L a_ij of ``Subspace``
-    (``K.L`` and ``K.int_grid``), the minor on rows r1 < r2 and columns
-    c1 < c2 is M(P(z)) = z^T Q z with
-
-        Q = S / (2 L^2),
         S = A11 A22^T + A22 A11^T - A12 A21^T - A21 A12^T,
 
-    where A11 = A_{r1 c1}, A22 = A_{r2 c2}, A12 = A_{r1 c2}, A21 = A_{r2 c1}.
-    ``S`` maps the key ((r1, r2), (c1, c2)) of each minor with S != 0, in
-    ``enumerate_minors`` order, to the non-zero upper-triangle entries of
-    its S as ``{(i, j): s}``, i <= j; a minor with no key vanishes on K.
-    Only pairs of non-zero entries in two rows and two columns are
-    multiplied (sign -1 when their columns run against their rows), over
-    the non-zero coordinates of the entry vectors.  A combination is its
-    beta, a dict {key: coefficient}: ``combination`` gives its form, and
-    ``solve`` pulls an exact symmetric target matrix back to a beta.
+    A11 = grid[r1][c1], A22 = grid[r2][c2], A12 = grid[r1][c2] and
+    A21 = grid[r2][c1].  A minor that vanishes has the empty form.
+    """
+    (r1, r2), (c1, c2) = key
+    acc = {}
+    _add_sym_outer(acc, grid[r1][c1], grid[r2][c2], 1)
+    _add_sym_outer(acc, grid[r1][c2], grid[r2][c1], -1)
+    return {pos: s for pos, s in acc.items() if s != 0}
+
+
+class MinorForms:
+    """The table of the quadratic forms of the order-2 minors of a pencil,
+    exactly, which ``solve`` and the rank-one sweep read.
+
+    With L and the integer entry vectors A_ij = L a_ij of ``Subspace``
+    (``K.L`` and ``K.int_grid``), the minor keyed ((r1, r2), (c1, c2)) is
+    M(P(z)) = z^T Q z with Q = S / (2 L^2) and S its ``minor_form``.
+    ``S`` maps the key of each minor with S != 0, in ``enumerate_minors``
+    order, to its form; a minor with no key vanishes on K.  Only the keys
+    whose two rows have non-zero entries in two different columns are
+    built.  A
+    combination is its beta, a dict {key: coefficient}: ``solve`` pulls an
+    exact symmetric target matrix back to a beta, and
+    ``Subspace.combination`` builds a beta's form from the pencil's
+    entries, at the cost of its keys, with no table.
     """
 
     __slots__ = ("d", "L", "S")
 
     def __init__(self, K: Subspace):
-        support = [[(j, a) for j, a in enumerate(row) if a] for row in K.int_grid]
+        grid = K.int_grid
+        support = [[j for j, a in enumerate(row) if a] for row in grid]
         S = {}
-        for r1, r2 in itertools.combinations(range(K.m), 2):
-            acc = {}
-            for c1, a in support[r1]:
-                for c2, b in support[r2]:
-                    if c1 != c2:
-                        cols, sign = ((c1, c2), 1) if c1 < c2 else ((c2, c1), -1)
-                        _add_sym_outer(acc.setdefault(cols, {}), a, b, sign)
-            for cols in sorted(acc):
-                upper = {key: s for key, s in acc[cols].items() if s != 0}
+        for rows in itertools.combinations(range(K.m), 2):
+            live = {(c1, c2) if c1 < c2 else (c2, c1)
+                    for c1 in support[rows[0]] for c2 in support[rows[1]] if c1 != c2}
+            for cols in sorted(live):
+                upper = minor_form(grid, (rows, cols))
                 if upper:
-                    S[(r1, r2), cols] = upper
+                    S[rows, cols] = upper
         self.d = K.d
         self.L = K.L
         self.S = S
-
-    def combination(self, beta) -> QuadraticForm:
-        """The form of sum_k beta_k M_k, for beta a dict {key: coefficient}.
-
-        beta is scaled to integers by the lcm D of its denominators, the
-        integer matrices are summed, and the sum is divided once by 2 L^2 D.
-        A key with no form in ``S`` names a minor that vanishes on K.
-        """
-        D = math.lcm(*(b.denominator for b in beta.values()))
-        acc = {}
-        for key, b in beta.items():
-            c = b.numerator * (D // b.denominator)
-            for pos, s in self.S.get(key, {}).items():
-                acc[pos] = acc.get(pos, 0) + c * s
-        den = 2 * self.L * self.L * D
-        m = [[Fraction(0)] * self.d for _ in range(self.d)]
-        for (i, j), s in acc.items():
-            if s != 0:
-                m[i][j] = m[j][i] = Fraction(s, den)
-        return QuadraticForm(RationalMatrix(m))
 
     def span_dim(self):
         """Dimension of the span of the forms, by exact rank."""

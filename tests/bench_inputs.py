@@ -33,3 +33,9 @@ def k1_draws(seed, positive):
             args = dict(zip(instance.args[::2], instance.args[1::2]))
             out.append((args["--flux"], float(args["--alpha1"]), float(args["--alpha2"])))
     return out
+
+
+def certify_corpus_subspaces(seed):
+    """The subspace JSON of each ``certify-corpus`` instance at ``seed``."""
+    from nullag import cli
+    return [instance.subspace for instance in _workloads().certify_corpus(cli, seed)]

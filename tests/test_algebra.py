@@ -1,4 +1,7 @@
 import random
+import re
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -463,3 +466,58 @@ def test_rational_string_roundtrip():
     assert rat_from_str(4) == Fraction(4)
     with pytest.raises(ValueError):
         rat_from_str(True)
+
+
+def _fraction_or_error(s):
+    """``Fraction(s)``, or ValueError where it raises; its zero denominator
+    is the ZeroDivisionError that ``rat_from_str`` turns into a ValueError."""
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return ValueError
+
+
+def _rat_or_error(s):
+    try:
+        return rat_from_str(s)
+    except ValueError:
+        return ValueError
+
+
+def test_rat_from_str_agrees_with_fraction():
+    # the int fast path reads only "p" and "p/q" in ASCII digits; every
+    # other spelling, valid or not, must read as Fraction reads it
+    rng = random.Random(34)
+    cases = ["0", "-0", "007", "-007/010", "0/5", "-0/5", "00/1", "+3", " 3 ", "3 ", "\t-3/4",
+             "1_000", "1_000/3", "٣", "-٣/4", "3/٤", "0.5", "-.5", "1.", "1e3", "1E-3", "1.5e+2",
+             "1e1_0", "3/-4", "3/+4", "3 /4", "3/ 4", "3/0", "-3/00", "0/0", "", "-", "+", "/",
+             "/3", "3/", "-/3", "--3", "3/4/5", "1__0", "_1", "1_", "e3", "inf", "nan", "0x10",
+             "²", "3²", "1" * 4300, "1" * 4301, "-" + "1" * 4300, "-" + "1" * 4301,
+             "1/" + "7" * 4300, "1/" + "7" * 4301, "1" * 4301 + "/1"]
+    alphabet = "0123456789" * 3 + "--+//_ .eE٣\t"
+    drawn = ("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8))) for _ in range(20000))
+    # exponents of four or more digits may pass the refusal limit, which
+    # test_rat_from_str_refuses_huge_exponents covers
+    cases += [s for s in drawn if not re.search(r"[eE][-+]?[\d_]{4,}", s)]
+    for _ in range(2000):
+        x = Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+        zeros = "0" * rng.randint(0, 3)
+        cases += [rat_to_str(x), "%s%d/%s%d" % (("-" if x < 0 else ""), abs(x.numerator), zeros,
+                                                 x.denominator)]
+    for s in cases:
+        want, got = _fraction_or_error(s), _rat_or_error(s)
+        assert got == want and type(got) is type(want), s[:40]
+
+
+def test_rat_from_str_refuses_huge_exponents():
+    # Fraction would compute 10**|exponent|; past the interpreter's limit
+    # on integer digits the exponent is refused, for both signs
+    limit = sys.get_int_max_str_digits()
+    assert rat_from_str("1e%d" % limit) == 10 ** limit
+    assert rat_from_str("2.5E-%d" % limit) == Fraction(5, 2 * 10 ** limit)
+    for s in ("1e%d" % (limit + 1), "1e-%d" % (limit + 1), "1e10000000", "-0.5E-10_000_000 ",
+              "1e3000000", "1e" + "9" * 5000):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError):
+            rat_from_str(s)
+        assert time.perf_counter() - t0 < 1.0, s[:20]

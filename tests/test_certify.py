@@ -35,7 +35,8 @@ from nullag.fixtures import (
     v0_chart,
     v0_subspace,
 )
-from nullag.subspace import Subspace, minor_polys
+from nullag.subspace import MinorForms, Subspace, minor_polys
+from bench_inputs import certify_corpus_subspaces
 from genericity_oracle import exact_span_dim, genericity_reference
 from pencil_ops import apply_ops, random_pencil_ops
 from poly_oracle import form_value
@@ -55,7 +56,7 @@ def test_certificate_diag_pencil():
     # the two squared-coordinate minors give the identity form directly
     beta = {((0, 1), (0, 1)): Fraction(1),  # y1^2
             ((2, 3), (2, 3)): Fraction(1)}  # y2^2
-    form = K.minor_forms().combination(beta)
+    form = K.combination(beta)
     assert form.matrix == RationalMatrix.identity(2)
     rep2 = psd_analyze(form.matrix)
     assert rep2.is_psd and rep2.rank == 2 and rep2.kernel == []
@@ -69,7 +70,7 @@ def test_certificate_rotation_single_minor():
     beta = out.combination
     (b,) = beta.values()
     assert list(beta) == [((0, 1), (0, 1))] and b != 0
-    form = K.minor_forms().combination(beta)
+    form = K.combination(beta)
     assert form.matrix == RationalMatrix.identity(2).scale(abs(b))
     assert verify_combination(K, out.combination).ok
 
@@ -140,7 +141,7 @@ def test_indefinite_combination_witnesses():
     beta = {((0, 1), (0, 1)): Fraction(1)}  # gamma^2 - alpha^2 on the pencil
     rep = verify_combination(K, beta)
     assert rep.verdict == "indefinite"
-    form = K.minor_forms().combination(beta)
+    form = K.combination(beta)
     assert form_value(form, rep.neg_witness) < 0
     assert form_value(form, rep.pos_witness) > 0
 
@@ -200,6 +201,27 @@ def test_chain_fuzz_terminal_and_bounded():
             cert = reduce_chain(K)
             assert isinstance(cert, TrivialityCertificate) and check_certificate(cert.to_json(K))[0]
             assert len(cert.chain) <= d
+
+
+def test_check_certificate_builds_no_form_table(monkeypatch):
+    # a certificate is checked at the cost of its betas: each certify-corpus
+    # certificate (seed 1) checks to the same result when no table of minor
+    # forms can be built
+    certs = []
+    for sub in certify_corpus_subspaces(1):
+        K = Subspace.from_json(sub)
+        cert = reduce_chain(K)
+        if isinstance(cert, TrivialityCertificate):
+            obj = cert.to_json(K)
+            certs.append((obj, check_certificate(obj)))
+    assert len(certs) == 90 and all(ok for _, (ok, _) in certs)
+
+    def refuse(self, K):
+        raise AssertionError("a table of minor forms was built")
+
+    monkeypatch.setattr(MinorForms, "__init__", refuse)
+    for obj, want in certs:
+        assert check_certificate(obj) == want
 
 
 def test_chain_json_roundtrip():
@@ -274,7 +296,7 @@ def test_identity_step_is_exact_span_membership():
                 assert res.rank_one_witness is None and res.note == outside
         assert outcome.found == in_span
         if in_span:
-            form = K.minor_forms().combination(outcome.combination)
+            form = K.combination(outcome.combination)
             assert form.matrix == RationalMatrix.identity(K.d)
         else:
             assert outcome.rank_one_witness is None

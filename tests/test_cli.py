@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -257,7 +258,45 @@ def test_verify_tampered_later_step_witness_in_cone(tmp_path, capsys):
         w = tuple(rat_from_str(x) for x in failed["witness_point"])
         cone = [tuple(rat_from_str(x) for x in v) for v in cert["chain"][step]["cone_basis"]]
         assert RationalMatrix(cone + [w]).rank() == len(cone)
-        assert form_value(K.minor_forms().combination(beta), w) < 0
+        assert form_value(K.combination(beta), w) < 0
+
+
+def noncanonical(x, k):
+    """A spelling of the rational ``x`` other than its canonical one, the
+    k-th that applies of: padded with spaces, its terms doubled, a decimal,
+    an integer after a "0_"."""
+    v = Fraction(x)
+    for kind in range(k, k + 4):
+        kind %= 4
+        if kind == 0:
+            return " %s " % x
+        if kind == 1:
+            return "%d/%d" % (2 * v.numerator, 2 * v.denominator)
+        if kind == 2 and (10 ** 12 * v).denominator == 1:
+            digits = str(abs(10 ** 12 * v.numerator // v.denominator)).rjust(13, "0")
+            return "%s%s.%s" % ("-" if v < 0 else "", digits[:-12], digits[-12:])
+        if kind == 3 and v.denominator == 1:
+            return "%s0_%d" % ("-" if v < 0 else "", abs(v))
+    raise AssertionError(x)
+
+
+def test_verify_reads_noncanonical_numbers(tmp_path, capsys):
+    # a three-step certificate with every number respelled still verifies:
+    # only "p" and "p/q" take the int path, the rest go through Fraction
+    sub = dump_fixture(capsys, "sub-k0-random(seed=2208,d=3)")["subspace"]
+    code, report = run_cli(capsys, "analyze", write_subspace(tmp_path, sub))
+    assert code == 0 and len(report["certificate"]["chain"]) == 3
+    cert = report["certificate"]
+    count = itertools.count()
+    for step in cert["chain"]:
+        step["beta"] = {key: noncanonical(b, next(count)) for key, b in step["beta"].items()}
+        step["cone_basis"] = [[noncanonical(x, next(count)) for x in v] for v in step["cone_basis"]]
+    basis = cert["subspace"]["basis"]
+    cert["subspace"]["basis"] = [[[noncanonical(x, next(count)) for x in row] for row in b] for b in basis]
+    text = json.dumps(cert)
+    assert all(mark in text for mark in ('" ', "/", ".", "_"))
+    code, verified = run_cli(capsys, "verify", write_subspace(tmp_path, cert, "respelled.json"))
+    assert code == 0, verified
 
 
 def chain_of(cert, *steps):
@@ -472,6 +511,13 @@ ATOM_3X3 = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]
         pytest.param("verify", {"kind": "measure", "atoms": [[["1", "0"], ["0", "0"]]]}, (),
                      "bad measure JSON: missing key 'weights'", id="verify-measure-no-weights"),
         pytest.param("analyze", {}, (), "bad subspace JSON: missing key 'basis'", id="analyze-no-basis"),
+        # Fraction would compute 10**10000000 before the check of the basis
+        pytest.param("analyze", {"basis": [[["1e10000000", "0"], ["0", "1"]]]}, (),
+                     "bad subspace JSON: exponent beyond %d digits: '1e10000000'" % sys.get_int_max_str_digits(),
+                     id="analyze-huge-exponent"),
+        pytest.param("analyze", {"basis": [[["1", "0"], ["0", "-2.5E-10000000"]]]}, (),
+                     "bad subspace JSON: exponent beyond %d digits: '-2.5E-10000000'" % sys.get_int_max_str_digits(),
+                     id="analyze-huge-negative-exponent"),
         pytest.param("verify", {"kind": "triviality-certificate", "terminal": True, "subspace": ROTATION,
                                 "chain": [{"beta": {"0,1|0,1": "1"}, "cone_basis": [["1"], ["0"]]}]}, (),
                      "bad certificate JSON: a cone vector is not of length d = 2", id="verify-cone-vector-length"),

@@ -14,8 +14,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from nullag.algebra import MultiPoly, QuadraticForm, RationalMatrix, enumerate_minors
-from nullag.fixtures import kr_family
-from nullag.subspace import Subspace, minor_polys
+from nullag.certify import Obstruction, reduce_chain
+from nullag.fixtures import kr_family, sub_k0_random
+from nullag.subspace import Subspace, minor_form, minor_polys
 from poly_oracle import coefficient_vector, to_poly
 from rref_oracle import solve_reference
 
@@ -82,7 +83,7 @@ def test_forms_match_minor_polys(case):
     assert list(forms.S) == [key for key, p in polys.items() if not p.is_zero()]
     for key, p in polys.items():
         Q = QuadraticForm.from_poly(p).matrix
-        assert forms.combination({key: 1}).matrix == Q
+        assert K.combination({key: 1}).matrix == Q
 
 
 @SETTINGS
@@ -95,7 +96,7 @@ def test_combination_form_matches_poly_sum(case):
         acc = MultiPoly.zero(K.d)
         for key, b in beta.items():
             acc = acc + polys[key].scale(b)
-        assert K.minor_forms().combination(beta) == QuadraticForm.from_poly(acc)
+        assert K.combination(beta) == QuadraticForm.from_poly(acc)
 
 
 @settings(SETTINGS, max_examples=25)
@@ -125,13 +126,13 @@ def test_combination_of_solve_is_the_target(case):
     rng, K = random_pencil(*case)
     forms = K.minor_forms()
     for _ in range(3):
-        target = forms.combination(sparse_beta(rng, list(keyed_polys(K)))).matrix
+        target = K.combination(sparse_beta(rng, list(keyed_polys(K)))).matrix
         beta = forms.solve(target)
         if not forms.S:
             assert beta is None
             continue
         assert set(beta) <= set(forms.S) and all(b != 0 for b in beta.values())
-        assert forms.combination(beta).matrix == target
+        assert K.combination(beta).matrix == target
 
 
 @SETTINGS
@@ -150,8 +151,42 @@ def test_restricted_forms_are_pulled_back(case):
     keys = enumerate_minors(K.m, K.n, 2)
     for _ in range(3):
         beta = sparse_beta(rng, keys)
-        Q = K.minor_forms().combination(beta).matrix
-        assert sub.minor_forms().combination(beta).matrix == C.transpose() @ Q @ C
+        Q = K.combination(beta).matrix
+        assert sub.combination(beta).matrix == C.transpose() @ Q @ C
+
+
+def assert_forms_are_the_table(K):
+    # the form of every key, live or vanishing, is the table's entry, and
+    # a key with no entry has the empty form
+    forms = K.minor_forms()
+    for key in enumerate_minors(K.m, K.n, 2):
+        assert minor_form(K.int_grid, key) == forms.S.get(key, {}), key
+
+
+@SETTINGS
+@given(pencils)
+def test_minor_form_is_the_table_entry(case):
+    rng, K = random_pencil(*case)
+    assert_forms_are_the_table(K)
+    while True:
+        cone = [tuple(rand_rat(rng) for _ in range(K.d)) for _ in range(rng.randint(1, K.d))]
+        if RationalMatrix(cone).rank() == len(cone):
+            break
+    assert_forms_are_the_table(K.restricted(cone))
+
+
+def test_minor_form_is_the_table_entry_on_chain_pencils():
+    # the pencils a certificate chain walks: each stored cone restricted
+    steps = 0
+    for seed in range(12):
+        for d in (2, 3):
+            K = sub_k0_random(seed, d)
+            chain = reduce_chain(K)
+            assert not isinstance(chain, Obstruction)
+            for cone in chain.cones:
+                assert_forms_are_the_table(K.restricted(cone))
+                steps += 1
+    assert steps > 24
 
 
 def fraction_path_solve(forms, target):
@@ -172,12 +207,13 @@ def test_solve_matches_fraction_path():
     # forms; on seeded dense pencils, those two and a generic symmetric target
     rng = random.Random(3)
     for r in range(2, 11):
-        forms = kr_family(r).minor_forms()
+        K = kr_family(r)
+        forms = K.minor_forms()
         identity = RationalMatrix.identity(forms.d)
         assert forms.solve(identity) is None and fraction_path_solve(forms, identity) is None, r
-        target = forms.combination(sparse_beta(rng, list(forms.S))).matrix
+        target = K.combination(sparse_beta(rng, list(forms.S))).matrix
         beta = forms.solve(target)
-        assert beta == fraction_path_solve(forms, target) and forms.combination(beta).matrix == target, r
+        assert beta == fraction_path_solve(forms, target) and K.combination(beta).matrix == target, r
     for seed in range(40):
         rng = random.Random(seed)
         m, n, d = rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 6)
@@ -189,6 +225,6 @@ def test_solve_matches_fraction_path():
                 sym[i][j] = sym[j][i] = rand_rat(rng)
         targets = [RationalMatrix.identity(K.d), RationalMatrix(sym)]
         if forms.S:
-            targets.append(forms.combination(sparse_beta(rng, list(forms.S))).matrix)
+            targets.append(K.combination(sparse_beta(rng, list(forms.S))).matrix)
         for target in targets:
             assert forms.solve(target) == fraction_path_solve(forms, target), seed
