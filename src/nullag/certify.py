@@ -180,7 +180,7 @@ class Obstruction:
 
 
 class GenericityReport:
-    """Outcome of one Grassmannian chart probe."""
+    """Outcome of the genericity probe of one subspace."""
 
     __slots__ = ("lambda_value", "span_dim", "beta", "min_eigenvalue")
 
@@ -739,10 +739,14 @@ def check_certificate(obj):
     return not cone, entries
 
 
-def _same_span(c1, c2):
-    if not c1 or not c2:
-        return not c1 and not c2
-    return _vector_rank(c1) == _vector_rank(c2) == _vector_rank(list(c1) + list(c2))
+def _same_span(cone, stored):
+    """Whether ``stored`` spans ``cone``, a basis: exactly when one
+    independence pass over stored + cone picks ``len(cone)`` vectors, all
+    of them stored."""
+    if not cone or not stored:
+        return not cone and not stored
+    picked = independent_indices(list(stored) + list(cone))
+    return len(picked) == len(cone) and picked[-1] < len(stored)
 
 
 # the artifacts a report may embed, in the order they are re-checked
@@ -794,9 +798,6 @@ def check(obj):
 
 # |Lambda| at or below this counts as zero
 LAMBDA_TOL = 1e-12
-# a chart whose mn rows have |det| below this is not transversal; the scan
-# draws a chart again until it clears this floor
-DET_FLOOR = 1e-8
 # a chart that alone needs more float entries than this is refused
 CHART_ENTRIES = 1 << 24
 # a scan report keeps every sample, about 1.4 KB each: a scan of more is refused
@@ -806,10 +807,10 @@ SCAN_SAMPLES = 100_000
 def genericity_block(k, m, n):
     """Charts per kernel block of shape (k, m, n) within ``BLOCK_ENTRIES``.
 
-    A chart holds, at once, its mn x mn rows, the gathered pencil
-    coefficients, the forms tensor with its product buffer, and Pi gathered
-    and made contiguous.  A ValueError when one chart alone needs more than
-    ``CHART_ENTRIES`` float entries.
+    A chart holds, at once, its mn x mn rows (held by the scan's draw), the
+    gathered pencil coefficients, the forms tensor with its product buffer,
+    and Pi gathered and made contiguous.  A ValueError when one chart alone
+    needs more than ``CHART_ENTRIES`` float entries.
     """
     q0 = (m * (m - 1) // 2) * (n * (n - 1) // 2)
     entries = (m * n) ** 2 + 2 * q0 * (2 * k + k * k + k * (k + 1) // 2)
@@ -821,58 +822,44 @@ def genericity_block(k, m, n):
     return max(1, BLOCK_ENTRIES // entries)
 
 
-def grassmann_genericity(k, m, n, charts, A) -> list:
-    """Probe a block of chart points of the space of k-dimensional subspaces.
+def grassmann_genericity(k, m, n, bases) -> list:
+    """Probe a block of k-dimensional subspaces of m x n matrices.
 
-    ``charts[s]`` holds the mn rows of chart s: a basis of W0 (k rows) over
-    a basis of W1 (mn-k rows), transversal subspaces of R^(mn).  ``A[s]`` is
-    the (mn-k) x k matrix of the linear map whose graph over W0 picks the
-    subspace.  So a block of S charts is an (S, mn, mn) array of rows and an
-    (S, mn-k, k) array of A, given as arrays or nested lists; one chart is
-    a block of one.  The 2x2 minors restricted to a chart's subspace give
-    quadratic forms on R^k.  The S reports, in block order, carry the
-    volume Lambda = det(Pi Pi^T) of their vectorization, the span
-    dimension, and, when the span is full (|Lambda| above ``LAMBDA_TOL``),
-    the combination beta whose form is the identity by least squares, and
-    the form's least eigenvalue.
+    ``bases[s]`` holds k vectors of R^(mn), the flattened (row-major) basis
+    matrices of subspace s, so a block of S subspaces is an (S, k, mn)
+    array or nested list; one subspace is a block of one.  The 2x2 minors
+    restricted to a subspace give quadratic forms on R^k.  The S reports,
+    in block order, carry the volume Lambda = det(Pi Pi^T) of their
+    vectorization, the span dimension, and, when the span is full
+    (|Lambda| above ``LAMBDA_TOL``), the combination beta whose form is the
+    identity by least squares, and the form's least eigenvalue.
 
     The forms are one S x q0 x k x k tensor X, built from the pencil
     coefficients gathered through the flat minor index map of the numeric
-    rank-one search; column j of a chart's Pi lists the upper triangle of
-    form j, row-major (``np.triu_indices(k)`` order).  X and Pi are built
-    over the whole block, and the transversality test (|det| of the rows
-    at least ``DET_FLOOR``), det(Pi Pi^T), the span rank and the
-    eigenvalues are one stacked LAPACK call each; only
-    ``lstsq`` and ``tensordot`` run per chart, and only on charts with a
-    full span.  Every number equals the one the chart gives as a block of
-    one, bit for bit: a stacked LAPACK or BLAS call runs the same routine
-    on each matrix as a call on that matrix alone, given the same memory
-    layout (so X and Pi are C-contiguous per chart, and Pi Pi^T takes the
-    same BLAS path), and the elementwise products keep the operand order
-    of the per-chart formula.
+    rank-one search; column j of a subspace's Pi lists the upper triangle
+    of form j, row-major (``np.triu_indices(k)`` order).  X and Pi are
+    built over the whole block, and det(Pi Pi^T), the span rank and the
+    eigenvalues are one stacked LAPACK call each; only ``lstsq`` and
+    ``tensordot`` run per subspace, and only on subspaces with a full span.
+    Every number equals the one the subspace gives as a block of one, bit
+    for bit: a stacked LAPACK or BLAS call runs the same routine on each
+    matrix as a call on that matrix alone, given the same memory layout
+    (so X and Pi are C-contiguous per subspace, and Pi Pi^T takes the same
+    BLAS path), and the elementwise products keep the operand order of the
+    per-subspace formula.
 
-    A caller with many charts feeds them in blocks of
-    ``genericity_block(k, m, n)`` charts, which hold at most
-    ``BLOCK_ENTRIES`` float entries in the kernel, so memory stays bounded
-    whatever the number of charts.
+    A caller with many subspaces feeds them in blocks of
+    ``genericity_block(k, m, n)``, which hold at most ``BLOCK_ENTRIES``
+    float entries in the kernel, so memory stays bounded whatever the
+    number of subspaces.
     """
-    p = m * n
-    if k > p:
-        raise ValueError("k exceeds the matrix dimension")
-    if len(charts) == 0:
+    if len(bases) == 0:
         return []
-    rows = np.asarray(charts, dtype=float)
-    if rows.ndim != 3 or rows.shape[1:] != (p, p):
-        raise ValueError("chart bases have wrong sizes")
-    T = np.asarray(A, dtype=float)
-    if T.shape != (len(rows), p - k, k):
-        raise ValueError("chart matrix must be (mn-k) x k")
-    if (np.abs(np.linalg.det(rows)) < DET_FLOOR).any():
-        raise ValueError("chart subspaces are not transversal")
-
-    span_vecs = rows[:, :k] + T.transpose(0, 2, 1) @ rows[:, k:]  # rows: a_l + T(a_l)
+    span_vecs = np.asarray(bases, dtype=float)
+    if span_vecs.ndim != 3 or span_vecs.shape[1:] != (k, m * n):
+        raise ValueError("subspace bases must be an (S, %d, %d) block" % (k, m * n))
     # h[c][s, t]: the coefficient vector in R^k of corner c (11, 22, 12, 21)
-    # of minor t on chart s
+    # of minor t on subspace s
     corners = np.array(_minor_index_arrays(n, enumerate_minors(m, n, 2)))
     h = span_vecs[:, :, corners].transpose(2, 0, 3, 1)
     outer = lambda u, v, out=None: np.multiply(u[..., :, None], v[..., None, :], out=out, order="C")

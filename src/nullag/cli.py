@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from . import __version__, certify
+from . import __version__
 from .certify import LAMBDA_TOL, SCAN_SAMPLES, check, decide, genericity_block, grassmann_genericity
 from .conslaw import (
     AtomConstructionError,
@@ -37,7 +38,7 @@ from .conslaw import (
     push_forward_to_K1,
     support_radius,
 )
-from .fixtures import builtin, builtin_names, kr_measure, v0_chart, v0_subspace
+from .fixtures import builtin, builtin_names, kr_measure, v0_subspace
 from .subspace import Subspace
 
 EXIT_TRIVIAL = 0
@@ -147,6 +148,10 @@ def cmd_k1(args):
     }
     report = _report("k1", inputs, seed=0)
     try:
+        for option, value in (("--alpha1", args.alpha1), ("--alpha2", args.alpha2),
+                              ("--s0", args.s0), ("--t0", args.t0)):
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite, not %r" % (option, value))
         flux = FluxFunction.named(args.flux)
         eps = None if args.eps == "auto" else float(args.eps)
     except ValueError as exc:
@@ -224,25 +229,28 @@ def cmd_verify(args):
 # grassmann scan
 # ---------------------------------------------------------------------------
 
+# W0 and W1 of a chart are transversal when its rows' |det| is at least this
+DET_FLOOR = 1e-8
+
+
 def _draw_charts(k, p, seeds):
-    """The scan's charts at ``seeds``, as a kernel block.
+    """The subspaces of the scan's charts at ``seeds``, as a kernel block.
 
     Chart i is drawn from its own ``default_rng(seeds[i])``: its p x p
-    W0/W1 rows, drawn again while their |det| is below
-    ``certify.DET_FLOOR``, the floor of the kernel's transversality test,
-    then its (p - k) x k matrix A.
+    W0/W1 rows, drawn again while their |det| is below ``DET_FLOOR``, then
+    its (p - k) x k matrix A; its subspace has the basis W0 + A^T W1.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     rows = np.empty((len(rngs), p, p))
     A = np.empty((len(rngs), p - k, k))
     for rng, chart in zip(rngs, rows):
         rng.standard_normal(out=chart)
-    for i in np.flatnonzero(np.abs(np.linalg.det(rows)) < certify.DET_FLOOR):
-        while abs(np.linalg.det(rows[i])) < certify.DET_FLOOR:
+    for i in np.flatnonzero(np.abs(np.linalg.det(rows)) < DET_FLOOR):
+        while abs(np.linalg.det(rows[i])) < DET_FLOOR:
             rngs[i].standard_normal(out=rows[i])
     for rng, chart_A in zip(rngs, A):
         rng.standard_normal(out=chart_A)
-    return rows, A
+    return rows[:, :k] + A.transpose(0, 2, 1) @ rows[:, k:]
 
 
 def cmd_grassmann_scan(args):
@@ -271,13 +279,12 @@ def cmd_grassmann_scan(args):
     results = []
     for start in range(args.seed, args.seed + args.samples, block):
         seeds = range(start, min(start + block, args.seed + args.samples))
-        for seed, rep in zip(seeds, grassmann_genericity(k, m, n, *_draw_charts(k, m * n, seeds))):
+        for seed, rep in zip(seeds, grassmann_genericity(k, m, n, _draw_charts(k, m * n, seeds))):
             results.append({
                 "seed": seed,
                 "lambda": rep.lambda_value,
                 "span_dim": rep.span_dim,
-                "pd_found": bool(rep.beta is not None and rep.min_eigenvalue is not None
-                                 and rep.min_eigenvalue > 0),
+                "pd_found": rep.min_eigenvalue is not None and rep.min_eigenvalue > 0,
                 "min_eigenvalue": rep.min_eigenvalue,
             })
     nonzero = sum(1 for r in results if abs(r["lambda"]) > LAMBDA_TOL)
@@ -292,13 +299,13 @@ def cmd_grassmann_scan(args):
         "target_span_dim": k * (k + 1) // 2,
     }
     if 2 * k <= min(m, n):
-        (W0, W1), A0 = v0_chart(k, m, n)
-        [rep] = grassmann_genericity(k, m, n, [W0 + W1], [A0])
+        V0 = v0_subspace(k, m, n)
+        [rep] = grassmann_genericity(k, m, n, [V0.basis_float()])
         report["v0_probe"] = {
             "lambda": rep.lambda_value,
             "lambda_nonzero": abs(rep.lambda_value) > LAMBDA_TOL,
             "span_dim": rep.span_dim,
-            "exact_span_dim": v0_subspace(k, m, n).minor_forms().span_dim(),
+            "exact_span_dim": V0.minor_forms().span_dim(),
         }
     report["timings"]["scan"] = time.perf_counter() - t0
     report["verdicts"].append(

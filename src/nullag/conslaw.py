@@ -55,18 +55,15 @@ class FluxFunction:
 
     __slots__ = ("a", "primitive", "a_prime", "name")
 
-    def __init__(self, a, primitive, a_prime, name="custom", check=True):
+    def __init__(self, a, primitive, a_prime, name="custom"):
         self.a = a
         self.primitive = primitive
         self.a_prime = a_prime
         self.name = name
-        if check:
-            self._check_primitive()
 
-    def _check_primitive(self, quadrature=None):
-        """F(x1) - F(x0) against the quadrature of a on three intervals:
+    def _check_primitive(self, quadrature):
+        """F(x1) - F(x0) against ``quadrature`` of a on three intervals:
         ``_integral``, or the flux's own cached copy of it."""
-        quadrature = quadrature or _integral
         for x0, x1 in ((0.0, 0.7), (-0.9, 0.3), (0.2, 1.1)):
             integral = quadrature(self.a, x0, x1, self.name)
             diff = self.primitive(x1) - self.primitive(x0)
@@ -82,9 +79,7 @@ class FluxFunction:
 
     @staticmethod
     def linear():
-        return FluxFunction(
-            lambda v: v, lambda v: 0.5 * v * v, lambda v: 1.0, name="linear", check=False
-        )
+        return FluxFunction(lambda v: v, lambda v: 0.5 * v * v, lambda v: 1.0, name="linear")
 
     @staticmethod
     def from_expression(text):
@@ -111,7 +106,7 @@ class FluxFunction:
         """
         a, a_prime = _flux_functions(text)
         integral = functools.lru_cache(maxsize=None)(_integral)
-        flux = FluxFunction(a, lambda v: integral(a, 0.0, v, text), a_prime, name=text, check=False)
+        flux = FluxFunction(a, lambda v: integral(a, 0.0, v, text), a_prime, name=text)
         flux._check_primitive(integral)
         return flux
 
@@ -129,12 +124,13 @@ class FluxFunction:
         for prefix, power in (("quadratic", 2), ("cubic", 3)):
             if spec == prefix or spec.startswith(prefix + ":"):
                 c = float(spec.split(":", 1)[1]) if ":" in spec else 1.0
+                if not math.isfinite(c):
+                    raise ValueError("the %s constant must be finite, not %r" % (prefix, c))
                 return FluxFunction(
                     lambda v, c=c, p=power: v + c * _power(v, p),
                     lambda v, c=c, p=power: 0.5 * v * v + c * _power(v, p + 1) / (p + 1),
                     lambda v, c=c, p=power: 1.0 + p * c * _power(v, p - 1),
                     name=spec,
-                    check=False,
                 )
         return FluxFunction.from_expression(spec)
 

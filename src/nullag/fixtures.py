@@ -98,29 +98,6 @@ def v0_subspace(k=2, m=4, n=4) -> Subspace:
     return Subspace(basis)
 
 
-def v0_chart(k=2, m=4, n=4):
-    """A chart pair (W0, W1) and matrix A hitting the block-scalar subspace.
-
-    W0 is the subspace itself, W1 a coordinate complement, A = 0.
-    """
-    K = v0_subspace(k, m, n)
-    p = m * n
-    W0 = []
-    used = set()
-    for b in K.basis:
-        vecb = [b[i, j] for i in range(m) for j in range(n)]
-        W0.append(vecb)
-        used.add(next(t for t, x in enumerate(vecb) if x != 0))
-    W1 = []
-    for t in range(p):
-        if t not in used:
-            e = [Fraction(0)] * p
-            e[t] = Fraction(1)
-            W1.append(e)
-    A = [[Fraction(0)] * k for _ in range(p - k)]
-    return (W0, W1), A
-
-
 def rank_one_line() -> Subspace:
     return Subspace([[[1, 0], [0, 0]]])
 
@@ -182,6 +159,8 @@ def sub_k0_random(seed: int, d=3) -> Subspace:
     Subspaces of a rank-one-free space are rank-one-free, so for d <= 3
     these are guaranteed certificate cases.
     """
+    if not 1 <= d <= 4:
+        raise ValueError("d = %d is outside 1..4: Kr(r=0) is 4-dimensional" % d)
     rng = random.Random(seed)
     K4 = kr_family(0)
     while True:

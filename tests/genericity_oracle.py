@@ -6,9 +6,11 @@ one q0 x k x k tensor of forms, Pi gathered from its upper triangle, and one
 numpy call per quantity.  ``scan_samples_reference`` draws the scan's charts
 one by one, each from its own ``default_rng(seed + i)``, and turns each
 report into the sample entry of a ``grassmann-scan`` report.  The stacked
-kernel, ``certify.grassmann_genericity``, is checked against both bit for
-bit.  ``exact_span_dim`` is the exact span dimension of a rational chart's
-minor forms, the reference the float span dimension is checked against.
+kernel, ``certify.grassmann_genericity``, reads subspace bases; a test
+hands it a block of charts through ``chart_bases`` and checks it against
+both bit for bit.  ``exact_span_dim`` is the exact span dimension of a
+rational chart's minor forms, the reference the float span dimension is
+checked against.
 """
 
 import numpy as np
@@ -41,9 +43,17 @@ def _chart_subspace(m, n, W0, W1, A) -> Subspace:
     return Subspace(basis)
 
 
+def chart_bases(k, charts, A):
+    """The kernel block of the subspaces of a block of charts, each given by
+    its mn rows (W0 over W1) and its A: W0 + A^T W1 per chart, as the
+    scan's draw computes it."""
+    rows = np.asarray(charts, dtype=float)
+    return rows[:, :k] + np.asarray(A, dtype=float).transpose(0, 2, 1) @ rows[:, k:]
+
+
 def exact_span_dim(k, m, n, chart, A):
     """The rank of ``Subspace.minor_forms()`` of a chart's subspace, given
-    its mn rows (W0 over W1) and A as in ``grassmann_genericity``; None
+    its mn rows (W0 over W1) and A as in ``chart_bases``; None
     when an entry is not rational."""
     if not _chart_is_rational(chart, A):
         return None

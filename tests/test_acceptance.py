@@ -17,7 +17,7 @@ import pytest
 
 from conftest import record_acceptance
 from farkas_oracle import farkas_feasible_bruteforce, farkas_problem
-from genericity_oracle import exact_span_dim
+from genericity_oracle import chart_bases
 from identity_oracle import cofactor_identity_2x2, det_sum_expansion
 from nullag.algebra import RationalMatrix, vec_dot
 from nullag.certify import (
@@ -36,7 +36,7 @@ from nullag.conslaw import (
     push_forward_to_K1,
     solve_linear_weights,
 )
-from nullag.fixtures import builtin, builtin_names, kr_family, kr_measure, sub_k0_random, v0_chart
+from nullag.fixtures import builtin, builtin_names, kr_family, kr_measure, sub_k0_random, v0_subspace
 from nullag.measures import (
     construct_nontrivial_for_subspace,
     farkas_solve,
@@ -330,15 +330,15 @@ def test_criterion_6_grassmann_genericity():
         W0 = [list(v) for v in basis[:2]]
         W1 = [list(v) for v in basis[2:]]
         A = rng.standard_normal((14, 2))
-        [rep] = grassmann_genericity(2, 4, 4, [W0 + W1], [A])
+        [rep] = grassmann_genericity(2, 4, 4, chart_bases(2, [W0 + W1], [A]))
         if abs(rep.lambda_value) > 1e-12 and rep.beta is not None and rep.min_eigenvalue > 0:
             good += 1
     fraction = good / total
-    chart, A0 = v0_chart(2, 4, 4)
-    [rep0] = grassmann_genericity(2, 4, 4, [chart[0] + chart[1]], [A0])
+    V0 = v0_subspace(2, 4, 4)
+    [rep0] = grassmann_genericity(2, 4, 4, [V0.basis_float()])
     elapsed = time.monotonic() - t0
     assert fraction == 1.0, "fraction %.3f != 1.000" % fraction
-    assert exact_span_dim(2, 4, 4, chart[0] + chart[1], A0) == 3
+    assert V0.minor_forms().span_dim() == 3
     assert elapsed < 120.0, "took %.1fs" % elapsed
     record_acceptance(
         "ACCEPTANCE 6: PASS - 1000/1000 random charts generic, block-scalar chart has exact span 3, %.1fs" % elapsed

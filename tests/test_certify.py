@@ -20,6 +20,7 @@ from nullag.certify import (
     TrivialityCertificate,
     _certificate_target,
     _identity_combination,
+    _same_span,
     check_certificate,
     find_certificate_d_le_3,
     grassmann_genericity,
@@ -32,12 +33,11 @@ from nullag.fixtures import (
     quaternion_pencil,
     rotation_pencil,
     sub_k0_random,
-    v0_chart,
     v0_subspace,
 )
 from nullag.subspace import MinorForms, Subspace, minor_polys
 from bench_inputs import certify_corpus_subspaces
-from genericity_oracle import exact_span_dim, genericity_reference
+from genericity_oracle import chart_bases, exact_span_dim, genericity_reference
 from pencil_ops import apply_ops, random_pencil_ops
 from poly_oracle import form_value
 from rank_one_oracle import find_rank_one_exact
@@ -224,6 +224,48 @@ def test_check_certificate_builds_no_form_table(monkeypatch):
         assert check_certificate(obj) == want
 
 
+def _same_span_by_ranks(cone, stored):
+    """Equal spans as three ranks: the cone's, the stored cone's and their
+    union's."""
+    if not cone or not stored:
+        return not cone and not stored
+    rank = lambda vectors: len(independent_indices(vectors))
+    return rank(cone) == rank(stored) == rank(list(cone) + list(stored))
+
+
+def test_same_span_matches_three_ranks():
+    # the walk's cone is a basis; the stored cone, as a certificate's JSON
+    # may give it, is the cone recombined with redundant vectors, rescaled,
+    # short of a vector, with a zero vector, another space or empty
+    rng = random.Random(742)
+    small = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    combine = lambda vectors: [sum((small() * v[t] for v in vectors), Fraction(0)) for t in range(d)]
+    seen = Counter()
+    for case in range(600):
+        d = rng.randint(1, 5)
+        cone = [[small() for _ in range(d)] for _ in range(rng.randint(0, d))]
+        cone = [cone[i] for i in independent_indices(cone)]
+        kind = ("redundant", "rescaled", "dependent", "zero", "other", "empty")[case % 6]
+        if kind == "redundant":
+            stored = [combine(cone) for _ in range(len(cone) + rng.randint(0, 2))] + cone[: rng.randint(0, 1)]
+        elif kind == "rescaled":
+            stored = [[rng.choice((-2, Fraction(1, 3), 5)) * x for x in v] for v in cone]
+        elif kind == "dependent":
+            stored = [combine(cone[1:]) for _ in range(len(cone))] if len(cone) > 1 else [[0] * d]
+        elif kind == "zero":
+            stored = cone + [[0] * d]
+            rng.shuffle(stored)
+        elif kind == "other":
+            stored = [[small() for _ in range(d)] for _ in range(rng.randint(1, d))]
+        else:
+            stored = []
+        want = _same_span_by_ranks(cone, stored)
+        assert _same_span(cone, stored) == want, (case, cone, stored)
+        seen[kind, want] += 1
+    assert {("redundant", True), ("rescaled", True), ("dependent", False), ("zero", True),
+            ("other", True), ("other", False), ("empty", True), ("empty", False)} <= set(seen)
+
+
 def test_chain_json_roundtrip():
     K = v0_subspace(2, 4, 4)
     cert = reduce_chain(K)
@@ -392,9 +434,9 @@ def test_chain_agrees_with_exact_rank_one_oracle():
 # ---------------------------------------------------------------------------
 
 def test_grassmann_v0_chart():
-    chart, A = v0_chart(2, 4, 4)
-    [rep] = grassmann_genericity(2, 4, 4, [chart[0] + chart[1]], [A])
-    assert exact_span_dim(2, 4, 4, chart[0] + chart[1], A) == 3  # k(k+1)/2
+    V0 = v0_subspace(2, 4, 4)
+    [rep] = grassmann_genericity(2, 4, 4, [V0.basis_float()])
+    assert V0.minor_forms().span_dim() == 3  # k(k+1)/2
     assert rep.span_dim == 3
     assert abs(rep.lambda_value) > 1e-12
     assert rep.beta is not None and rep.min_eigenvalue > 0
@@ -417,7 +459,7 @@ def test_grassmann_degenerate_dyad_chart():
             v[t] = Fraction(1)
             W1.append(v)
     A = [[0, 0]] * (p - 2)
-    [rep] = grassmann_genericity(2, 4, 4, [[e11, e12] + W1], [A])
+    [rep] = grassmann_genericity(2, 4, 4, chart_bases(2, [[e11, e12] + W1], [A]))
     assert rep.span_dim < 3
     assert abs(rep.lambda_value) <= 1e-12
     assert exact_span_dim(2, 4, 4, [e11, e12] + W1, A) == 0
@@ -470,7 +512,7 @@ def test_grassmann_exact_span_matches_float_on_rational_charts():
         if family == "one-row" and n < k:
             family = "dense"
         W0, W1, A = _rational_chart(rng, k, m, n, family)
-        [rep] = grassmann_genericity(k, m, n, [W0 + W1], [A])
+        [rep] = grassmann_genericity(k, m, n, chart_bases(k, [W0 + W1], [A]))
         exact = exact_span_dim(k, m, n, W0 + W1, A)
         assert exact == rep.span_dim, (case, k, m, n, family)
         if family == "one-row":
@@ -490,7 +532,7 @@ def test_grassmann_random_scan():
         W0 = [list(v) for v in basis[:2]]
         W1 = [list(v) for v in basis[2:]]
         A = rng.standard_normal((14, 2))
-        [rep] = grassmann_genericity(2, 4, 4, [W0 + W1], [A])
+        [rep] = grassmann_genericity(2, 4, 4, chart_bases(2, [W0 + W1], [A]))
         if abs(rep.lambda_value) > 1e-12 and rep.beta is not None and rep.min_eigenvalue > 0:
             hits += 1
             assert abs(rep.min_eigenvalue - 1) < 1e-6
@@ -508,9 +550,13 @@ def test_grassmann_random_scan():
 
 
 def test_grassmann_rejects_bad_chart():
-    chart, A = v0_chart(2, 4, 4)
-    with pytest.raises(ValueError):
-        grassmann_genericity(2, 4, 4, [chart[0] + chart[0]], [[[0, 0]] * 2])
+    # a block of 2-dimensional subspaces of 4 x 4 matrices is (S, 2, 16)
+    basis = v0_subspace(2, 4, 4).basis_float()
+    for bad in (basis, [basis[:1]], [np.vstack([basis, basis[:1]])], [basis[:, :15]],
+                [basis.reshape(2, 4, 4)], [list(basis[0]), list(basis[1][:15])]):
+        with pytest.raises(ValueError):
+            grassmann_genericity(2, 4, 4, bad)
+    assert grassmann_genericity(2, 4, 4, np.empty((0, 2, 16))) == []
 
 
 def _same_report(a, b):
@@ -533,7 +579,7 @@ def test_grassmann_block_matches_per_chart_oracle():
                 p = m * n
                 rows = rng.standard_normal((5, p, p))
                 A = rng.standard_normal((5, p - k, k))
-                reports = grassmann_genericity(k, m, n, rows, A)
+                reports = grassmann_genericity(k, m, n, chart_bases(k, rows, A))
                 assert len(reports) == 5
                 for chart, chart_A, rep in zip(rows, A, reports):
                     ref = genericity_reference(k, m, n, (chart[:k], chart[k:]), chart_A)
@@ -548,13 +594,16 @@ def test_grassmann_block_mixes_rational_charts():
     # the block-scalar chart (span 3) and the dyad chart (span 0) in one
     # block, with a float chart between them: the exact span dimension
     # exists on the rational charts only
-    (W0, W1), A = v0_chart(2, 4, 4)
     e = lambda t: [Fraction(int(s == t)) for s in range(16)]
+    # the block-scalar chart: V0's basis over the coordinate vectors off its
+    # basis matrices' first non-zero entries, 0 and 10, and A = 0
+    v0 = [[b[i, j] for i in range(4) for j in range(4)] for b in v0_subspace(2, 4, 4).basis]
+    v0 += [e(t) for t in range(16) if t not in (0, 10)]
     dyad = [e(t) for t in range(16)]
     floats = np.random.default_rng(5).standard_normal((16, 16))
-    charts = [W0 + W1, list(floats), dyad]
-    As = [A, np.ones((14, 2)), [[0, 0]] * 14]
-    reports = grassmann_genericity(2, 4, 4, charts, As)
+    charts = [v0, list(floats), dyad]
+    As = [[[0, 0]] * 14, np.ones((14, 2)), [[0, 0]] * 14]
+    reports = grassmann_genericity(2, 4, 4, chart_bases(2, charts, As))
     assert [exact_span_dim(2, 4, 4, chart, chart_A) for chart, chart_A in zip(charts, As)] == [3, None, 0]
     for chart, chart_A, rep in zip(charts, As, reports):
         assert _same_report(rep, genericity_reference(2, 4, 4, (chart[:2], chart[2:]), chart_A))
@@ -567,11 +616,6 @@ def test_grassmann_block_rejects_non_transversal_chart():
     A = rng.standard_normal((3, 14, 2))
     with pytest.raises(ValueError, match="transversal"):
         genericity_reference(2, 4, 4, (rows[1, :2], rows[1, 2:]), A[1])
-    with pytest.raises(ValueError, match="transversal"):
-        grassmann_genericity(2, 4, 4, rows[1:2], A[1:2])
-    with pytest.raises(ValueError, match="transversal"):
-        grassmann_genericity(2, 4, 4, rows, A)
-    assert grassmann_genericity(2, 4, 4, rows[:0], A[:0]) == []
 
 
 def test_solve_beta_consistency():

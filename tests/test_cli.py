@@ -498,6 +498,16 @@ ATOM_3X3 = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]
         # grassmann-scan reads no file: the payload is its positional arguments
         pytest.param("grassmann-scan", ("2", "4", "4"), ("--samples", "3", "--seed", "-5"), None,
                      id="grassmann-scan-seed-negative"),
+        # so does k1; a non-finite number is refused before any construction,
+        # which at a nan slope would halve the offsets 30 times to no end
+        pytest.param("k1", (), ("--alpha2", "nan"), "--alpha2 must be finite, not nan", id="k1-alpha2-nan"),
+        pytest.param("k1", (), ("--alpha1", "inf"), "--alpha1 must be finite, not inf", id="k1-alpha1-inf"),
+        pytest.param("k1", (), ("--s0", "nan"), "--s0 must be finite, not nan", id="k1-s0-nan"),
+        pytest.param("k1", (), ("--t0=-inf",), "--t0 must be finite, not -inf", id="k1-t0-minus-inf"),
+        pytest.param("k1", (), ("--flux", "quadratic:nan"), "the quadratic constant must be finite, not nan",
+                     id="k1-quadratic-nan"),
+        pytest.param("k1", (), ("--flux", "cubic:-inf"), "the cubic constant must be finite, not -inf",
+                     id="k1-cubic-minus-inf"),
         # a missing key is named as such, not by the repr of a KeyError
         pytest.param("verify", {"kind": "triviality-certificate", "terminal": True}, (),
                      "bad certificate JSON: missing key 'chain'", id="verify-certificate-no-chain"),
@@ -533,7 +543,7 @@ ATOM_3X3 = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]
     ],
 )
 def test_malformed_input_exits_schema(tmp_path, capsys, command, payload, extra, error):
-    if command == "grassmann-scan":
+    if command in ("grassmann-scan", "k1"):
         code, report = run_cli(capsys, command, *payload, *extra)
     else:
         if payload in ("Kr(r=0)", "Kr(r=2)"):
@@ -756,10 +766,24 @@ def test_grassmann_scan_default_blocks_match_oracle(capsys, k, m, n):
 def test_grassmann_scan_redraws_like_the_oracle(capsys, monkeypatch):
     # a determinant floor that many 4 x 4 Gaussian draws miss: the redrawn
     # charts come from the same generator state as the oracle's
-    monkeypatch.setattr(nullag.certify, "DET_FLOOR", 0.5)
+    monkeypatch.setattr(nullag.cli, "DET_FLOOR", 0.5)
     expected = scan_samples_reference(1, 2, 2, 30, 3, det_floor=0.5)
     assert scan_samples(capsys, 1, 2, 2, 30, 3) == json.dumps(expected, sort_keys=True)
     assert expected != scan_samples_reference(1, 2, 2, 30, 3)
+
+
+def test_grassmann_scan_v0_probe(capsys):
+    # the block-scalar pencil V0 fits a shape when 2k <= min(m, n), and its
+    # k(k+1)/2 minor forms then span, float and exact, with Lambda = 1
+    for k, m, n in SCAN_SHAPES:
+        code, report = run_cli(capsys, "grassmann-scan", str(k), str(m), str(n), "--samples", "0")
+        assert code == 0
+        if 2 * k > min(m, n):
+            assert "v0_probe" not in report, (k, m, n)
+            continue
+        D = k * (k + 1) // 2
+        assert report["v0_probe"] == {"lambda": 1.0, "lambda_nonzero": True, "span_dim": D,
+                                      "exact_span_dim": D}, (k, m, n)
 
 
 def test_grassmann_scan_oversized_shape_exits_precondition(capsys, monkeypatch):
@@ -880,6 +904,21 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("d", [0, -1, 5, 9])
+def test_fixture_sub_k0_random_outside_its_dimensions_exits_schema(d):
+    # no d >= 5 vectors of R^4 are independent, and d <= 0 always fails: a
+    # draw that retries would never end, so the command runs in a child with
+    # a timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "nullag.cli", "fixtures", "dump", "sub-k0-random(seed=1,d=%d)" % d],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "d = %d is outside 1..4: Kr(r=0) is 4-dimensional" % d
 
 
 def test_closed_stdout_keeps_the_report_and_the_exit_code(tmp_path):

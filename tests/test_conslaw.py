@@ -68,7 +68,7 @@ def test_flux_expression_parser():
 
 def test_flux_primitive_consistency_enforced():
     with pytest.raises(ValueError):
-        FluxFunction(lambda v: v, lambda v: v, lambda v: 1.0, check=True)
+        FluxFunction(lambda v: v, lambda v: v, lambda v: 1.0)._check_primitive(_integral)
 
 
 # numbers as the flux grammar reads them: leading zeros, "2." and ".5"
@@ -571,7 +571,7 @@ def test_negative_branch_falls_back_to_the_scalar_loop():
     # a(v) = -sin v by math.sin, which takes no array: the scalar loop runs,
     # to the same bits
     flux = FluxFunction(lambda v: -math.sin(v), lambda v: math.cos(v) - 1.0,
-                        lambda v: -math.cos(v), name="-sin", check=False)
+                        lambda v: -math.cos(v), name="-sin")
     report = negative_branch_evidence(flux, (0.0, 0.2))
     assert report == negative_branch_evidence_reference(flux, (0.0, 0.2))
     # a flux undefined beyond v = 2 (an invalid power on the array) and one
