@@ -14,11 +14,12 @@ entry stays a minor of the cleared matrix (Bareiss 1968).  ``rref_rows``
 the gcd of its entries instead: under Bareiss a Gauss-Jordan row grows to
 the size of a minor.
 
-No command builds a polynomial: the library handles the minors as
-integer quadratic forms (``subspace.MinorForms``) and Laplace tables
-(``minor_table``).  ``MultiPoly`` stays only as the reference behind
-``subspace.minor_polys`` and ``QuadraticForm.from_poly``, which the
-benchmark's tracer names; the tests compare the forms against it.
+No command builds a polynomial or a ``QuadraticForm``: the library
+handles the minors as integer quadratic forms (``Subspace.minor_forms``)
+and Laplace tables (``minor_table``).  ``MultiPoly`` stays only as the
+reference behind ``subspace.minor_polys`` and ``QuadraticForm.from_poly``,
+which the benchmark's tracer names, and ``QuadraticForm`` only as the type
+``from_poly`` returns; the tests compare the forms against them.
 
 All objects are treated as immutable after construction.
 """
@@ -670,12 +671,6 @@ class QuadraticForm:
                 m[i][j] = c / 2
                 m[j][i] = c / 2
         return QuadraticForm(RationalMatrix(m))
-
-    def __add__(self, other):
-        return QuadraticForm(self.matrix + other.matrix)
-
-    def is_zero(self):
-        return self.matrix.is_zero()
 
     def __eq__(self, other):
         return isinstance(other, QuadraticForm) and self.matrix == other.matrix

@@ -27,7 +27,7 @@ basis C is decided and verified on the one pencil ``K.restricted(C)``,
 whose minor forms are exactly C^T Q_k C, and its kernel and any witness
 are lifted through C.  A cone of dimension d >= 4, and the symmetric
 3x3 shape where the reduction ends without either outcome, take one
-exact step instead: ``MinorForms.solve`` on the identity matrix.  A beta
+exact step instead: ``Subspace.solve`` on the identity matrix.  A beta
 found there is a positive definite step that ends the chain; no beta
 means the identity form lies outside the minor span, and the cone is an
 obstruction without a witness.  No floating point enters a chain step.
@@ -39,14 +39,14 @@ columns c1 < c2, keyed ((r1, r2), (c1, c2)), is z^T Q_k z with
 Q_k = S_k / (2 L^2) and S_k its integer symmetric ``minor_form``; only
 the minors with S_k != 0 have a form.  ``Subspace.combination`` builds
 the forms of a beta's keys and sums sum_k beta_k Q_k in integers,
-dividing once; ``Subspace.minor_forms`` holds the table of every live
-form, which ``MinorForms.solve`` reads.  The d <= 3 reduction builds its
-targets, a square (v.z)^2 with the outer-product builder of S_k or the
-2x2 pencil determinant as a ``minor_form``, and halves once, so each
-target is an exact symmetric matrix that ``MinorForms.solve`` pulls back
-to a beta.  In a certificate's JSON, beta is an object of its non-zero
-coefficients keyed "r1,r2|c1,c2" (0-based), so no artifact depends on the
-order in which minors are enumerated.
+dividing once by ``subspace.form_matrix``; ``Subspace.minor_forms`` holds
+the table of every live form, which ``Subspace.solve`` reads.  The d <= 3
+reduction builds each target as the ``minor_form`` of a small grid, the
+2x2 pencil determinant or a square (v.z)^2 = det diag(v.z, v.z), halved
+by ``form_matrix`` into an exact symmetric matrix that ``Subspace.solve``
+pulls back to a beta.  In a certificate's JSON, beta is an object of its
+non-zero coefficients keyed "r1,r2|c1,c2" (0-based), so no artifact
+depends on the order in which minors are enumerated.
 
 Deciding a pencil.  ``decide`` runs the stages in this order and stops at
 the first that decides.  The exact chain decides first.  For d <= 2 it is
@@ -62,6 +62,7 @@ of ``measures.check_measure``.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from fractions import Fraction
@@ -87,7 +88,7 @@ from .measures import (
     is_null_lagrangian,
     two_atom_measure,
 )
-from .subspace import Subspace, _add_sym_outer, _minor_index_arrays, _rational_sqrt, find_rank_one, minor_form
+from .subspace import Subspace, _minor_index_arrays, find_rank_one, form_matrix, minor_form
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +240,10 @@ def _sparse(v):
     return [(l, x) for l, x in enumerate(v) if x != 0]
 
 
-def _half_matrix(d, acc):
-    """The symmetric d x d matrix whose upper triangle is acc / 2."""
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for (i, j), s in acc.items():
-        m[i][j] = m[j][i] = s / 2
-    return RationalMatrix(m)
-
-
 def _square_of(v):
-    """The matrix of the form (v.z)^2."""
-    acc = {}
-    _add_sym_outer(acc, _sparse(v), _sparse(v), 1)
-    return _half_matrix(len(v), acc)
+    """The matrix of the form (v.z)^2 = det diag(v.z, v.z)."""
+    u = _sparse(v)
+    return form_matrix(len(v), minor_form([[u, []], [[], u]], ((0, 1), (0, 1))))
 
 
 def _annihilator(vectors, d):
@@ -333,7 +325,19 @@ def _case_min_two(E, d):
         )
     # d == 2: the pencil determinant, the 2x2 minor, decides everything
     grid = [[_sparse(v) for v in row] for row in E[:2]]
-    return _decide_binary_form(_half_matrix(d, minor_form(grid, ((0, 1), (0, 1)))))
+    return _decide_binary_form(form_matrix(d, minor_form(grid, ((0, 1), (0, 1)))))
+
+
+def _rational_sqrt(x: Fraction):
+    if x < 0:
+        return None
+    if x == 0:
+        return Fraction(0)
+    num = math.isqrt(x.numerator)
+    den = math.isqrt(x.denominator)
+    if num * num == x.numerator and den * den == x.denominator:
+        return Fraction(num, den)
+    return None
 
 
 def _decide_binary_form(H: RationalMatrix):
@@ -503,7 +507,7 @@ def find_certificate_d_le_3(K: Subspace) -> CertificateOutcome:
         return CertificateOutcome(rank_one_witness=witness, note=note)
     if kind == "symmetric":
         return _identity_combination(K, rest[1])
-    beta = K.minor_forms().solve(rest[0])
+    beta = K.solve(rest[0])
     if beta is None:
         raise RuntimeError("target form left the minor span; reduction is broken")
     return CertificateOutcome(combination=beta)
@@ -516,7 +520,7 @@ def _identity_combination(K: Subspace, note="") -> CertificateOutcome:
     whose kernel is the origin.  Otherwise the outcome carries no witness,
     and its note, after the caller's ``note``, says why.
     """
-    beta = K.minor_forms().solve(RationalMatrix.identity(K.d))
+    beta = K.solve(RationalMatrix.identity(K.d))
     if beta is not None:
         return CertificateOutcome(combination=beta)
     outside = "identity form is outside the span of the minor forms"
@@ -559,10 +563,10 @@ def verify_combination(K: Subspace, beta) -> VerifyReport:
     form = K.combination(beta)
     if form.is_zero():
         return VerifyReport("trivial")
-    rep = psd_analyze(form.matrix)
+    rep = psd_analyze(form)
     if rep.is_psd:
         return VerifyReport("psd-nontrivial", kernel=rep.kernel)
-    neg_rep = psd_analyze(form.matrix.scale(-1))
+    neg_rep = psd_analyze(-form)
     if neg_rep.is_psd:
         return VerifyReport("nsd-nontrivial", neg_witness=rep.neg_witness)
     return VerifyReport("indefinite", neg_witness=rep.neg_witness, pos_witness=neg_rep.neg_witness)

@@ -152,8 +152,12 @@ def cmd_k1(args):
                               ("--s0", args.s0), ("--t0", args.t0)):
             if not math.isfinite(value):
                 raise ValueError("%s must be finite, not %r" % (option, value))
+            if option in ("--s0", "--t0") and value <= 0:
+                raise ValueError("%s must be positive, not %r" % (option, value))
         flux = FluxFunction.named(args.flux)
         eps = None if args.eps == "auto" else float(args.eps)
+        if eps is not None and not 0 < eps < 1:
+            raise ValueError('--eps must be "auto" or a number in (0, 1), not %s' % args.eps)
     except ValueError as exc:
         report["error"] = str(exc)
         _emit(report, args.json_out)
@@ -305,7 +309,7 @@ def cmd_grassmann_scan(args):
             "lambda": rep.lambda_value,
             "lambda_nonzero": abs(rep.lambda_value) > LAMBDA_TOL,
             "span_dim": rep.span_dim,
-            "exact_span_dim": V0.minor_forms().span_dim(),
+            "exact_span_dim": V0.span_dim(),
         }
     report["timings"]["scan"] = time.perf_counter() - t0
     report["verdicts"].append(

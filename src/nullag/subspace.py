@@ -15,7 +15,6 @@ import numpy as np
 
 from .algebra import (
     MultiPoly,
-    QuadraticForm,
     RationalMatrix,
     _integer_row,
     bad_json,
@@ -33,7 +32,7 @@ class Subspace:
     """Basis presentation of a subspace of m x n matrices, cleared of
     denominators once: ``L`` is the lcm of those of the basis entries, and
     ``int_grid[i][j]`` the pairs (l, L B_l[i][j]) of the non-zero entries,
-    which ``evaluate``, ``combination``, ``MinorForms`` and
+    which ``evaluate``, ``combination``, ``minor_forms`` and
     ``subspace_value_fn`` read."""
 
     __slots__ = ("m", "n", "d", "basis", "L", "int_grid", "_minor_forms")
@@ -86,13 +85,35 @@ class Subspace:
         return [[self.entry_vector(i, j) for j in range(self.n)] for i in range(self.m)]
 
     def minor_forms(self):
-        """The exact 2x2 minor forms of the pencil, built on first use."""
+        """The exact forms of the order-2 minors, built on first use: the
+        dict mapping the key ((r1, r2), (c1, c2)) of each minor that does
+        not vanish on K, in ``enumerate_minors`` order, to S, its
+        ``minor_form`` on ``int_grid``; the minor is z^T Q z with
+        Q = S / (2 L^2).  Only the keys whose two rows have non-zero entries
+        in two different columns are built."""
         if self._minor_forms is None:
-            object.__setattr__(self, "_minor_forms", MinorForms(self))
+            grid = self.int_grid
+            support = [[j for j, a in enumerate(row) if a] for row in grid]
+            forms = {}
+            for rows in itertools.combinations(range(self.m), 2):
+                live = {(c1, c2) if c1 < c2 else (c2, c1)
+                        for c1 in support[rows[0]] for c2 in support[rows[1]] if c1 != c2}
+                for cols in sorted(live):
+                    upper = minor_form(grid, (rows, cols))
+                    if upper:
+                        forms[rows, cols] = upper
+            object.__setattr__(self, "_minor_forms", forms)
         return self._minor_forms
 
-    def combination(self, beta) -> QuadraticForm:
-        """The form of sum_k beta_k M_k, for beta a dict {key: coefficient}.
+    def span_dim(self):
+        """Dimension of the span of the minor forms, by exact rank."""
+        forms = self.minor_forms().values()
+        positions = sorted({key for upper in forms for key in upper})
+        return len(independent_indices([[upper.get(key, 0) for key in positions]
+                                        for upper in forms]))
+
+    def combination(self, beta) -> RationalMatrix:
+        """The matrix of the form sum_k beta_k M_k, beta a dict {key: coefficient}.
 
         Each key, inside the pencil's shape, has its ``minor_form`` built
         from ``int_grid``; no table of the pencil's forms is read.  beta is
@@ -105,12 +126,33 @@ class Subspace:
             c = b.numerator * (D // b.denominator)
             for pos, s in minor_form(self.int_grid, key).items():
                 acc[pos] = acc.get(pos, 0) + c * s
-        den = 2 * self.L * self.L * D
-        m = [[Fraction(0)] * self.d for _ in range(self.d)]
-        for (i, j), s in acc.items():
-            if s != 0:
-                m[i][j] = m[j][i] = Fraction(s, den)
-        return QuadraticForm(RationalMatrix(m))
+        return form_matrix(self.d, acc, self.L * self.L * D)
+
+    def solve(self, target: RationalMatrix):
+        """One exact beta with ``combination(beta) == target``, or None.
+
+        The system has one equation per upper-triangle position where some
+        S_k or the target is non-zero, in integers: sum_k y_k S_k = 2 L^2 T
+        target, T the lcm of the target's denominators.  beta = y / T is
+        the rref basic solution (free coefficients zero) of
+        ``algebra.solve_rows``, returned as the dict of its non-zero
+        coefficients.  With no form there is no solution to report.
+        """
+        forms = self.minor_forms()
+        if not forms:
+            return None
+        d = self.d
+        positions = {key for upper in forms.values() for key in upper}
+        positions |= {(i, j) for i in range(d) for j in range(i, d) if target[i, j] != 0}
+        positions = sorted(positions)
+        T = math.lcm(*(target[key].denominator for key in positions))
+        den = 2 * self.L * self.L * T
+        x = solve_rows([[upper.get(key, 0) for upper in forms.values()]
+                        + [target[key].numerator * (den // target[key].denominator)]
+                        for key in positions], T)
+        if x is None:
+            return None
+        return {key: b for key, b in zip(forms, x) if b != 0}
 
     def evaluate(self, z):
         """P(z) = sum_l z_l B_l, exactly: with (L_z, q) the point cleared of
@@ -188,7 +230,7 @@ def minor_polys(K: Subspace, order=2):
     """Minor polynomials M_k(P(z)) in the fixed enumeration order.
 
     No command calls this: it is the reference that the tests check
-    ``MinorForms`` against, and the benchmark's tracer names it."""
+    ``Subspace.minor_forms`` against, and the benchmark's tracer names it."""
     pencil = parametrize(K)
     out = []
     for rows, cols in enumerate_minors(K.m, K.n, order):
@@ -221,71 +263,14 @@ def minor_form(grid, key):
     return {pos: s for pos, s in acc.items() if s != 0}
 
 
-class MinorForms:
-    """The table of the quadratic forms of the order-2 minors of a pencil,
-    exactly, which ``solve`` and the rank-one sweep read.
-
-    With L and the integer entry vectors A_ij = L a_ij of ``Subspace``
-    (``K.L`` and ``K.int_grid``), the minor keyed ((r1, r2), (c1, c2)) is
-    M(P(z)) = z^T Q z with Q = S / (2 L^2) and S its ``minor_form``.
-    ``S`` maps the key of each minor with S != 0, in ``enumerate_minors``
-    order, to its form; a minor with no key vanishes on K.  Only the keys
-    whose two rows have non-zero entries in two different columns are
-    built.  A
-    combination is its beta, a dict {key: coefficient}: ``solve`` pulls an
-    exact symmetric target matrix back to a beta, and
-    ``Subspace.combination`` builds a beta's form from the pencil's
-    entries, at the cost of its keys, with no table.
-    """
-
-    __slots__ = ("d", "L", "S")
-
-    def __init__(self, K: Subspace):
-        grid = K.int_grid
-        support = [[j for j, a in enumerate(row) if a] for row in grid]
-        S = {}
-        for rows in itertools.combinations(range(K.m), 2):
-            live = {(c1, c2) if c1 < c2 else (c2, c1)
-                    for c1 in support[rows[0]] for c2 in support[rows[1]] if c1 != c2}
-            for cols in sorted(live):
-                upper = minor_form(grid, (rows, cols))
-                if upper:
-                    S[rows, cols] = upper
-        self.d = K.d
-        self.L = K.L
-        self.S = S
-
-    def span_dim(self):
-        """Dimension of the span of the forms, by exact rank."""
-        positions = sorted({key for upper in self.S.values() for key in upper})
-        return len(independent_indices([[upper.get(key, 0) for key in positions]
-                                        for upper in self.S.values()]))
-
-    def solve(self, target: RationalMatrix):
-        """One exact beta with sum_k beta_k Q_k == target, or None.
-
-        The system has one equation per upper-triangle position where some
-        S_k or the target is non-zero, in integers: sum_k y_k S_k = 2 L^2 T
-        target, T the lcm of the target's denominators.  beta = y / T is
-        the rref basic solution (free coefficients zero) of
-        ``algebra.solve_rows``, returned as the dict of its non-zero
-        coefficients.  With no form there is no solution to report.
-        """
-        if not self.S:
-            return None
-        d = self.d
-        forms = self.S.values()
-        positions = {key for upper in forms for key in upper}
-        positions |= {(i, j) for i in range(d) for j in range(i, d) if target[i, j] != 0}
-        positions = sorted(positions)
-        T = math.lcm(*(target[key].denominator for key in positions))
-        den = 2 * self.L * self.L * T
-        x = solve_rows([[upper.get(key, 0) for upper in forms]
-                        + [target[key].numerator * (den // target[key].denominator)]
-                        for key in positions], T)
-        if x is None:
-            return None
-        return {key: b for key, b in zip(self.S, x) if b != 0}
+def form_matrix(d, S, scale=1):
+    """The symmetric d x d matrix S / (2 scale), S given by its upper
+    triangle {(i, j): s} as a ``minor_form`` gives it."""
+    m = [[Fraction(0)] * d for _ in range(d)]
+    den = 2 * scale
+    for (i, j), s in S.items():
+        m[i][j] = m[j][i] = Fraction(s, den)
+    return RationalMatrix(m)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +289,7 @@ class RankOneResult:
                        was found but the smallest residual is at most
                        ``_ABSENT_TOL``.
     ``minors``         number of order-2 minors searched: the live ones,
-                       the keys of ``Subspace.minor_forms().S``.
+                       the keys of ``Subspace.minor_forms()``.
     ``gauss_newton_steps`` Gauss-Newton iterations summed over the refined
                        candidates.
     """
@@ -325,18 +310,6 @@ class RankOneResult:
     def __repr__(self):
         return "RankOneResult(found=%r, witness=%r, residual=%r, mode=%r)" % (
             self.found, self.witness, self.residual, self.mode)
-
-
-def _rational_sqrt(x: Fraction):
-    if x < 0:
-        return None
-    if x == 0:
-        return Fraction(0)
-    num = math.isqrt(x.numerator)
-    den = math.isqrt(x.denominator)
-    if num * num == x.numerator and den * den == x.denominator:
-        return Fraction(num, den)
-    return None
 
 
 # -- numeric search ---------------------------------------------------------
@@ -376,7 +349,7 @@ def _score_factor(K: Subspace, B):
     """(R, G) with sqrt(sum_k M_k(P(z))^2) = ||R w(z)|| and ||P(z)||_F^2 = z^T G z.
 
     w(z) = (z_i z_j), i <= j in ``np.triu_indices`` order, has D = d(d+1)/2
-    entries.  Each live exact form of ``K.minor_forms().S`` is one row of F,
+    entries.  Each live exact form of ``K.minor_forms()`` is one row of F,
     its coefficient of z_i z_j: s_ii / (2 L^2) on the diagonal and
     2 s_ij / (2 L^2) off it, so M_k(P(z)) = (F w(z))_k and the sum of the
     squared minors is ||F w||^2 = ||R w||^2 for R the triangular factor of F
@@ -384,7 +357,7 @@ def _score_factor(K: Subspace, B):
     """
     d = K.d
     col = {key: c for c, key in enumerate((i, j) for i in range(d) for j in range(i, d))}
-    forms = K.minor_forms().S
+    forms = K.minor_forms()
     F = np.zeros((len(forms), len(col)))
     den = 2 * K.L * K.L
     for row, upper in zip(F, forms.values()):
@@ -528,7 +501,7 @@ def find_rank_one(K: Subspace, density=20000, seed=0) -> RankOneResult:
     single minors, which the factor sums away.
     """
     B = K.basis_float()
-    idx = _minor_index_arrays(K.n, K.minor_forms().S)
+    idx = _minor_index_arrays(K.n, K.minor_forms())
     R, G = _score_factor(K, B)
     block = max(1, 4_000_000 // minor_count(K.m, K.n, 2))
     samples = _sphere_samples(K.d, int(density), seed)

@@ -52,12 +52,12 @@ def chart_bases(k, charts, A):
 
 
 def exact_span_dim(k, m, n, chart, A):
-    """The rank of ``Subspace.minor_forms()`` of a chart's subspace, given
-    its mn rows (W0 over W1) and A as in ``chart_bases``; None
-    when an entry is not rational."""
+    """``Subspace.span_dim`` of a chart's subspace, given its mn rows (W0
+    over W1) and A as in ``chart_bases``; None when an entry is not
+    rational."""
     if not _chart_is_rational(chart, A):
         return None
-    return _chart_subspace(m, n, chart[:k], chart[k:], A).minor_forms().span_dim()
+    return _chart_subspace(m, n, chart[:k], chart[k:], A).span_dim()
 
 
 def genericity_reference(k, m, n, chart, A) -> GenericityReport:

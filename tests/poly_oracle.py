@@ -70,7 +70,7 @@ def matvec(A: RationalMatrix, v):
     )
 
 
-def form_value(q: QuadraticForm, v):
-    """v^T M v of the form at a rational point."""
+def form_value(M: RationalMatrix, v):
+    """v^T M v of the symmetric matrix M at a rational point."""
     v = tuple(rat(x) for x in v)
-    return vec_dot(v, matvec(q.matrix, v))
+    return vec_dot(v, matvec(M, v))

@@ -49,7 +49,7 @@ def find_rank_one_exact(K: Subspace) -> ExactRankOne:
             return ExactRankOne(True, witness=(Fraction(1),), witness_float=np.array([1.0]))
         return ExactRankOne(False)
 
-    forms = list(K.minor_forms().S.values())
+    forms = list(K.minor_forms().values())
     if not forms:
         return ExactRankOne(True, witness=(Fraction(1), Fraction(0)),
                             witness_float=np.array([1.0, 0.0]))

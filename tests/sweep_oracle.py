@@ -38,7 +38,7 @@ def residuals_reference(Z, B, idx):
 def find_rank_one_reference(K: Subspace, density=20000, seed=0) -> RankOneResult:
     """``find_rank_one`` with every sample scored by ``residuals_reference``."""
     B = K.basis_float()
-    idx = _minor_index_arrays(K.n, K.minor_forms().S)
+    idx = _minor_index_arrays(K.n, K.minor_forms())
     density = int(density)
     best_overall = None
     best_z = None

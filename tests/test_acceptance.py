@@ -338,7 +338,7 @@ def test_criterion_6_grassmann_genericity():
     [rep0] = grassmann_genericity(2, 4, 4, [V0.basis_float()])
     elapsed = time.monotonic() - t0
     assert fraction == 1.0, "fraction %.3f != 1.000" % fraction
-    assert V0.minor_forms().span_dim() == 3
+    assert V0.span_dim() == 3
     assert elapsed < 120.0, "took %.1fs" % elapsed
     record_acceptance(
         "ACCEPTANCE 6: PASS - 1000/1000 random charts generic, block-scalar chart has exact span 3, %.1fs" % elapsed

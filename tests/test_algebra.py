@@ -329,7 +329,7 @@ def test_quadratic_form_roundtrip():
         q = QuadraticForm(RationalMatrix(m))
         assert QuadraticForm.from_poly(to_poly(q)) == q
         z = [rand_rat(rng) for _ in range(d)]
-        assert form_value(q, z) == poly_eval(to_poly(q), z)
+        assert form_value(q.matrix, z) == poly_eval(to_poly(q), z)
 
 
 def test_psd_analyze_basic():

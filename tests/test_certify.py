@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import random
 import re
@@ -21,6 +24,7 @@ from nullag.certify import (
     _certificate_target,
     _identity_combination,
     _same_span,
+    _square_of,
     check_certificate,
     find_certificate_d_le_3,
     grassmann_genericity,
@@ -35,7 +39,8 @@ from nullag.fixtures import (
     sub_k0_random,
     v0_subspace,
 )
-from nullag.subspace import MinorForms, Subspace, minor_polys
+from nullag.cli import main
+from nullag.subspace import Subspace, minor_polys
 from bench_inputs import certify_corpus_subspaces
 from genericity_oracle import chart_bases, exact_span_dim, genericity_reference
 from pencil_ops import apply_ops, random_pencil_ops
@@ -57,8 +62,8 @@ def test_certificate_diag_pencil():
     beta = {((0, 1), (0, 1)): Fraction(1),  # y1^2
             ((2, 3), (2, 3)): Fraction(1)}  # y2^2
     form = K.combination(beta)
-    assert form.matrix == RationalMatrix.identity(2)
-    rep2 = psd_analyze(form.matrix)
+    assert form == RationalMatrix.identity(2)
+    rep2 = psd_analyze(form)
     assert rep2.is_psd and rep2.rank == 2 and rep2.kernel == []
     assert verify_combination(K, beta).ok
 
@@ -71,7 +76,7 @@ def test_certificate_rotation_single_minor():
     (b,) = beta.values()
     assert list(beta) == [((0, 1), (0, 1))] and b != 0
     form = K.combination(beta)
-    assert form.matrix == RationalMatrix.identity(2).scale(abs(b))
+    assert form == RationalMatrix.identity(2).scale(abs(b))
     assert verify_combination(K, out.combination).ok
 
 
@@ -216,12 +221,38 @@ def test_check_certificate_builds_no_form_table(monkeypatch):
             certs.append((obj, check_certificate(obj)))
     assert len(certs) == 90 and all(ok for _, (ok, _) in certs)
 
-    def refuse(self, K):
+    def refuse(self):
         raise AssertionError("a table of minor forms was built")
 
-    monkeypatch.setattr(MinorForms, "__init__", refuse)
+    monkeypatch.setattr(Subspace, "minor_forms", refuse)
     for obj, want in certs:
         assert check_certificate(obj) == want
+
+
+def test_no_command_builds_a_quadratic_form(tmp_path, monkeypatch):
+    # every form a command builds is a symmetric RationalMatrix: analyze and
+    # verify of each certify-corpus input (seed 1) and of Kr(r=2), the d >= 4
+    # identity step included, run with no QuadraticForm constructible
+    def refuse(self, matrix):
+        raise AssertionError("a QuadraticForm was built")
+
+    monkeypatch.setattr(QuadraticForm, "__init__", refuse)
+    sub_path, report_path = tmp_path / "sub.json", tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        for sub in certify_corpus_subspaces(1) + [kr_family(2).to_json()]:
+            sub_path.write_text(json.dumps(sub))
+            assert main(["analyze", str(sub_path), "--json-out", str(report_path)]) in (0, 10)
+            assert main(["verify", str(report_path)]) == 0
+
+
+def test_square_of_is_the_outer_product():
+    # (v.z)^2 = det diag(v.z, v.z) has the matrix v v^T, on vectors with
+    # zero and fractional entries
+    rng = random.Random(5)
+    for _ in range(60):
+        v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.6 else Fraction(0)
+                  for _ in range(rng.randint(1, 5)))
+        assert _square_of(v) == RationalMatrix([[a * b for b in v] for a in v]), v
 
 
 def _same_span_by_ranks(cone, stored):
@@ -284,7 +315,7 @@ def _identity_in_minor_span(K):
     """Whether I lies in the span of the S_k, by the independence kernel."""
     d = K.d
     upper = [(i, j) for i in range(d) for j in range(i, d)]
-    vectors = [tuple(Fraction(S.get(key, 0)) for key in upper) for S in K.minor_forms().S.values()]
+    vectors = [tuple(Fraction(S.get(key, 0)) for key in upper) for S in K.minor_forms().values()]
     vectors.append(tuple(Fraction(int(i == j)) for i, j in upper))
     return len(vectors) - 1 not in independent_indices(vectors)
 
@@ -339,7 +370,7 @@ def test_identity_step_is_exact_span_membership():
         assert outcome.found == in_span
         if in_span:
             form = K.combination(outcome.combination)
-            assert form.matrix == RationalMatrix.identity(K.d)
+            assert form == RationalMatrix.identity(K.d)
         else:
             assert outcome.rank_one_witness is None
             assert outcome.note.endswith(outside)
@@ -436,7 +467,7 @@ def test_chain_agrees_with_exact_rank_one_oracle():
 def test_grassmann_v0_chart():
     V0 = v0_subspace(2, 4, 4)
     [rep] = grassmann_genericity(2, 4, 4, [V0.basis_float()])
-    assert V0.minor_forms().span_dim() == 3  # k(k+1)/2
+    assert V0.span_dim() == 3  # k(k+1)/2
     assert rep.span_dim == 3
     assert abs(rep.lambda_value) > 1e-12
     assert rep.beta is not None and rep.min_eigenvalue > 0
@@ -622,5 +653,5 @@ def test_solve_beta_consistency():
     K = rotation_pencil()
     polys = minor_polys(K, 2)
     g = polys[0]
-    beta = K.minor_forms().solve(QuadraticForm.from_poly(g).matrix)
+    beta = K.solve(QuadraticForm.from_poly(g).matrix)
     assert beta == {((0, 1), (0, 1)): Fraction(1)}

@@ -504,6 +504,21 @@ ATOM_3X3 = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]
         pytest.param("k1", (), ("--alpha1", "inf"), "--alpha1 must be finite, not inf", id="k1-alpha1-inf"),
         pytest.param("k1", (), ("--s0", "nan"), "--s0 must be finite, not nan", id="k1-s0-nan"),
         pytest.param("k1", (), ("--t0=-inf",), "--t0 must be finite, not -inf", id="k1-t0-minus-inf"),
+        # so is an eps outside (0, 1) or an offset that is not positive,
+        # which would reach the library's checks only after halving
+        pytest.param("k1", (), ("--eps", "nan"), '--eps must be "auto" or a number in (0, 1), not nan',
+                     id="k1-eps-nan"),
+        pytest.param("k1", (), ("--eps", "inf"), '--eps must be "auto" or a number in (0, 1), not inf',
+                     id="k1-eps-inf"),
+        pytest.param("k1", (), ("--eps=-1",), '--eps must be "auto" or a number in (0, 1), not -1',
+                     id="k1-eps-minus-one"),
+        pytest.param("k1", (), ("--eps", "0"), '--eps must be "auto" or a number in (0, 1), not 0',
+                     id="k1-eps-zero"),
+        pytest.param("k1", (), ("--eps", "1"), '--eps must be "auto" or a number in (0, 1), not 1',
+                     id="k1-eps-one"),
+        pytest.param("k1", (), ("--s0", "0"), "--s0 must be positive, not 0.0", id="k1-s0-zero"),
+        pytest.param("k1", (), ("--s0=-0.1",), "--s0 must be positive, not -0.1", id="k1-s0-negative"),
+        pytest.param("k1", (), ("--t0", "0"), "--t0 must be positive, not 0.0", id="k1-t0-zero"),
         pytest.param("k1", (), ("--flux", "quadratic:nan"), "the quadratic constant must be finite, not nan",
                      id="k1-quadratic-nan"),
         pytest.param("k1", (), ("--flux", "cubic:-inf"), "the cubic constant must be finite, not -inf",
@@ -675,8 +690,8 @@ def test_k1_offsets_not_halved_at_negative_slope(capsys):
 
 def test_k1_bad_offsets_still_refused(capsys):
     code, report = run_cli(capsys, "k1", "--flux", "linear", "--s0", "-0.1")
-    assert code == 3
-    assert report["error"] == "offsets must be positive"
+    assert code == 2
+    assert report["error"] == "--s0 must be positive, not -0.1"
 
 
 def test_k1_bad_flux(capsys):

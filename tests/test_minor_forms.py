@@ -80,10 +80,10 @@ def test_forms_match_minor_polys(case):
     _, K = random_pencil(*case)
     forms = K.minor_forms()
     polys = keyed_polys(K)
-    assert list(forms.S) == [key for key, p in polys.items() if not p.is_zero()]
+    assert list(forms) == [key for key, p in polys.items() if not p.is_zero()]
     for key, p in polys.items():
         Q = QuadraticForm.from_poly(p).matrix
-        assert K.combination({key: 1}).matrix == Q
+        assert K.combination({key: 1}) == Q
 
 
 @SETTINGS
@@ -96,7 +96,7 @@ def test_combination_form_matches_poly_sum(case):
         acc = MultiPoly.zero(K.d)
         for key, b in beta.items():
             acc = acc + polys[key].scale(b)
-        assert K.combination(beta) == QuadraticForm.from_poly(acc)
+        assert K.combination(beta) == QuadraticForm.from_poly(acc).matrix
 
 
 @settings(SETTINGS, max_examples=25)
@@ -115,7 +115,7 @@ def test_solve_beta_matches_monomial_solve(case):
     generic = to_poly(QuadraticForm(RationalMatrix(sym)))
     first = next(iter(polys.values()))
     for g in (in_span, line * line, generic, first, MultiPoly.zero(K.d)):
-        assert K.minor_forms().solve(QuadraticForm.from_poly(g).matrix) == monomial_solve(polys, g)
+        assert K.solve(QuadraticForm.from_poly(g).matrix) == monomial_solve(polys, g)
 
 
 @SETTINGS
@@ -126,13 +126,13 @@ def test_combination_of_solve_is_the_target(case):
     rng, K = random_pencil(*case)
     forms = K.minor_forms()
     for _ in range(3):
-        target = K.combination(sparse_beta(rng, list(keyed_polys(K)))).matrix
-        beta = forms.solve(target)
-        if not forms.S:
+        target = K.combination(sparse_beta(rng, list(keyed_polys(K))))
+        beta = K.solve(target)
+        if not forms:
             assert beta is None
             continue
-        assert set(beta) <= set(forms.S) and all(b != 0 for b in beta.values())
-        assert K.combination(beta).matrix == target
+        assert set(beta) <= set(forms) and all(b != 0 for b in beta.values())
+        assert K.combination(beta) == target
 
 
 @SETTINGS
@@ -151,8 +151,8 @@ def test_restricted_forms_are_pulled_back(case):
     keys = enumerate_minors(K.m, K.n, 2)
     for _ in range(3):
         beta = sparse_beta(rng, keys)
-        Q = K.combination(beta).matrix
-        assert sub.combination(beta).matrix == C.transpose() @ Q @ C
+        Q = K.combination(beta)
+        assert sub.combination(beta) == C.transpose() @ Q @ C
 
 
 def assert_forms_are_the_table(K):
@@ -160,7 +160,7 @@ def assert_forms_are_the_table(K):
     # a key with no entry has the empty form
     forms = K.minor_forms()
     for key in enumerate_minors(K.m, K.n, 2):
-        assert minor_form(K.int_grid, key) == forms.S.get(key, {}), key
+        assert minor_form(K.int_grid, key) == forms.get(key, {}), key
 
 
 @SETTINGS
@@ -189,16 +189,16 @@ def test_minor_form_is_the_table_entry_on_chain_pencils():
     assert steps > 24
 
 
-def fraction_path_solve(forms, target):
-    """``MinorForms.solve`` through Fraction matrices: the system
+def fraction_path_solve(K, target):
+    """``Subspace.solve`` through Fraction matrices: the system
     sum_k beta_k S_k = 2 L^2 target as a RationalMatrix, solved by the
     Fraction Gauss-Jordan reference."""
-    d = forms.d
-    positions = sorted({key for upper in forms.S.values() for key in upper}
+    d, forms = K.d, K.minor_forms()
+    positions = sorted({key for upper in forms.values() for key in upper}
                        | {(i, j) for i in range(d) for j in range(i, d) if target[i, j]})
-    A = RationalMatrix([[upper.get(key, 0) for upper in forms.S.values()] for key in positions])
-    x = solve_reference(A, [target[key] * 2 * forms.L ** 2 for key in positions])
-    return None if x is None else {key: b for key, b in zip(forms.S, x) if b}
+    A = RationalMatrix([[upper.get(key, 0) for upper in forms.values()] for key in positions])
+    x = solve_reference(A, [target[key] * 2 * K.L ** 2 for key in positions])
+    return None if x is None else {key: b for key, b in zip(forms, x) if b}
 
 
 def test_solve_matches_fraction_path():
@@ -209,11 +209,11 @@ def test_solve_matches_fraction_path():
     for r in range(2, 11):
         K = kr_family(r)
         forms = K.minor_forms()
-        identity = RationalMatrix.identity(forms.d)
-        assert forms.solve(identity) is None and fraction_path_solve(forms, identity) is None, r
-        target = K.combination(sparse_beta(rng, list(forms.S))).matrix
-        beta = forms.solve(target)
-        assert beta == fraction_path_solve(forms, target) and K.combination(beta).matrix == target, r
+        identity = RationalMatrix.identity(K.d)
+        assert K.solve(identity) is None and fraction_path_solve(K, identity) is None, r
+        target = K.combination(sparse_beta(rng, list(forms)))
+        beta = K.solve(target)
+        assert beta == fraction_path_solve(K, target) and K.combination(beta) == target, r
     for seed in range(40):
         rng = random.Random(seed)
         m, n, d = rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 6)
@@ -224,7 +224,7 @@ def test_solve_matches_fraction_path():
             for j in range(i, K.d):
                 sym[i][j] = sym[j][i] = rand_rat(rng)
         targets = [RationalMatrix.identity(K.d), RationalMatrix(sym)]
-        if forms.S:
-            targets.append(K.combination(sparse_beta(rng, list(forms.S))).matrix)
+        if forms:
+            targets.append(K.combination(sparse_beta(rng, list(forms))))
         for target in targets:
-            assert forms.solve(target) == fraction_path_solve(forms, target), seed
+            assert K.solve(target) == fraction_path_solve(K, target), seed

@@ -375,7 +375,7 @@ def test_live_minor_residuals_match_all_minors():
     dropped = 0
     for K in pencils:
         full = _minor_index_arrays(K.n, enumerate_minors(K.m, K.n, 2))
-        dropped += len(full[0]) - len(K.minor_forms().S)
+        dropped += len(full[0]) - len(K.minor_forms())
         B = K.basis_float()
         Z = _sphere_samples(K.d, 2000, 3)
         R, G = _score_factor(K, B)
