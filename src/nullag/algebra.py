@@ -8,11 +8,14 @@ never enters here; numeric work lives in the modules that need it.
 The elimination kernels run on integer rows, cleared of denominators once.
 ``RationalMatrix.det``, ``psd_analyze`` and the Farkas simplex share one
 fraction-free step, ``bareiss_step``: (p*x - f*r) // D, exact because each
-entry stays a minor of the cleared matrix (Bareiss 1968).  ``rref_rows``
-(behind ``rref``, ``solve``, ``nullspace`` and ``inverse``) and
-``echelon_pivots`` (behind ``independent_indices``) divide each new row by
-the gcd of its entries instead: under Bareiss a Gauss-Jordan row grows to
-the size of a minor.
+entry stays a minor of the cleared matrix (Bareiss 1968).  The other
+kernels divide each new row by the gcd of its entries instead: under
+Bareiss a Gauss-Jordan row grows to the size of a minor.  One forward
+pass, ``_forward_pass``, keeps the independent rows in echelon form; it
+is behind ``independent_indices`` (through ``echelon_pivots``) and
+``solve`` (through ``solve_rows``, which back-substitutes over those
+rows).  Gauss-Jordan, ``rref_rows``, is only behind ``rref``,
+``nullspace`` and ``inverse``, which read every reduced row.
 
 No command builds a polynomial or a ``QuadraticForm``: the library
 handles the minors as integer quadratic forms (``Subspace.minor_forms``)
@@ -326,15 +329,33 @@ def rref_rows(m):
 
 
 def solve_rows(m, scale=1):
-    """The rref basic solution x of the integer system whose rows ``m`` end
-    in the right-hand side, divided by ``scale``; None if inconsistent."""
+    """The rref basic solution x (free coefficients zero) of the integer
+    system whose rows ``m`` end in the right-hand side, divided by
+    ``scale``; None if inconsistent.
+
+    ``_forward_pass`` leaves independent rows with distinct pivots, their
+    first non-zero positions: sorted by pivot, an echelon form of the
+    system, with the pivot columns of the rref.  The system is
+    inconsistent exactly when the last pivot is the right-hand side's
+    column.  Otherwise back substitution runs from the last pivot up with
+    one integer denominator, x_j = X_j / den, den multiplied by each pivot
+    as its row is reached.
+    """
     n = len(m[0]) - 1
-    pivots = rref_rows(m)
-    if pivots and pivots[-1] == n:
+    rows = sorted(_forward_pass(m)[1], reverse=True)  # the pivots are distinct
+    if rows and rows[0][0] == n:
         return None
+    X, den = {}, 1
+    for p, row in rows:
+        t = row[n] * den - sum(row[j] * a for j, a in X.items())
+        c = row[p]
+        X = {j: a * c for j, a in X.items()}
+        if t:
+            X[p] = t
+        den *= c
     x = [Fraction(0)] * n
-    for row, p in zip(m, pivots):
-        x[p] = Fraction(row[n], row[p] * scale)
+    for j, a in X.items():
+        x[j] = Fraction(a, den * scale)
     return tuple(x)
 
 
@@ -347,21 +368,27 @@ def independent_indices(vectors):
 
 def echelon_pivots(vectors):
     """``(chosen, pivots)``: the indices of the rational vectors independent
-    of those before them, and the pivot positions of their echelon form.
+    of those before them, and the pivot positions of their echelon form,
+    by ``_forward_pass`` on the vectors cleared of denominators.  A stored
+    row is zero at every earlier pivot, so the chosen vectors' entries at
+    the pivot positions form a non-singular matrix: those coordinates
+    alone tell the vectors' dependencies apart.
+    """
+    chosen, basis = _forward_pass(_integer_row(v)[1] for v in vectors)
+    return chosen, [p for p, _ in basis]
 
-    One forward-elimination pass in integers: each vector is cleared of
-    denominators and reduced against the stored (pivot, row) pairs, with
+
+def _forward_pass(rows):
+    """``(chosen, basis)``: one forward-elimination pass over the integer
+    rows.  Each row is reduced against the stored (pivot, row) pairs, with
     the gcd of its entries divided out after each step; a non-zero
-    remainder is stored with its first non-zero position as the next pair.
-    Once the pivots fill the dimension no later vector can be independent.
-    A stored row is zero at every earlier pivot, so the chosen vectors'
-    entries at the pivot positions form a non-singular matrix: those
-    coordinates alone tell the vectors' dependencies apart.
+    remainder is stored with its first non-zero position as the next pair,
+    and its index is chosen.  Once the pivots fill the dimension no later
+    row can be independent.
     """
     chosen = []
     basis = []
-    for idx, v in enumerate(vectors):
-        r = _integer_row(v)[1]
+    for idx, r in enumerate(rows):
         for p, br in basis:
             f = r[p]
             if f:
@@ -370,13 +397,14 @@ def echelon_pivots(vectors):
                 g = math.gcd(*r)
                 if g > 1:
                     r = [a // g for a in r]
-        if not any(r):
+        p = next(itertools.compress(itertools.count(), r), None)
+        if p is None:
             continue
-        basis.append((next(i for i, x in enumerate(r) if x), r))
+        basis.append((p, r))
         chosen.append(idx)
         if len(basis) == len(r):
             break
-    return chosen, [p for p, _ in basis]
+    return chosen, basis
 
 
 # ---------------------------------------------------------------------------

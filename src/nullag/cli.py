@@ -56,7 +56,8 @@ def _digest(obj):
 
 
 def _emit(report, json_out=None):
-    """One line of JSON to --json-out and then to stdout.
+    """One line of JSON to the --json-out file, which ``main`` opened, and
+    then to stdout.
 
     With no indent ``json`` takes its C encoder.  The file is written
     first, so a reader that has closed stdout does not cost it; a broken
@@ -64,9 +65,10 @@ def _emit(report, json_out=None):
     at os.devnull so that the flush at exit does not raise it again.
     """
     text = json.dumps(report, sort_keys=True, default=str)
-    if json_out:
-        with open(json_out, "w") as fh:
-            fh.write(text + "\n")
+    if json_out is not None:
+        json_out.truncate(0)
+        json_out.write(text + "\n")
+        json_out.flush()
     try:
         print(text, flush=True)
     except BrokenPipeError:
@@ -155,7 +157,10 @@ def cmd_k1(args):
             if option in ("--s0", "--t0") and value <= 0:
                 raise ValueError("%s must be positive, not %r" % (option, value))
         flux = FluxFunction.named(args.flux)
-        eps = None if args.eps == "auto" else float(args.eps)
+        try:
+            eps = None if args.eps == "auto" else float(args.eps)
+        except ValueError:
+            eps = math.nan  # refused below, by the option's name
         if eps is not None and not 0 < eps < 1:
             raise ValueError('--eps must be "auto" or a number in (0, 1), not %s' % args.eps)
     except ValueError as exc:
@@ -414,7 +419,18 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     if args.command == "fixtures" and args.action == "dump" and not args.name:
         _PARSER.error("fixtures dump needs a name")
-    return args.func(args)
+    if not args.json_out:
+        return args.func(args)
+    # opened before any work, so an unwritable path is refused first; "a"
+    # keeps the file, which may be the command's own input, until _emit
+    try:
+        json_out = open(args.json_out, "a")
+    except OSError as exc:
+        _emit({"command": args.command, "error": "cannot write --json-out: %s" % exc})
+        return EXIT_SCHEMA
+    with json_out:
+        args.json_out = json_out
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -218,6 +218,17 @@ def _parse_args(argstr):
     return out
 
 
+# the most basis entries, d*m*n, a parametrized fixture may have: Kr(r=60)
+# has 968,256, and a larger request is refused before it is built
+MAX_BASIS_ENTRIES = 10**6
+
+
+def _check_size(name, d, m, n):
+    if d * m * n > MAX_BASIS_ENTRIES:
+        raise ValueError("fixture %r has %d basis entries (d*m*n), over the limit of %d"
+                         % (name, d * m * n, MAX_BASIS_ENTRIES))
+
+
 def builtin(name: str) -> FixtureEntry:
     """Look up a fixture by name, e.g. ``V0(k=2,m=4,n=4)`` or ``Kr(r=1)``."""
     base, args = name, ""
@@ -231,6 +242,7 @@ def builtin(name: str) -> FixtureEntry:
         k = kw.get("k", kw.get("value", 2))
         m = kw.get("m", 4)
         n = kw.get("n", 4)
+        _check_size(name, k, m, n)
         return FixtureEntry(
             name, v0_subspace(k, m, n), False, True, False,
             "block-scalar diagonal pencil; its squared coordinate minors give a strictly positive combination",
@@ -276,6 +288,7 @@ def builtin(name: str) -> FixtureEntry:
         )
     if base == "Kr":
         r = kw.get("r", kw.get("value", 0))
+        _check_size(name, 4 + r, 3 + 2 * r, 3 + 2 * r)
         return FixtureEntry(
             name, kr_family(r), False, False, True,
             "rank-one-free family supporting the eight-atom measure",

@@ -8,6 +8,7 @@ to a_ij . z for coefficient vectors a_ij in Q^d.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -133,7 +134,8 @@ class Subspace:
 
         The system has one equation per upper-triangle position where some
         S_k or the target is non-zero, in integers: sum_k y_k S_k = 2 L^2 T
-        target, T the lcm of the target's denominators.  beta = y / T is
+        target, T the lcm of the target's denominators; its rows are filled
+        from the non-zero entries of the forms.  beta = y / T is
         the rref basic solution (free coefficients zero) of
         ``algebra.solve_rows``, returned as the dict of its non-zero
         coefficients.  With no form there is no solution to report.
@@ -144,12 +146,15 @@ class Subspace:
         d = self.d
         positions = {key for upper in forms.values() for key in upper}
         positions |= {(i, j) for i in range(d) for j in range(i, d) if target[i, j] != 0}
-        positions = sorted(positions)
-        T = math.lcm(*(target[key].denominator for key in positions))
+        index = {key: i for i, key in enumerate(sorted(positions))}
+        T = math.lcm(*(target[key].denominator for key in index))
         den = 2 * self.L * self.L * T
-        x = solve_rows([[upper.get(key, 0) for upper in forms.values()]
-                        + [target[key].numerator * (den // target[key].denominator)]
-                        for key in positions], T)
+        rows = [[0] * len(forms) + [target[key].numerator * (den // target[key].denominator)]
+                for key in index]
+        for k, upper in enumerate(forms.values()):
+            for key, s in upper.items():
+                rows[index[key]][k] = s
+        x = solve_rows(rows, T)
         if x is None:
             return None
         return {key: b for key, b in zip(forms, x) if b != 0}
@@ -189,7 +194,10 @@ class Subspace:
                 RationalMatrix([[rat_from_str(x) for x in row] for row in bm])
                 for bm in obj["basis"]
             ]
-            stated = {key: int(obj[key]) for key in ("m", "n", "d") if key in obj}
+            stated = {key: obj[key] for key in ("m", "n", "d") if key in obj}
+            for key, value in stated.items():
+                if type(value) is not int:  # not a bool, a float or null
+                    raise ValueError("%r must be an integer, not %s" % (key, json.dumps(value)))
         except (KeyError, TypeError, ValueError) as exc:
             raise bad_json("subspace", exc) from exc
         K = Subspace(basis)

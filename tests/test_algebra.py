@@ -244,6 +244,62 @@ def test_rref_matches_fraction_reference():
         RationalMatrix([])  # no matrix has zero rows
 
 
+def _solve_case(rng, t):
+    """Seeded system t: (A, b) full-rank, rank-deficient and consistent,
+    rank-deficient and inconsistent, with a zero row and a zero column,
+    with b the only pivot (A zero), and with rows at fractional scales, in
+    turn."""
+    kind = t % 6
+    m, n = rng.randint(1, 7), rng.randint(1, 7)
+    if kind == 0:  # full rank, square, tall or wide
+        while True:
+            A = rand_matrix(rng, m, n)
+            if A.rank() == min(m, n):
+                break
+    elif kind in (1, 2, 5):  # rank k < min(m, n), through a product
+        k = rng.randint(0, min(m, n) - 1)
+        A = (rand_matrix(rng, m, k, 4) @ rand_matrix(rng, k, n, 4) if k
+             else RationalMatrix([[0] * n] * m))
+        if kind == 5:  # each row at its own fractional scale
+            A = RationalMatrix([[Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) * x
+                                 for x in row] for row in A.entries])
+    elif kind == 3:  # a zero row and a zero column
+        rows = [[rand_rat(rng) for _ in range(n)] for _ in range(m)]
+        rows[rng.randrange(m)] = [Fraction(0)] * n
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = Fraction(0)
+        A = RationalMatrix(rows)
+    else:  # A zero: a non-zero b is the only pivot
+        A = RationalMatrix([[0] * n] * m)
+    if kind in (1, 5) and rng.random() < 0.5:  # consistent: b in the column space
+        b = matvec(A, [rand_rat(rng) for _ in range(n)])
+    else:
+        b = [rand_rat(rng) for _ in range(m)]
+    return A, b
+
+
+def test_solve_rows_matches_the_fraction_reference():
+    # the forward pass and back substitution of solve_rows give the rref
+    # basic solution: the reference's answer, None exactly when inconsistent
+    rng = random.Random(37)
+    counts = {"solved": 0, "inconsistent": 0, "only-b": 0}
+    for t in range(1800):
+        A, b = _solve_case(rng, t)
+        x = A.solve(b)
+        assert x == solve_reference(A, b), t
+        if x is None:
+            counts["inconsistent"] += 1
+            counts["only-b"] += A.is_zero()
+        else:
+            counts["solved"] += 1
+            assert matvec(A, x) == tuple(b)
+            # the free coefficients are zero
+            _, pivots = A.rref()
+            assert all(v == 0 for j, v in enumerate(x) if j not in pivots)
+    assert min(counts.values()) > 200, counts
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

@@ -493,6 +493,18 @@ ATOM_3X3 = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]
         pytest.param("analyze", dict(ROTATION, d=None), (), None, id="analyze-null-dimension"),
         pytest.param("analyze", dict(ROTATION, basis=[[["1/0", "0"], ["0", "1"]]], d=1), (), None,
                      id="analyze-basis-zero-denominator"),
+        # a stated dimension is a JSON integer: no float is truncated to one
+        pytest.param("analyze", dict(ROTATION, m=2.5), (), "bad subspace JSON: 'm' must be an integer, not 2.5",
+                     id="analyze-fractional-dimension"),
+        pytest.param("analyze", dict(ROTATION, d=2.0), (), "bad subspace JSON: 'd' must be an integer, not 2.0",
+                     id="analyze-float-dimension"),
+        pytest.param("analyze", dict(ROTATION, n=True), (), "bad subspace JSON: 'n' must be an integer, not true",
+                     id="analyze-bool-dimension"),
+        pytest.param("analyze", dict(ROTATION, m="2"), (), """bad subspace JSON: 'm' must be an integer, not "2\"""",
+                     id="analyze-string-dimension"),
+        pytest.param("verify", {"kind": "triviality-certificate", "terminal": True, "chain": [],
+                                "subspace": dict(ROTATION, n=2.5)}, (),
+                     "bad subspace JSON: 'n' must be an integer, not 2.5", id="verify-certificate-fractional-dimension"),
         pytest.param("analyze", "Kr(r=0)", ("--budget", "-5"), None, id="budget-negative"),
         pytest.param("analyze", "Kr(r=2)", ("--seed", "-3"), None, id="analyze-seed-negative"),
         # grassmann-scan reads no file: the payload is its positional arguments
@@ -516,6 +528,8 @@ ATOM_3X3 = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]
                      id="k1-eps-zero"),
         pytest.param("k1", (), ("--eps", "1"), '--eps must be "auto" or a number in (0, 1), not 1',
                      id="k1-eps-one"),
+        pytest.param("k1", (), ("--eps", "abc"), '--eps must be "auto" or a number in (0, 1), not abc',
+                     id="k1-eps-text"),
         pytest.param("k1", (), ("--s0", "0"), "--s0 must be positive, not 0.0", id="k1-s0-zero"),
         pytest.param("k1", (), ("--s0=-0.1",), "--s0 must be positive, not -0.1", id="k1-s0-negative"),
         pytest.param("k1", (), ("--t0", "0"), "--t0 must be positive, not 0.0", id="k1-t0-zero"),
@@ -592,6 +606,44 @@ def test_malformed_argument_exits_schema(capsys, argv):
     assert code == 2
     assert report["error"]
     assert "verdicts" not in report or report["verdicts"] == []
+
+
+# each subcommand, with the library call it makes first; "SUBSPACE" is a
+# subspace file written by the test
+JSON_OUT_RUNS = [
+    pytest.param(("analyze", "SUBSPACE"), "decide", id="analyze"),
+    pytest.param(("verify", "SUBSPACE"), "check", id="verify"),
+    pytest.param(("k1",), "build_atoms", id="k1"),
+    pytest.param(("grassmann-scan", "2", "4", "4", "--samples", "3"), "grassmann_genericity",
+                 id="grassmann-scan"),
+    pytest.param(("fixtures", "list"), "builtin_names", id="fixtures-list"),
+    pytest.param(("fixtures", "dump", "Kr(r=1)"), "builtin", id="fixtures-dump"),
+]
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("argv, call", JSON_OUT_RUNS)
+def test_unwritable_json_out_exits_schema_before_any_work(tmp_path, capsys, monkeypatch, argv, call, where):
+    def reached(*args, **kwargs):
+        raise AssertionError("%s was reached" % call)
+
+    monkeypatch.setattr(nullag.cli, call, reached)
+    out = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+    argv = [write_subspace(tmp_path, ROTATION) if a == "SUBSPACE" else a for a in argv]
+    code = main([*argv, "--json-out", str(out)])
+    text = capsys.readouterr().out
+    assert code == 2 and text.count("\n") == 1
+    report = json.loads(text)
+    assert set(report) == {"command", "error"} and report["command"] == argv[0]
+    assert report["error"].startswith("cannot write --json-out: ")
+
+
+def test_json_out_may_be_the_input(tmp_path, capsys):
+    # the writability check neither truncates nor replaces the file
+    path = write_subspace(tmp_path, ROTATION)
+    code, report = run_cli(capsys, "analyze", path, "--json-out", path)
+    assert code == 0 and report["certificate"]["subspace"] == ROTATION
+    assert json.loads((tmp_path / "sub.json").read_text()) == report
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import pytest
 
-from nullag.fixtures import builtin, builtin_names, kr_family, kr_measure
+import nullag.fixtures
+from nullag.fixtures import MAX_BASIS_ENTRIES, builtin, builtin_names, kr_family, kr_measure
 from nullag.measures import is_null_lagrangian
 from nullag.subspace import find_rank_one, parametrize
 from poly_oracle import variable
@@ -124,3 +125,30 @@ def test_sym3_rank_one_free_hand_instance():
 
     cert = reduce_chain(K)
     assert isinstance(cert, TrivialityCertificate)
+
+
+@pytest.mark.parametrize(
+    "name, entries",
+    [
+        ("Kr(r=100000000)", 100000004 * 200000003**2),
+        ("V0(k=2,m=100000,n=100000)", 2 * 10**10),
+        ("Kr(r=300)", 304 * 603**2),
+        ("Kr(r=61)", 65 * 125**2),
+    ],
+)
+def test_oversized_fixture_refused_before_it_is_built(monkeypatch, name, entries):
+    def built(*args):
+        raise AssertionError("the fixture was built")
+
+    monkeypatch.setattr(nullag.fixtures, "kr_family", built)
+    monkeypatch.setattr(nullag.fixtures, "v0_subspace", built)
+    with pytest.raises(ValueError) as exc:
+        builtin(name)
+    assert str(exc.value) == "fixture %r has %d basis entries (d*m*n), over the limit of %d" % (
+        name, entries, MAX_BASIS_ENTRIES)
+
+
+def test_largest_kr_fixture_admitted():
+    # Kr(r=60), the top rung of the Kr ladder, fits under the limit
+    K = builtin("Kr(r=60)").subspace
+    assert K.d * K.m * K.n == 968256 <= MAX_BASIS_ENTRIES

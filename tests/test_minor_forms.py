@@ -17,6 +17,7 @@ from nullag.algebra import MultiPoly, QuadraticForm, RationalMatrix, enumerate_m
 from nullag.certify import Obstruction, reduce_chain
 from nullag.fixtures import kr_family, sub_k0_random
 from nullag.subspace import Subspace, minor_form, minor_polys
+from bench_inputs import certify_corpus_subspaces
 from poly_oracle import coefficient_vector, to_poly
 from rref_oracle import solve_reference
 
@@ -228,3 +229,21 @@ def test_solve_matches_fraction_path():
             targets.append(K.combination(sparse_beta(rng, list(forms))))
         for target in targets:
             assert K.solve(target) == fraction_path_solve(K, target), seed
+
+
+def test_identity_solve_matches_the_fraction_path():
+    # the d >= 4 identity step of the chain: the dense pencil4x4 draws of
+    # certify-corpus (seed 1), and Kr(10), whose identity system, 105
+    # equations in 339 forms and the right-hand side, is inconsistent
+    pencils = [Subspace.from_json(sub) for sub in certify_corpus_subspaces(1)]
+    pencils = [K for K in pencils if K.d >= 4]
+    assert len(pencils) == 18 and all((K.m, K.n) == (4, 4) for K in pencils)
+    for K in pencils:
+        identity = RationalMatrix.identity(K.d)
+        assert K.solve(identity) == fraction_path_solve(K, identity)
+    K = kr_family(10)
+    forms = K.minor_forms()
+    positions = {key for upper in forms.values() for key in upper}
+    assert (len(positions | {(i, i) for i in range(K.d)}), len(forms)) == (105, 339)
+    identity = RationalMatrix.identity(K.d)
+    assert K.solve(identity) is None and fraction_path_solve(K, identity) is None
