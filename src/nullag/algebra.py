@@ -8,14 +8,14 @@ never enters here; numeric work lives in the modules that need it.
 The elimination kernels run on integer rows, cleared of denominators once.
 ``RationalMatrix.det``, ``psd_analyze`` and the Farkas simplex share one
 fraction-free step, ``bareiss_step``: (p*x - f*r) // D, exact because each
-entry stays a minor of the cleared matrix (Bareiss 1968).  The other
-kernels divide each new row by the gcd of its entries instead: under
-Bareiss a Gauss-Jordan row grows to the size of a minor.  One forward
-pass, ``_forward_pass``, keeps the independent rows in echelon form; it
-is behind ``independent_indices`` (through ``echelon_pivots``) and
-``solve`` (through ``solve_rows``, which back-substitutes over those
-rows).  Gauss-Jordan, ``rref_rows``, is only behind ``rref``,
-``nullspace`` and ``inverse``, which read every reduced row.
+entry stays a minor of the cleared matrix (Bareiss 1968).  Every other
+kernel is one forward pass, ``_forward_pass``, which keeps the independent
+rows in echelon form and divides each new row by the gcd of its entries
+(under Bareiss a row grows to the size of a minor).  It alone answers
+``independent_indices`` and ``rank``; ``solve``, ``nullspace``,
+``inverse`` and ``rref`` add one back substitution, ``_back_substitute``,
+which returns the basic solutions of the columns each reads over one
+integer denominator.
 
 No command builds a polynomial or a ``QuadraticForm``: the library
 handles the minors as integer quadratic forms (``Subspace.minor_forms``)
@@ -241,13 +241,14 @@ class RationalMatrix:
         return Fraction(sign * m[n - 1][n - 1], math.prod(l for l, _ in cleared))
 
     def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column tuple),
-        read off ``rref_rows`` of the rows cleared of denominators."""
-        m = [_integer_row(r)[1] for r in self.entries]
-        pivots = rref_rows(m)
-        zero = Fraction(0)
-        red = [[Fraction(a, row[c]) if a else zero for a in row] for row, c in zip(m, pivots)]
-        red += [[zero] * self.cols for _ in range(self.rows - len(pivots))]
+        """Reduced row echelon form; returns (matrix, pivot column tuple).
+        Row k holds every column's basic solution at the k-th pivot; the
+        rows past the rank are zero."""
+        basis = _forward_pass([_integer_row(r)[1] for r in self.entries])[1]
+        X, den = _back_substitute(basis, range(self.cols))
+        pivots = tuple(sorted(p for p, _ in basis))
+        red = [[Fraction(x.get(p, 0), den) for x in X] for p in pivots]
+        red += [[Fraction(0)] * self.cols for _ in range(self.rows - len(pivots))]
         return RationalMatrix(red), pivots
 
     def rank(self):
@@ -255,17 +256,20 @@ class RationalMatrix:
         return len(independent_indices(self.entries))
 
     def nullspace(self):
-        """Basis of the right null space, as a list of vectors."""
-        m = [_integer_row(r)[1] for r in self.entries]
-        pivots = rref_rows(m)
-        basis = []
-        for f in (c for c in range(self.cols) if c not in pivots):
+        """Basis of the right null space, as a list of vectors: for each
+        free column f, 1 at f and minus f's basic solution at the pivots."""
+        basis = _forward_pass([_integer_row(r)[1] for r in self.entries])[1]
+        pivots = {p for p, _ in basis}
+        free = [c for c in range(self.cols) if c not in pivots]
+        X, den = _back_substitute(basis, free)
+        out = []
+        for f, x in zip(free, X):
             v = [Fraction(0)] * self.cols
             v[f] = Fraction(1)
-            for row, p in zip(m, pivots):
-                v[p] = Fraction(-row[f], row[p])
-            basis.append(tuple(v))
-        return basis
+            for p, a in x.items():
+                v[p] = Fraction(-a, den)
+            out.append(tuple(v))
+        return out
 
     def solve(self, b):
         """One exact solution of ``self @ x = b``, or None if inconsistent."""
@@ -274,14 +278,18 @@ class RationalMatrix:
         return solve_rows([_integer_row(list(r) + [rat(x)])[1] for r, x in zip(self.entries, b)])
 
     def inverse(self):
+        """Column j is the basic solution of column n + j of [self | I],
+        whose pivots are 0..n-1 exactly when self is non-singular."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         m = [_integer_row(list(r) + [Fraction(int(i == j)) for j in range(n)])[1]
              for i, r in enumerate(self.entries)]
-        if rref_rows(m) != tuple(range(n)):
+        basis = _forward_pass(m)[1]
+        if any(p >= n for p, _ in basis):
             raise ValueError("matrix is singular")
-        return RationalMatrix([[Fraction(a, row[i]) for a in row[n:]] for i, row in enumerate(m)])
+        X, den = _back_substitute(basis, range(n, 2 * n))
+        return RationalMatrix([[Fraction(x.get(i, 0), den) for x in X] for i in range(n)])
 
 
 def _integer_row(v):
@@ -298,65 +306,52 @@ def bareiss_step(row, prow, f, p, D):
     return row if p == D else [p * x // D for x in row]
 
 
-def rref_rows(m):
-    """Gauss-Jordan on the integer rows m, in place; the pivot columns.
-
-    Every other row is eliminated against the pivot row as
-    ``p*row - f*pivot_row`` with the gcd of its entries divided out.  Row
-    k, divided by its pivot ``m[k][pivots[k]]``, is then row k of the
-    (unique) reduced form of the rational rows, and later rows are zero.
-    """
-    nrows = len(m)
-    pivots = []
-    for c in range(len(m[0])):
-        r = len(pivots)
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        p = prow[c]
-        for i in range(nrows):
-            f = m[i][c]
-            if f and i != r:
-                row = [p * a - f * b for a, b in zip(m[i], prow)]
-                g = math.gcd(*row)
-                m[i] = [a // g for a in row] if g > 1 else row
-        pivots.append(c)
-        if r + 1 == nrows:
-            break
-    return tuple(pivots)
-
-
 def solve_rows(m, scale=1):
     """The rref basic solution x (free coefficients zero) of the integer
     system whose rows ``m`` end in the right-hand side, divided by
-    ``scale``; None if inconsistent.
-
-    ``_forward_pass`` leaves independent rows with distinct pivots, their
-    first non-zero positions: sorted by pivot, an echelon form of the
-    system, with the pivot columns of the rref.  The system is
-    inconsistent exactly when the last pivot is the right-hand side's
-    column.  Otherwise back substitution runs from the last pivot up with
-    one integer denominator, x_j = X_j / den, den multiplied by each pivot
-    as its row is reached.
-    """
+    ``scale``; None if inconsistent, which is exactly when a pivot of
+    ``_forward_pass`` is the right-hand side's column."""
     n = len(m[0]) - 1
-    rows = sorted(_forward_pass(m)[1], reverse=True)  # the pivots are distinct
-    if rows and rows[0][0] == n:
+    basis = _forward_pass(m)[1]
+    if any(p == n for p, _ in basis):
         return None
-    X, den = {}, 1
-    for p, row in rows:
-        t = row[n] * den - sum(row[j] * a for j, a in X.items())
-        c = row[p]
-        X = {j: a * c for j, a in X.items()}
-        if t:
-            X[p] = t
-        den *= c
+    (X,), den = _back_substitute(basis, (n,))
     x = [Fraction(0)] * n
-    for j, a in X.items():
-        x[j] = Fraction(a, den * scale)
+    for p, a in X.items():
+        x[p] = Fraction(a, den * scale)
     return tuple(x)
+
+
+def _back_substitute(basis, cols):
+    """``(X, den)``: the basic solutions (free coefficients zero) of the
+    columns ``cols`` of the integer rows that ``_forward_pass`` stored as
+    ``basis``, over one integer denominator.  ``X[i]`` is the solution of
+    column ``cols[i]`` as the dict {pivot p: X_p} of its non-zero
+    numerators, x_p = X_p / den: the right-hand side for ``solve_rows``,
+    the free columns for ``nullspace``, the identity block for ``inverse``
+    and every column for ``rref``.
+
+    The stored rows have distinct pivots, their first non-zero positions:
+    sorted by pivot, an echelon form of the rows, with the pivot columns of
+    the rref.  den is the product of the pivots, fixed before the loop, and
+    back substitution runs from the last pivot up, one division per column
+    k: X_p = (den row[k] - sum_j row[j] X_j) / row[p], j over the later
+    pivots.  The division is exact, because the denominator of x_p divides
+    the product of the pivots from p on, so no numerator is ever rescaled,
+    and no gcd is taken: ``Fraction`` reduces each answer once.
+    """
+    basis = sorted(basis, reverse=True)  # the pivots are distinct
+    den = math.prod(row[p] for p, row in basis)
+    X = [{} for _ in cols]
+    for p, row in basis:
+        c = row[p]
+        for k, x in zip(cols, X):
+            t = row[k] * den
+            for j, a in x.items():
+                t -= row[j] * a
+            if t:
+                x[p] = t // c
+    return X, den
 
 
 def independent_indices(vectors):

@@ -125,13 +125,14 @@ class DiscreteMeasure:
         try:
             atoms_raw = obj["atoms"]
             weights_raw = obj["weights"]
-            exact = all(
-                isinstance(x, (str, int)) for a in atoms_raw for row in a for x in row
-            ) and all(isinstance(w, (str, int)) for w in weights_raw)
-            if exact:
+            entries = [x for a in atoms_raw for row in a for x in row] + list(weights_raw)
+            if all(isinstance(x, (str, int)) for x in entries):
                 atoms = [RationalMatrix([[rat_from_str(x) for x in row] for row in a]) for a in atoms_raw]
                 weights = [rat_from_str(w) for w in weights_raw]
             else:
+                # numpy would read null as nan and a numeric string as its value
+                if not all(type(x) in (int, float) and math.isfinite(x) for x in entries):
+                    raise ValueError("a float measure's entries must be finite numbers")
                 atoms = [np.asarray(a, dtype=float) for a in atoms_raw]
                 weights = [float(w) for w in weights_raw]
         except (KeyError, TypeError, ValueError) as exc:

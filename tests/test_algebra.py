@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from nullag import algebra
 from nullag.algebra import (
     MultiPoly,
     QuadraticForm,
@@ -298,6 +299,42 @@ def test_solve_rows_matches_the_fraction_reference():
             _, pivots = A.rref()
             assert all(v == 0 for j, v in enumerate(x) if j not in pivots)
     assert min(counts.values()) > 200, counts
+
+
+def test_each_exact_answer_is_one_forward_pass(monkeypatch):
+    # solve, nullspace, inverse and rref each eliminate once and read every
+    # column they need off one back substitution: a solve per column would
+    # pass over the rows once per column
+    passes = []
+    forward_pass = algebra._forward_pass
+
+    def counted(rows):
+        passes.append(1)
+        return forward_pass(rows)
+
+    monkeypatch.setattr(algebra, "_forward_pass", counted)
+
+    def once(method, *args):
+        passes.clear()
+        answer = method(*args)
+        assert len(passes) == 1, method
+        return answer
+
+    rng = random.Random(43)
+    shapes = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4)]  # 1x1 to 3x4
+    for m, n in shapes * 3 + [(2, 2), (3, 3)] * 10:
+        A = rand_matrix(rng, m, n)
+        assert once(A.rref) == rref_reference(A)
+        assert once(A.nullspace) == nullspace_reference(A)
+        b = [rand_rat(rng) for _ in range(m)]
+        assert once(A.solve, b) == solve_reference(A, b)
+        if m == n and inverse_reference(A) is not None:
+            assert once(A.inverse) == inverse_reference(A)
+    singular = RationalMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    passes.clear()
+    with pytest.raises(ValueError, match="singular"):
+        singular.inverse()
+    assert len(passes) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -691,6 +691,20 @@ def test_k1_report_verifies(tmp_path, capsys):
     assert len(report["verdicts"]) == 2  # stripped and pushed measures
 
 
+@pytest.mark.parametrize("entry", [None, float("nan"), float("inf"), "0.1", True])
+def test_verify_float_measure_with_a_non_number_exits_schema(tmp_path, capsys, entry):
+    # numpy reads null as nan and "0.1" as 0.1: a float measure's entries
+    # are refused unless they are finite JSON numbers, before any check
+    out = tmp_path / "k1.json"
+    assert run_cli(capsys, "k1", "--json-out", str(out))[0] == 0
+    report = json.loads(out.read_text())
+    report["measure"]["atoms"][3][1][0] = entry
+    out.write_text(json.dumps(report))
+    code, verified = run_cli(capsys, "verify", str(out))
+    assert code == 2
+    assert verified["error"] == "bad measure JSON: a float measure's entries must be finite numbers"
+
+
 def test_k1_negative_slope_with_evidence(capsys):
     code, report = run_cli(capsys, "k1", "--flux", "v - v^2", "--alpha2", "1.0")
     assert code == 3
